@@ -8,9 +8,14 @@ cells, of the normalized entropy surplus
 
 This module evaluates that objective against any subset-entropy oracle,
 minimizes it by full enumeration, and decides whether the all-singletons
-partition is the minimizer.  The minimizer check can either brute-force
-every partition or use the reduction to isolating partitions: the
-singleton partition minimizes the surplus iff
+partition is the minimizer.  The minimization reads the subset entropies
+into a list once and walks the partitions depth first over cell masks, in
+the lexicographic restricted-growth order of ``enumerate_partitions``;
+each surplus sums cell entropies in cell order like ``partition_surplus``,
+and only partitions in the tie band become ``Partition`` objects.  The
+minimizer check can either brute-force every partition or use the
+reduction to isolating partitions: the singleton partition minimizes the
+surplus iff
 
     surplus(S) <= surplus(P_B)   for every B with 1 <= |B| <= m-2,
 
@@ -33,6 +38,7 @@ from typing import Any, Optional
 from . import subsets
 from .errors import SizeLimitError
 from .partitions import (
+    MAX_ENUMERATION_M,
     Partition,
     enumerate_partitions,
     isolating_partition,
@@ -78,20 +84,42 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     m = oracle.m
     if m < 2:
         raise SizeLimitError("capacity needs at least 2 terminals")
+    if m > MAX_ENUMERATION_M:
+        raise SizeLimitError(f"partition enumeration supports m <= {MAX_ENUMERATION_M}")
+    h = [oracle.entropy(subset) for subset in range(1 << m)]
+    joint = h[-1]
+    exact = oracle.exact
+    band = 0 if exact else tie_tol
     best: Any = None
     near: list[tuple[Any, Partition]] = []
     examined = 0
-    band = 0 if oracle.exact else tie_tol
-    for p in enumerate_partitions(m, min_cells=2):
-        examined += 1
-        value = partition_surplus(oracle, p)
-        if best is None or value < best:
-            best = value
-            near = [(v, q) for v, q in near if v <= best + band]
-        if value <= best + band:
-            near.append((value, p))
+    rgs = [0] * m
+    cells = [1]
+
+    def walk(i: int) -> None:
+        nonlocal best, near, examined
+        for c in range(len(cells) + 1):
+            rgs[i] = c
+            if c == len(cells):
+                cells.append(0)
+            cells[c] |= 1 << i
+            if i + 1 < m:
+                walk(i + 1)
+            elif len(cells) >= 2:
+                examined += 1
+                value = _ratio(sum(map(h.__getitem__, cells)) - joint, len(cells) - 1, exact)
+                if best is None or value < best:
+                    best = value
+                    near = [(v, q) for v, q in near if v <= best + band]
+                if value <= best + band:
+                    near.append((value, Partition(tuple(rgs), tuple(cells))))
+            cells[c] ^= 1 << i
+            if not cells[c]:
+                cells.pop()
+
+    walk(1)
     argmin = tuple(q for v, q in near if v <= best + band)
-    return CapacityReport(best, argmin, examined, oracle.exact)
+    return CapacityReport(best, argmin, examined, exact)
 
 
 def restricted_singleton_surplus(oracle: EntropyOracle, speakers: int) -> Any:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -45,7 +46,7 @@ from .omnivocality import (
 from .partitions import format_partition
 from .pin import PinGraph, PinOracle, pin_capacity
 from .silent_rate import silent_capacity
-from .sources import ExtendedPrecisionOracle, JointSource, TabularOracle
+from .sources import ExtendedPrecisionOracle, JointSource, TabularOracle, read_json
 
 
 @dataclass(frozen=True)
@@ -54,31 +55,19 @@ class RunConfig:
 
     tolerance: float = 1e-9
     output: str = "text"  # "text" | "json"
-    seed: int = 0
-    trials: int = 1
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if not self.tolerance > 0:
             raise InputError(f"tolerance must be positive, got {self.tolerance}")
         if self.output not in ("text", "json"):
             raise InputError(f"unknown output mode {self.output!r}")
-        if self.trials < 1:
-            raise InputError(f"trial count must be >= 1, got {self.trials}")
-        if self.jobs < 1:
-            raise InputError(f"jobs must be >= 1, got {self.jobs}")
 
 
 Model = Union[JointSource, PinGraph]
 
 
 def _load_model(path: str, renormalize: bool = False) -> Model:
-    try:
-        data = json.loads(open(path).read())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
+    data = read_json(path)
     if isinstance(data, dict) and "edges" in data:
         return PinGraph.from_json_dict(data)
     if isinstance(data, dict) and "atoms" in data:
@@ -119,9 +108,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
     return RunConfig(
         tolerance=getattr(args, "tol", 1e-9),
         output="json" if getattr(args, "json", False) else "text",
-        seed=getattr(args, "seed", 0),
-        trials=getattr(args, "trials", 1),
-        jobs=getattr(args, "jobs", 1),
     )
 
 
@@ -359,12 +345,17 @@ def _parse_alphabet(text: str, m: int) -> tuple[int, ...]:
 
 def cmd_hunt(args: argparse.Namespace) -> int:
     config = _config(args)
+    if args.trials < 1:
+        raise InputError(f"trial count must be >= 1, got {args.trials}")
+    cpus = os.cpu_count() or 1
+    if not 1 <= args.jobs <= cpus:
+        raise InputError(f"jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
     if args.m < 4:
         raise SizeLimitError("hunt targets m >= 4 (smaller m is decided exactly)")
     alphabet = _parse_alphabet(args.alphabet, args.m)
-    jobs = [(args.m, alphabet, config.seed, trial, config.tolerance) for trial in range(config.trials)]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    jobs = [(args.m, alphabet, args.seed, trial, config.tolerance) for trial in range(args.trials)]
+    if args.jobs > 1:
+        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_hunt_worker, jobs, chunksize=8))
     else:
         records = [_hunt_worker(job) for job in jobs]
@@ -375,8 +366,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             counts[record["classification"]] = counts.get(record["classification"], 0) + 1
     payload = {
         "m": args.m,
-        "trials": config.trials,
-        "seed": config.seed,
+        "trials": args.trials,
+        "seed": args.seed,
         "alphabet_sizes": list(alphabet),
         "out": args.out,
         "counts": counts,

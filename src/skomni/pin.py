@@ -22,16 +22,16 @@ route.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Optional
 
 from . import subsets
 from .capacity import CapacityReport
 from .errors import InputError, SizeLimitError
 from .partitions import Partition, enumerate_partitions
+from .sources import read_json
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class PinGraph:
                 u, v, mult = edge
             except (TypeError, ValueError):
                 raise InputError(f"edge {edge!r} is not a (u, v, mult) triple") from None
-            if not all(isinstance(x, int) for x in (u, v, mult)):
+            if not all(type(x) is int for x in (u, v, mult)):
                 raise InputError(f"edge {edge!r} has non-integer fields")
             if u == v:
                 raise InputError(f"self-loop at terminal {u}")
@@ -93,13 +93,7 @@ class PinGraph:
 
 
 def load_pin_graph(path: str | Path) -> PinGraph:
-    try:
-        data = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-    return PinGraph.from_json_dict(data)
+    return PinGraph.from_json_dict(read_json(path))
 
 
 def complete_graph(m: int, mult: int = 1) -> PinGraph:
@@ -123,19 +117,24 @@ def incident_weight(graph: PinGraph, subset: int) -> int:
 
 
 class PinOracle:
-    """Exact integer subset-entropy oracle for a PIN source."""
+    """Exact integer subset-entropy oracle for a PIN source, table-backed."""
 
     exact = True
 
     def __init__(self, graph: PinGraph):
         self.graph = graph
         self.m = graph.m
-        self._cache: dict[int, int] = {}
+        self._full = subsets.full_mask(graph.m)
+        self._cache: Optional[list[int]] = None
 
     def entropy(self, subset: int) -> int:
-        if subset not in self._cache:
-            self._cache[subset] = incident_weight(self.graph, subset)
-        return self._cache[subset]
+        if type(subset) is not int or not 0 <= subset <= self._full:
+            subsets.check_subset(subset, self.m, allow_empty=True)
+        return (self._cache or self._fill())[subset]
+
+    def _fill(self) -> list[int]:
+        self._cache = [incident_weight(self.graph, s) for s in range(self._full + 1)]
+        return self._cache
 
 
 def partition_crossing(graph: PinGraph, partition: Partition) -> int:

@@ -6,23 +6,25 @@ What this module provides
   as explicit atoms (probability mass points).  Cells not listed carry zero
   mass, so sparse supports stay sparse.
 * ``marginal``: projection of the pmf onto a subset of terminals.
-* ``TabularOracle``: the standard float-valued subset-entropy oracle, with
-  a lazily filled cache keyed by subset bitmask.
-* ``ExtendedPrecisionOracle``: same queries evaluated in mpmath arithmetic;
+* ``TabularOracle``: the standard float-valued subset-entropy oracle.
+* ``ExtendedPrecisionOracle``: the same entropies in mpmath arithmetic;
   the caller controls precision with ``mpmath.workdps``.
 * ``conditional_entropy`` / ``mutual_information`` over any oracle.
 
-Entropies are in bits.  Marginal masses are accumulated with ``math.fsum``
-over the contributing atoms (per projected cell, then again over the
-entropy terms), so equal sources built in different atom orders produce
+Entropies are in bits.  A pmf oracle fills a table of all 2^m subset
+entropies on its first query, summing each marginal from its parent's
+(the subset plus one terminal) in exact integers over a power-of-two
+denominator.  One correctly rounded division then gives each cell mass
+bitwise as the ``math.fsum`` of its atoms, and the entropy is an ``fsum``
+over the cells, so equal sources built in different atom orders produce
 bitwise-identical entropy values.
 
 Every analysis in the package consumes an object with the ``EntropyOracle``
 shape rather than a pmf, so exact integer-valued oracles (see ``pin``) and
 high-precision oracles plug into the same code paths.  Oracles answer the
-empty subset with zero.  A ``TabularOracle`` is safe to share between
-threads after construction: cache slots are only ever written with the
-value they would always receive, so duplicated fills are benign.
+empty subset with zero and reject anything else that is not a subset of
+1..m.  Oracles are safe to share between threads: a table is stored only
+once complete, and racing fills store equal tables.
 """
 
 from __future__ import annotations
@@ -31,16 +33,14 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Protocol
+from collections.abc import Callable
+from typing import Any, Optional, Protocol
 
 from . import subsets
 from .errors import InputError, InvalidSubsetError
 
 #: Relative slack allowed between the atom mass total and 1.
 PMF_TOLERANCE = 1e-9
-
-#: Largest m for which the entropy cache is a dense list rather than a dict.
-_DENSE_CACHE_LIMIT = 20
 
 
 class EntropyOracle(Protocol):
@@ -76,7 +76,7 @@ class JointSource:
         if not isinstance(self.m, int) or not 2 <= self.m <= subsets.MAX_TERMINALS:
             raise InputError(f"m={self.m!r} outside 2..{subsets.MAX_TERMINALS}")
         sizes = tuple(self.alphabet_sizes)
-        if len(sizes) != self.m or any(not isinstance(s, int) or s < 1 for s in sizes):
+        if len(sizes) != self.m or any(type(s) is not int or s < 1 for s in sizes):
             raise InputError(f"alphabet_sizes {self.alphabet_sizes!r} invalid for m={self.m}")
         if not self.atoms:
             raise InputError("source has no atoms")
@@ -84,7 +84,7 @@ class JointSource:
         for x, p in sorted(self.atoms.items()):
             x = tuple(x)
             if len(x) != self.m or any(
-                not isinstance(c, int) or not 0 <= c < sizes[i] for i, c in enumerate(x)
+                type(c) is not int or not 0 <= c < sizes[i] for i, c in enumerate(x)
             ):
                 raise InputError(f"atom {x!r} outside the alphabet grid")
             p = float(p)
@@ -134,15 +134,19 @@ class JointSource:
         }
 
 
-def load_source(path: str | Path, *, renormalize: bool = False) -> JointSource:
-    """Read a source JSON file.  Raises InputError with a diagnostic on failure."""
+def read_json(path: str | Path) -> Any:
+    """Parse a model file.  Raises InputError with a diagnostic on failure."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
-    return JointSource.from_json_dict(data, renormalize=renormalize)
+
+
+def load_source(path: str | Path, *, renormalize: bool = False) -> JointSource:
+    """Read a source JSON file.  Raises InputError with a diagnostic on failure."""
+    return JointSource.from_json_dict(read_json(path), renormalize=renormalize)
 
 
 def marginal(source: JointSource, subset: int) -> dict[tuple[int, ...], float]:
@@ -161,8 +165,43 @@ def marginal(source: JointSource, subset: int) -> dict[tuple[int, ...], float]:
     return {key: math.fsum(ps) for key, ps in buckets.items()}
 
 
-def _entropy_of_masses(masses: list[float]) -> float:
-    return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
+def _entropy_table(
+    source: JointSource, zero: Any, entropy: Callable[[list[int], int], Any]
+) -> list[Any]:
+    """All 2^m subset entropies, ``entropy(cell masses, k)`` for each nonempty one.
+
+    Masses are exact integers in units of 2**-k, cells in order of first
+    appearance in canonical atom order, keyed by the mixed-radix code of the
+    outcome with dropped digits zeroed.  Depth first, each subset's cells
+    merge from its parent's: the subset plus the largest terminal it lacks.
+    """
+    ratios = [p.as_integer_ratio() for p in source.atoms.values()]
+    k = max(d.bit_length() for _, d in ratios) - 1
+    radix = [math.prod(source.alphabet_sizes[:i]) for i in range(source.m + 1)]
+    root = {
+        sum(c * r for c, r in zip(x, radix)): n << (k + 1 - d.bit_length())
+        for x, (n, d) in zip(source.atoms, ratios)
+    }
+    table = [zero] * (1 << source.m)
+
+    def walk(subset: int, start: int, cells: dict[int, int]) -> None:
+        table[subset] = entropy(list(cells.values()), k)
+        for j in range(start, source.m):
+            if subset != 1 << j:
+                low, high = radix[j], radix[j + 1]
+                merged: dict[int, int] = {}
+                for code, mass in cells.items():
+                    code -= code % high - code % low
+                    merged[code] = merged.get(code, 0) + mass
+                walk(subset & ~(1 << j), j + 1, merged)
+
+    walk(subsets.full_mask(source.m), 0, root)
+    return table
+
+
+def _float_entropy(masses: list[int], k: int) -> float:
+    probs = [mass / (1 << k) for mass in masses if mass]
+    return -math.fsum([p * math.log2(p) for p in probs])
 
 
 class TabularOracle:
@@ -173,59 +212,46 @@ class TabularOracle:
     def __init__(self, source: JointSource):
         self.source = source
         self.m = source.m
-        if source.m <= _DENSE_CACHE_LIMIT:
-            self._cache: Any = [None] * (1 << source.m)
-        else:
-            self._cache = {}
-
-    def entropy(self, subset: int) -> float:
-        subsets.check_subset(subset, self.m, allow_empty=True)
-        if subset == 0:
-            return 0.0
-        cached = self._cache[subset] if isinstance(self._cache, list) else self._cache.get(subset)
-        if cached is None:
-            cached = _entropy_of_masses(list(marginal(self.source, subset).values()))
-            self._cache[subset] = cached
-        return cached
-
-
-class ExtendedPrecisionOracle:
-    """Subset-entropy oracle evaluated in mpmath arithmetic.
-
-    Precision is whatever ``mpmath.mp`` is set to when queries run, so wrap
-    the whole computation that consumes this oracle in ``mpmath.workdps``.
-    Atom probabilities are converted from float exactly (binary to binary),
-    only the log/summation work happens at extended precision.
-    """
-
-    exact = False
-
-    def __init__(self, source: JointSource):
-        import mpmath
-
-        self._mpmath = mpmath
-        self.source = source
-        self.m = source.m
-        self._cache: dict[int, Any] = {}
+        self._full = subsets.full_mask(source.m)
+        self._cache: Optional[list[Any]] = None
 
     def entropy(self, subset: int) -> Any:
-        subsets.check_subset(subset, self.m, allow_empty=True)
-        mp = self._mpmath
-        if subset == 0:
-            return mp.mpf(0)
-        if subset not in self._cache:
-            keep = [t - 1 for t in subsets.members(subset)]
-            buckets: dict[tuple[int, ...], Any] = {}
-            for x, p in self.source.atoms.items():
-                key = tuple(x[i] for i in keep)
-                buckets[key] = buckets.get(key, mp.mpf(0)) + mp.mpf(p)
-            ln2 = mp.log(2)
+        if type(subset) is not int or not 0 <= subset <= self._full:
+            subsets.check_subset(subset, self.m, allow_empty=True)
+        return (self._cache or self._fill())[subset]
+
+    def _fill(self) -> list[Any]:
+        self._cache = _entropy_table(self.source, 0.0, _float_entropy)
+        return self._cache
+
+
+class ExtendedPrecisionOracle(TabularOracle):
+    """The same table, evaluated in mpmath arithmetic.
+
+    The table is filled at the ``mpmath.mp`` precision of the first query,
+    so wrap the whole computation that consumes this oracle in
+    ``mpmath.workdps``.  Exact cell masses are rounded once to it; that
+    equals summing the atoms in mpmath whenever it holds the sums exactly.
+    """
+
+    # A class attribute of its own, so each oracle class can be wrapped apart.
+    entropy = TabularOracle.entropy
+
+    def _fill(self) -> list[Any]:
+        import mpmath as mp
+
+        ln2 = mp.log(2)
+
+        def entropy(masses: list[int], k: int) -> Any:
             acc = mp.mpf(0)
-            for mass in buckets.values():
-                if mass > 0:
-                    acc -= mass * mp.log(mass) / ln2
-            self._cache[subset] = acc
-        return self._cache[subset]
+            for mass in masses:
+                if mass:
+                    p = mp.ldexp(mp.mpf(mass), -k)
+                    acc -= p * mp.log(p) / ln2
+            return acc
+
+        self._cache = _entropy_table(self.source, mp.mpf(0), entropy)
+        return self._cache
 
 
 def conditional_entropy(oracle: EntropyOracle, a: int, b: int) -> Any:

@@ -54,6 +54,8 @@ def check_subset(mask: int, m: int, *, allow_empty: bool = False) -> None:
     """Raise unless mask is a subset of {1..m} (nonempty by default)."""
     if m < 1 or m > MAX_TERMINALS:
         raise InvalidSubsetError(f"m={m} outside 1..{MAX_TERMINALS}")
+    if type(mask) is not int:
+        raise InvalidSubsetError(f"subset mask {mask!r} is not an int")
     if mask < 0:
         raise InvalidSubsetError("subset mask must be nonnegative")
     if mask & ~full_mask(m):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,16 +14,17 @@ from skomni.capacity import (
     sk_capacity,
 )
 from skomni.errors import SizeLimitError
-from skomni.generators import random_source
+from skomni.generators import exchangeable_mixture, random_source
 from skomni.partitions import (
     Partition,
     enumerate_partitions,
     isolating_partition,
     singleton_partition,
 )
+from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.sources import TabularOracle, mutual_information
 
-from conftest import binary_entropy, make_two_speaker_bsc
+from conftest import binary_entropy, make_identical_bits, make_two_speaker_bsc
 
 
 def test_surplus_values_xor(xor_oracle):
@@ -193,3 +196,63 @@ def test_exact_oracle_yields_fractions(k4_oracle):
     v = singleton_minimizer_check(k4_oracle, "isolating")
     assert v.status is MinimizerStatus.UNIQUE
     assert v.comparisons == 10
+
+
+def _brute_capacity(oracle, tie_tol=1e-9):
+    """The minimization written out over ``enumerate_partitions``."""
+    band = 0 if oracle.exact else tie_tol
+    best, near, examined = None, [], 0
+    for p in enumerate_partitions(oracle.m, min_cells=2):
+        examined += 1
+        value = partition_surplus(oracle, p)
+        if best is None or value < best:
+            best = value
+            near = [(v, q) for v, q in near if v <= best + band]
+        if value <= best + band:
+            near.append((value, p))
+    return best, tuple(q for v, q in near if v <= best + band), examined
+
+
+def _capacity_oracles():
+    out = []
+    for m in range(2, 8):
+        rng = random.Random(m)
+        edges = [
+            (u, v, rng.randint(1, 3))
+            for u in range(1, m + 1)
+            for v in range(u + 1, m + 1)
+            if rng.random() < 0.6
+        ] or [(1, 2, 1)]
+        out += [
+            pytest.param(TabularOracle(random_source(m, (2,) * m, seed=40 + m)), id=f"random-m{m}"),
+            pytest.param(TabularOracle(make_identical_bits(m)), id=f"identical-m{m}"),
+            pytest.param(
+                TabularOracle(exchangeable_mixture(m, 2, components=2, seed=m)), id=f"mixture-m{m}"
+            ),
+            pytest.param(PinOracle(complete_graph(m)), id=f"K{m}"),
+            pytest.param(PinOracle(PinGraph(m, tuple(edges))), id=f"pin-m{m}"),
+        ]
+    return out
+
+
+@pytest.mark.parametrize("oracle", _capacity_oracles())
+def test_capacity_search_matches_brute_force(oracle):
+    report = sk_capacity(oracle)
+    value, argmin, examined = _brute_capacity(oracle)
+    assert type(report.value) is type(value)
+    assert report.value == value
+    assert report.argmin == argmin
+    assert [q.cells for q in report.argmin] == [q.cells for q in argmin]
+    assert report.partitions_examined == examined
+
+
+def test_capacity_size_limit_precedes_entropy_queries():
+    class Untouchable:
+        m = 13
+        exact = False
+
+        def entropy(self, subset):
+            raise AssertionError("entropy queried before the size check")
+
+    with pytest.raises(SizeLimitError, match="m <= 12"):
+        sk_capacity(Untouchable())

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -363,3 +364,30 @@ def test_hunt_json_summary(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["trials"] == 4
     assert sum(payload["counts"].values()) == 4
+
+
+def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    atoms = [{"x": [True, 0], "p": 0.5}, {"x": [0, 1], "p": 0.5}]
+    path.write_text(json.dumps({"m": 2, "alphabet_sizes": [2, 2], "atoms": atoms}))
+    code, _, err = run(capsys, ["capacity", str(path)])
+    assert code == 2
+    assert "outside the alphabet grid" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--jobs", "0"], "jobs must be between 1 and the CPU count"),
+    (["--jobs", str((os.cpu_count() or 1) + 1)], "jobs must be between 1 and the CPU count"),
+    (["--trials", "0"], "trial count must be >= 1"),
+])
+def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, flags, message):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr("skomni.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("skomni.cli._hunt_worker", no_pool)
+    out = tmp_path / "hunt.jsonl"
+    code, _, err = run(capsys, ["hunt", "--m", "4", "--trials", "2", "--out", str(out)] + flags)
+    assert code == 2
+    assert message in err
+    assert not out.exists()

@@ -6,7 +6,7 @@ import pytest
 
 from skomni import subsets
 from skomni.capacity import partition_surplus, singleton_minimizer_check, MinimizerStatus
-from skomni.errors import InputError, SizeLimitError
+from skomni.errors import InputError, InvalidSubsetError, SizeLimitError
 from skomni.partitions import (
     Partition,
     enumerate_partitions,
@@ -51,6 +51,9 @@ def test_edge_normalization_and_sorting():
         (((1, 2, 1), (2, 1, 1)), "listed twice"),
         (((1, 2, 0),), "multiplicity"),
         (((1, 4, 1),), "outside terminals"),
+        (((True, 2, 1),), "non-integer"),
+        (((1, True, 1),), "non-integer"),
+        (((1, 2, True),), "non-integer"),
     ],
 )
 def test_graph_rejects_bad_edges(edges, message):
@@ -204,3 +207,16 @@ def test_edge_count_identity_random_graphs():
         for p in enumerate_partitions(m, min_cells=2):
             unnormalized = sum(oracle.entropy(cell) for cell in p.cells) - full_h
             assert unnormalized == partition_crossing(g, p)
+
+
+def test_graph_json_rejects_bool_multiplicity():
+    with pytest.raises(InputError, match="non-integer"):
+        PinGraph.from_json_dict({"m": 3, "edges": [{"u": 1, "v": 2, "mult": True}]})
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 4, 1.0, "3", None, True])
+def test_oracle_rejects_non_subsets(bad):
+    oracle = PinOracle(complete_graph(4))
+    oracle.entropy(0b1111)
+    with pytest.raises(InvalidSubsetError):
+        oracle.entropy(bad)

@@ -39,6 +39,10 @@ def test_validation_errors():
         JointSource(1, (2,), {(0,): 1.0})
     with pytest.raises(InputError, match="no atoms"):
         JointSource(2, (2, 2), {})
+    with pytest.raises(InputError, match="outside the alphabet grid"):
+        JointSource(2, (2, 2), {(True, 0): 0.5, (0, 1): 0.5})
+    with pytest.raises(InputError, match="alphabet_sizes"):
+        JointSource(2, (True, 2), {(0, 0): 0.5, (0, 1): 0.5})
 
 
 def test_json_round_trip():
@@ -190,3 +194,83 @@ def test_dense_cache_serves_repeat_queries():
     first = oracle.entropy(0b011)
     assert oracle.entropy(0b011) is first or oracle.entropy(0b011) == first
     assert oracle._cache[0b011] == first
+
+
+@pytest.mark.parametrize("make", [TabularOracle, ExtendedPrecisionOracle])
+@pytest.mark.parametrize("bad", [-1, 1 << 3, 1 << 40, 1.0, 2.5, "3", None, True])
+def test_pmf_oracles_reject_non_subsets(make, bad):
+    oracle = make(make_xor_source())
+    oracle.entropy(0b111)  # a filled table must not answer either
+    with pytest.raises(InvalidSubsetError):
+        oracle.entropy(bad)
+
+
+def _fsum_entropy(source, subset):
+    """Entropy of one subset straight from its ``marginal``."""
+    masses = marginal(source, subset).values()
+    return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
+
+
+@st.composite
+def _awkward_sources(draw):
+    """Sparse supports, zero-mass atoms, 1e-12 atoms and mixed alphabets."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    grid = [()]
+    for size in sizes:
+        grid = [x + (c,) for x in grid for c in range(size)]
+    support = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid), unique=True))
+    weights = [
+        draw(st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-3, 1.0)))
+        for _ in support
+    ]
+    weights[0] = draw(st.floats(0.1, 1.0))
+    total = math.fsum(weights)
+    return JointSource(m, sizes, {x: w / total for x, w in zip(support, weights)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_awkward_sources())
+def test_float_table_is_bitwise_the_fsum_over_marginals(source):
+    oracle = TabularOracle(source)
+    assert oracle.entropy(0).hex() == (0.0).hex()
+    for subset in range(1, 1 << source.m):
+        assert oracle.entropy(subset).hex() == _fsum_entropy(source, subset).hex()
+
+
+def _mpf_entropy(source, subset):
+    """Per-subset mpmath entropy, summing atoms one by one in mpmath."""
+    import mpmath as mp
+
+    keep = [t - 1 for t in subsets.members(subset)]
+    buckets = {}
+    for x, p in source.atoms.items():
+        key = tuple(x[i] for i in keep)
+        buckets[key] = buckets.get(key, mp.mpf(0)) + mp.mpf(p)
+    ln2 = mp.log(2)
+    acc = mp.mpf(0)
+    for mass in buckets.values():
+        if mass > 0:
+            acc -= mass * mp.log(mass) / ln2
+    return acc
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        random_source(4, (2, 3, 2, 2), seed=11),
+        JointSource(
+            3,
+            (2, 2, 3),
+            {(0, 0, 0): 0.5 - 1e-12, (1, 1, 2): 0.5, (0, 1, 1): 1e-12, (1, 0, 0): 0.0},
+        ),
+    ],
+)
+def test_mpf_table_matches_per_subset_sums_at_60_digits(source):
+    import mpmath
+
+    with mpmath.workdps(60):
+        oracle = ExtendedPrecisionOracle(source)
+        assert oracle.entropy(0) == 0
+        for subset in range(1, 1 << source.m):
+            assert oracle.entropy(subset) == _mpf_entropy(source, subset)

@@ -33,6 +33,9 @@ def test_check_subset_rejects_out_of_range():
     subsets.check_subset(0, 2, allow_empty=True)
     with pytest.raises(InvalidSubsetError):
         subsets.check_subset(-1, 2, allow_empty=True)
+    for mask in (1.0, "1", None, True):
+        with pytest.raises(InvalidSubsetError, match="not an int"):
+            subsets.check_subset(mask, 2)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
