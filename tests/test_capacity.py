@@ -15,7 +15,9 @@ from skomni.capacity import (
 )
 from skomni.errors import SizeLimitError
 from skomni.generators import exchangeable_mixture, random_source
+from skomni.omnivocality import verdict_by_lp
 from skomni.partitions import (
+    MAX_ENUMERATION_M,
     Partition,
     enumerate_partitions,
     isolating_partition,
@@ -246,13 +248,21 @@ def test_capacity_search_matches_brute_force(oracle):
     assert report.partitions_examined == examined
 
 
+class _Untouchable:
+    m = MAX_ENUMERATION_M + 1
+    exact = False
+
+    def entropy(self, subset):
+        raise AssertionError("entropy queried before the size check")
+
+
 def test_capacity_size_limit_precedes_entropy_queries():
-    class Untouchable:
-        m = 13
-        exact = False
-
-        def entropy(self, subset):
-            raise AssertionError("entropy queried before the size check")
-
     with pytest.raises(SizeLimitError, match="m <= 12"):
-        sk_capacity(Untouchable())
+        sk_capacity(_Untouchable())
+
+
+def test_enumeration_caps_share_one_limit():
+    with pytest.raises(SizeLimitError, match=r"^brute minimizer check supports m <= 12$"):
+        singleton_minimizer_check(_Untouchable(), method="brute")
+    with pytest.raises(SizeLimitError, match=r"^LP comparison supports m <= 12$"):
+        verdict_by_lp(_Untouchable())

@@ -18,7 +18,8 @@ from skomni.silent_rate import (
     silent_capacity,
     sum_rate_lower_bound,
 )
-from skomni.sources import TabularOracle
+from skomni.generators import random_source
+from skomni.sources import TabularOracle, conditional_entropy
 
 from conftest import binary_entropy, tabular_test_sources
 
@@ -270,3 +271,30 @@ def test_optimal_vertex_and_duals_certify_optimality():
             for y, c in zip(duals, region.constraints):
                 if y > 1e-9:
                     assert c.speakers_subset in binding_subsets
+
+
+def test_region_bounds_are_conditional_entropies_without_revalidation(monkeypatch):
+    m = 5
+    oracle = TabularOracle(random_source(m, (2, 3, 2, 2, 3), seed=7))
+    full = subsets.full_mask(m)
+    silent = 0b00100
+    speakers = full & ~silent
+    expected = {
+        b: conditional_entropy(oracle, b, speakers & ~b if b != speakers else silent)
+        for b in subsets.iter_submasks(speakers)
+    }
+
+    calls = []
+    check = subsets.check_subset
+
+    def counting_check(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(subsets, "check_subset", counting_check)
+    built = _bounds(build_rate_region(oracle, speakers))
+    reduced = _bounds(reduced_rate_region(oracle, 3))
+    # Only the caller's speaker set is validated; the bounds keep the bits
+    # of conditional_entropy exactly.
+    assert calls == [(speakers, m)]
+    assert built == reduced == expected
