@@ -8,14 +8,14 @@ cells, of the normalized entropy surplus
 
 This module evaluates that objective against any subset-entropy oracle,
 minimizes it by full enumeration, and decides whether the all-singletons
-partition is the minimizer.  The minimization reads the subset entropies
-into a list once and walks the partitions depth first over cell masks, in
-the lexicographic restricted-growth order of ``enumerate_partitions``;
-each surplus sums cell entropies in cell order like ``partition_surplus``,
-and only partitions in the tie band become ``Partition`` objects.  The
-minimizer check can either brute-force every partition or use the
-reduction to isolating partitions: the singleton partition minimizes the
-surplus iff
+partition is the minimizer.  Both searches read the 2^m subset entropies
+into a list once and work on cell masks, summing cell entropies in cell
+order like ``partition_surplus``, so their values are bitwise the ones
+``partition_surplus`` gives.  The minimization walks the partitions depth
+first in the lexicographic restricted-growth order of
+``enumerate_partitions``, and only partitions in the tie band become
+``Partition`` objects.  The minimizer check uses the reduction to
+isolating partitions: the singleton partition minimizes the surplus iff
 
     surplus(S) <= surplus(P_B)   for every B with 1 <= |B| <= m-2,
 
@@ -40,7 +40,6 @@ from .errors import SizeLimitError
 from .partitions import (
     MAX_ENUMERATION_M,
     Partition,
-    enumerate_partitions,
     isolating_partition,
     singleton_partition,
 )
@@ -185,35 +184,20 @@ class MinimizerVerdict:
     status: MinimizerStatus
     comparisons: int
     witness: Optional[MinimizerWitness]
-    method: str
-
-
-def _candidate_partitions(m: int, method: str):
-    if method == "isolating":
-        full = subsets.full_mask(m)
-        for block in range(1, full):
-            k = subsets.size(block)
-            if 1 <= k <= m - 2:
-                yield isolating_partition(m, block)
-    elif method == "brute":
-        s = singleton_partition(m)
-        for p in enumerate_partitions(m, min_cells=2):
-            if p != s:
-                yield p
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
 
 def singleton_minimizer_check(
-    oracle: EntropyOracle,
-    method: str = "isolating",
-    tie_tol: float = DEFAULT_TIE_TOL,
+    oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL
 ) -> MinimizerVerdict:
     """Decide whether the singleton partition minimizes the surplus.
 
-    method "isolating" compares against the 2^m - m - 2 isolating
-    partitions; "brute" compares against every other partition (m <= 12).
-    Both scan all candidates so the comparison count is deterministic.
+    Compares against the 2^m - m - 2 partitions P_B isolating a block B
+    with 1 <= |B| <= m-2, scanned in increasing mask order, all of them so
+    the comparison count is deterministic.  The subset entropies are read
+    into a list once and each surplus sums its cells in canonical order
+    (by smallest member), so it is bitwise
+    ``partition_surplus(oracle, isolating_partition(m, B))``; only the
+    returned witness becomes a ``Partition``.
 
     Float semantics: a difference below -tie_tol refutes minimizer-ness, a
     bitwise-zero difference is a genuine tie, and any other difference
@@ -222,36 +206,44 @@ def singleton_minimizer_check(
     m = oracle.m
     if m < 3:
         raise SizeLimitError("minimizer check needs m >= 3")
-    if method == "brute" and m > MAX_ENUMERATION_M:
-        raise SizeLimitError(f"brute minimizer check supports m <= {MAX_ENUMERATION_M}")
-    s_value = partition_surplus(oracle, singleton_partition(m))
-    band = 0 if oracle.exact else tie_tol
+    h = [oracle.entropy(subset) for subset in range(1 << m)]
+    full = len(h) - 1
+    joint = h[full]
+    exact = oracle.exact
+    band = 0 if exact else tie_tol
+    singletons = [1 << i for i in range(m)]
+    s_value = _ratio(sum(map(h.__getitem__, singletons)) - joint, m - 1, exact)
 
     comparisons = 0
     worst: Any = None
-    worst_witness: Optional[MinimizerWitness] = None
-    band_zero: Optional[MinimizerWitness] = None
-    band_nonzero: Optional[MinimizerWitness] = None
-    for p in _candidate_partitions(m, method):
-        value = partition_surplus(oracle, p)
+    worst_found = zero_found = near_found = None
+    for block in range(1, full):
+        cells = [cell for cell in singletons if cell & block]
+        if len(cells) > m - 2:
+            continue
+        rest = full ^ block
+        # Every terminal below the least member of the rest lies in the
+        # block, so that many singletons precede the rest cell.
+        cells.insert((rest & -rest).bit_length() - 1, rest)
+        value = _ratio(sum(map(h.__getitem__, cells)) - joint, len(cells) - 1, exact)
         comparisons += 1
         d = value - s_value
         if worst is None or d < worst:
-            worst = d
-            worst_witness = MinimizerWitness(p, value, s_value)
+            worst, worst_found = d, (block, value)
         if -band <= d <= band:
             if d == 0:
-                if band_zero is None:
-                    band_zero = MinimizerWitness(p, value, s_value)
-            elif band_nonzero is None:
-                band_nonzero = MinimizerWitness(p, value, s_value)
+                if zero_found is None:
+                    zero_found = (block, value)
+            elif near_found is None:
+                near_found = (block, value)
 
-    if worst is None:
-        raise SizeLimitError("no candidate partitions to compare against")
     if worst < -band:
-        return MinimizerVerdict(MinimizerStatus.NOT_MINIMIZER, comparisons, worst_witness, method)
-    if band_nonzero is not None:
-        return MinimizerVerdict(MinimizerStatus.AMBIGUOUS, comparisons, band_nonzero, method)
-    if band_zero is not None:
-        return MinimizerVerdict(MinimizerStatus.NON_UNIQUE, comparisons, band_zero, method)
-    return MinimizerVerdict(MinimizerStatus.UNIQUE, comparisons, None, method)
+        status, (block, value) = MinimizerStatus.NOT_MINIMIZER, worst_found
+    elif near_found is not None:
+        status, (block, value) = MinimizerStatus.AMBIGUOUS, near_found
+    elif zero_found is not None:
+        status, (block, value) = MinimizerStatus.NON_UNIQUE, zero_found
+    else:
+        return MinimizerVerdict(MinimizerStatus.UNIQUE, comparisons, None)
+    witness = MinimizerWitness(isolating_partition(m, block), value, s_value)
+    return MinimizerVerdict(status, comparisons, witness)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -43,7 +44,7 @@ from .omnivocality import (
     verdict_by_lp,
     verdict_for_three_terminals,
 )
-from .partitions import format_partition
+from .partitions import MAX_ENUMERATION_M, format_partition
 from .pin import PinGraph, PinOracle, pin_capacity
 from .silent_rate import silent_capacity
 from .sources import ExtendedPrecisionOracle, JointSource, TabularOracle, read_json
@@ -57,8 +58,8 @@ class RunConfig:
     output: str = "text"  # "text" | "json"
 
     def __post_init__(self) -> None:
-        if not self.tolerance > 0:
-            raise InputError(f"tolerance must be positive, got {self.tolerance}")
+        if not 0 < self.tolerance < math.inf:
+            raise InputError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.output not in ("text", "json"):
             raise InputError(f"unknown output mode {self.output!r}")
 
@@ -136,10 +137,9 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 def cmd_singleton(args: argparse.Namespace) -> int:
     config = _config(args)
     model = _load_model(args.model, args.renormalize)
-    verdict = singleton_minimizer_check(_oracle(model), args.method, config.tolerance)
+    verdict = singleton_minimizer_check(_oracle(model), config.tolerance)
     payload: dict[str, Any] = {
         "status": verdict.status.value,
-        "method": verdict.method,
         "comparisons": verdict.comparisons,
         "witness": None,
     }
@@ -246,6 +246,8 @@ def _omnivocality_payload(verdict) -> dict[str, Any]:
 
 def cmd_omnivocality(args: argparse.Namespace) -> int:
     config = _config(args)
+    if args.dps < 0:
+        raise InputError(f"dps must be >= 0 (0 keeps float arithmetic), got {args.dps}")
     model = _load_model(args.model, args.renormalize)
     methods = [args.method] if args.method != "all" else ["condition", "lp"]
     oracle = _oracle(model)
@@ -352,6 +354,10 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise InputError(f"jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
     if args.m < 4:
         raise SizeLimitError("hunt targets m >= 4 (smaller m is decided exactly)")
+    if args.m > MAX_ENUMERATION_M:
+        raise SizeLimitError(
+            f"hunt supports m <= {MAX_ENUMERATION_M} (capacity enumerates partitions)"
+        )
     alphabet = _parse_alphabet(args.alphabet, args.m)
     jobs = [(args.m, alphabet, args.seed, trial, config.tolerance) for trial in range(args.trials)]
     if args.jobs > 1:
@@ -402,12 +408,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("singleton", help="is the all-singletons partition the surplus minimizer?")
     common(p)
-    p.add_argument(
-        "--method",
-        choices=["isolating", "brute"],
-        default="isolating",
-        help="compare against isolating partitions only, or all partitions",
-    )
     p.set_defaults(func=cmd_singleton)
 
     p = sub.add_parser("silent", help="capacity when only the given terminals speak")

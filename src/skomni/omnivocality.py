@@ -109,7 +109,7 @@ def verdict_by_condition(
 ) -> OmnivocalityVerdict:
     """Sufficient condition: unique singleton minimizer forces omnivocality."""
     _require_m(oracle, "condition")
-    mv = singleton_minimizer_check(oracle, "isolating", tie_tol)
+    mv = singleton_minimizer_check(oracle, tie_tol)
     if mv.status is MinimizerStatus.UNIQUE:
         status = OmniStatus.NECESSARY
     elif mv.status is MinimizerStatus.AMBIGUOUS:
@@ -126,7 +126,7 @@ def verdict_for_three_terminals(
     m = _require_m(oracle, "three-terminal decision")
     if m != 3:
         raise SizeLimitError("three-terminal decision needs m = 3")
-    mv = singleton_minimizer_check(oracle, "isolating", tie_tol)
+    mv = singleton_minimizer_check(oracle, tie_tol)
     if mv.status is MinimizerStatus.UNIQUE:
         return OmnivocalityVerdict(OmniStatus.NECESSARY, "three-terminal", None, (), mv)
     if mv.status is MinimizerStatus.AMBIGUOUS:
@@ -254,7 +254,7 @@ def probe_conjecture(
     oracle = _as_oracle(model)
     if oracle.m < 4:
         raise SizeLimitError("conjecture probe targets m >= 4")
-    mv = singleton_minimizer_check(oracle, "isolating", tie_tol)
+    mv = singleton_minimizer_check(oracle, tie_tol)
     lp = verdict_by_lp(oracle, tie_tol)
     classification = _classify(mv.status, lp.status)
     reverified = False
@@ -286,7 +286,7 @@ def _extended_verdicts(
     with mpmath.workdps(dps):
         oracle = ExtendedPrecisionOracle(source)
         band = mpmath.mpf(10) ** (-(dps // 2))
-        mv = singleton_minimizer_check(oracle, "isolating", band)
+        mv = singleton_minimizer_check(oracle, band)
         lp = verdict_by_lp(oracle, band)
     return mv, lp
 

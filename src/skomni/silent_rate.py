@@ -133,9 +133,8 @@ def min_sum_rate(
     sol = solve_min_cover(len(terminals), members, bounds, one=one, eps=eps)
     rates = {t: sol.x[index[t]] for t in terminals}
     binding = []
-    for c in region.constraints:
-        achieved = sum(rates[t] for t in subsets.members(c.speakers_subset))
-        slack = achieved - (Fraction(c.lower_bound) if region.exact else c.lower_bound)
+    for c, cols, bound in zip(region.constraints, members, bounds):
+        slack = sum(sol.x[i] for i in cols) - bound
         if (slack == 0) if region.exact else (slack <= one * binding_tol):
             binding.append(c)
     return RateSolution(sol.objective, rates, tuple(binding), sol)

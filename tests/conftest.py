@@ -10,7 +10,15 @@ import math
 
 import pytest
 
+from skomni.capacity import (
+    DEFAULT_TIE_TOL,
+    MinimizerStatus,
+    MinimizerVerdict,
+    MinimizerWitness,
+    partition_surplus,
+)
 from skomni.generators import exchangeable_mixture, random_source
+from skomni.partitions import enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.sources import JointSource, TabularOracle
 
@@ -116,6 +124,44 @@ def make_unequal_marginals() -> JointSource:
 def make_path3_graph() -> PinGraph:
     """Path 1 - 2 - 3; strength 1 with a three-way argmin tie."""
     return PinGraph(3, ((1, 2, 1), (2, 3, 1)))
+
+
+def reference_minimizer_check(oracle, candidates, tie_tol=DEFAULT_TIE_TOL):
+    """The singleton-minimizer decision written out over ``partition_surplus``.
+
+    Compares the singleton partition against each partition of
+    ``candidates`` in the given order, with the tie-band rules of
+    ``skomni.capacity.singleton_minimizer_check``.
+    """
+    s_value = partition_surplus(oracle, singleton_partition(oracle.m))
+    band = 0 if oracle.exact else tie_tol
+    comparisons = 0
+    worst = worst_witness = zero = near = None
+    for p in candidates:
+        value = partition_surplus(oracle, p)
+        comparisons += 1
+        d = value - s_value
+        if worst is None or d < worst:
+            worst, worst_witness = d, MinimizerWitness(p, value, s_value)
+        if -band <= d <= band:
+            if d == 0:
+                zero = zero or MinimizerWitness(p, value, s_value)
+            else:
+                near = near or MinimizerWitness(p, value, s_value)
+    if worst < -band:
+        return MinimizerVerdict(MinimizerStatus.NOT_MINIMIZER, comparisons, worst_witness)
+    if near is not None:
+        return MinimizerVerdict(MinimizerStatus.AMBIGUOUS, comparisons, near)
+    if zero is not None:
+        return MinimizerVerdict(MinimizerStatus.NON_UNIQUE, comparisons, zero)
+    return MinimizerVerdict(MinimizerStatus.UNIQUE, comparisons, None)
+
+
+def brute_minimizer_check(oracle, tie_tol=DEFAULT_TIE_TOL):
+    """Brute-force oracle: the singleton partition against every other one."""
+    s = singleton_partition(oracle.m)
+    others = (p for p in enumerate_partitions(oracle.m, min_cells=2) if p != s)
+    return reference_minimizer_check(oracle, others, tie_tol)
 
 
 @pytest.fixture

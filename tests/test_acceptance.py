@@ -41,7 +41,12 @@ from skomni.silent_rate import (
 )
 from skomni.sources import TabularOracle
 
-from conftest import make_identical_bits, make_xor_source, tabular_test_sources
+from conftest import (
+    brute_minimizer_check,
+    make_identical_bits,
+    make_xor_source,
+    tabular_test_sources,
+)
 
 CONCLUSIVE = (OmniStatus.NECESSARY, OmniStatus.NOT_NECESSARY)
 
@@ -72,8 +77,8 @@ def test_criterion_02_brute_and_isolating_checks_agree():
         expected = 2**m - m - 2
         for i in range(100):
             oracle = TabularOracle(random_source(m, (2,) * m, seed=seed0 + i))
-            fast = singleton_minimizer_check(oracle, "isolating")
-            slow = singleton_minimizer_check(oracle, "brute")
+            fast = singleton_minimizer_check(oracle)
+            slow = brute_minimizer_check(oracle)
             assert fast.comparisons == expected
             if MinimizerStatus.AMBIGUOUS not in (fast.status, slow.status):
                 assert fast.status is slow.status
@@ -139,7 +144,7 @@ def test_criterion_06_capacity_chain_ordering():
         m = oracle.m
         full = subsets.full_mask(m)
         s_surplus = partition_surplus(oracle, singleton_partition(m))
-        status = singleton_minimizer_check(oracle, "isolating").status
+        status = singleton_minimizer_check(oracle).status
         for u in range(1, m + 1):
             speakers = full & ~subsets.bit(u)
             report = silent_capacity(oracle, speakers)

@@ -1,5 +1,7 @@
 import random
+from unittest import mock
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,9 +26,15 @@ from skomni.partitions import (
     singleton_partition,
 )
 from skomni.pin import PinGraph, PinOracle, complete_graph
-from skomni.sources import TabularOracle, mutual_information
+from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle, mutual_information
 
-from conftest import binary_entropy, make_identical_bits, make_two_speaker_bsc
+from conftest import (
+    binary_entropy,
+    brute_minimizer_check,
+    make_identical_bits,
+    make_two_speaker_bsc,
+    reference_minimizer_check,
+)
 
 
 def test_surplus_values_xor(xor_oracle):
@@ -112,8 +120,8 @@ def test_singleton_surplus_identity(seed, m):
 
 
 def test_minimizer_check_xor(xor_oracle):
-    for method in ("isolating", "brute"):
-        v = singleton_minimizer_check(xor_oracle, method)
+    for check in (singleton_minimizer_check, brute_minimizer_check):
+        v = check(xor_oracle)
         assert v.status is MinimizerStatus.UNIQUE
         assert v.comparisons == 3
         assert v.witness is None
@@ -122,19 +130,20 @@ def test_minimizer_check_xor(xor_oracle):
 def test_minimizer_comparison_counts():
     for m in (3, 4, 5):
         oracle = TabularOracle(random_source(m, (2,) * m, seed=m))
-        v = singleton_minimizer_check(oracle, "isolating")
+        v = singleton_minimizer_check(oracle)
         assert v.comparisons == (1 << m) - m - 2
 
 
 def test_minimizer_check_identical(identical_oracle):
-    v = singleton_minimizer_check(identical_oracle, "brute")
-    assert v.status is MinimizerStatus.NON_UNIQUE
-    assert v.witness is not None
-    assert v.witness.surplus == pytest.approx(v.witness.singleton_surplus)
+    for check in (singleton_minimizer_check, brute_minimizer_check):
+        v = check(identical_oracle)
+        assert v.status is MinimizerStatus.NON_UNIQUE
+        assert v.witness is not None
+        assert v.witness.surplus == pytest.approx(v.witness.singleton_surplus)
 
 
 def test_minimizer_check_two_speaker(two_speaker_oracle):
-    v = singleton_minimizer_check(two_speaker_oracle, "isolating")
+    v = singleton_minimizer_check(two_speaker_oracle)
     assert v.status is MinimizerStatus.NOT_MINIMIZER
     assert v.witness is not None
     # The cut isolating terminal 3 beats the singleton partition.
@@ -145,7 +154,7 @@ def test_minimizer_check_two_speaker(two_speaker_oracle):
 def test_minimizer_ambiguous_inside_wide_band(xor_oracle):
     # Every comparison differs by 0.5; a band of 1 swallows them all
     # without any being an exact tie.
-    v = singleton_minimizer_check(xor_oracle, "isolating", tie_tol=1.0)
+    v = singleton_minimizer_check(xor_oracle, tie_tol=1.0)
     assert v.status is MinimizerStatus.AMBIGUOUS
 
 
@@ -153,11 +162,133 @@ def test_minimizer_methods_agree_on_random_sources():
     for seed in range(40):
         m = 3 + seed % 3
         oracle = TabularOracle(random_source(m, (2,) * m, seed=seed))
-        a = singleton_minimizer_check(oracle, "isolating")
-        b = singleton_minimizer_check(oracle, "brute")
+        a = singleton_minimizer_check(oracle)
+        b = brute_minimizer_check(oracle)
         if MinimizerStatus.AMBIGUOUS in (a.status, b.status):
             continue
         assert a.status == b.status
+
+
+def _isolating_reference(oracle, tie_tol):
+    """The check written out over ``partition_surplus`` of each P_B."""
+    m = oracle.m
+    blocks = [b for b in range(1, 1 << m) if 1 <= subsets.size(b) <= m - 2]
+    return reference_minimizer_check(
+        oracle, (isolating_partition(m, b) for b in blocks), tie_tol
+    )
+
+
+def _same_bits(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, mpmath.mpf):
+        return a._mpf_ == b._mpf_
+    return a == b
+
+
+@st.composite
+def _minimizer_cases(draw):
+    """(kind, model, tie_tol) with m = 3..8, kind float, mpf or pin.
+
+    Sparse supports put exact relations (ties, beaten singletons) between
+    subset entropies; identical bits tie every partition bit for bit, and
+    the wide bands swallow nonzero differences.
+    """
+    m = draw(st.integers(min_value=3, max_value=8))
+    kind = draw(st.sampled_from(["float", "mpf", "pin"]))
+    tie_tol = draw(st.sampled_from([1e-30, 1e-9, 0.05, 0.5, 4.0]))
+    if kind == "pin":
+        pairs = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        edges = tuple((u, v, draw(st.integers(1, 3))) for u, v in chosen)
+        return kind, PinGraph(m, edges), tie_tol
+    shape = draw(st.sampled_from(["random", "sparse", "identical", "mixture"]))
+    seed = draw(st.integers(0, 10_000))
+    if shape == "random":
+        source = random_source(m, (2,) * m, seed=seed)
+    elif shape == "identical":
+        source = make_identical_bits(m)
+    elif shape == "mixture":
+        source = exchangeable_mixture(m, 2, components=2, seed=seed)
+    else:
+        grid = [tuple((x >> i) & 1 for i in range(m)) for x in range(1 << m)]
+        support = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=6, unique=True))
+        weights = [draw(st.integers(1, 4)) for _ in support]
+        total = sum(weights)
+        source = JointSource(m, (2,) * m, {x: w / total for x, w in zip(support, weights)})
+    return kind, source, tie_tol
+
+
+@settings(max_examples=120, deadline=None)
+@given(_minimizer_cases())
+def test_minimizer_check_is_bitwise_the_partition_reference(case):
+    kind, model, tie_tol = case
+    with mpmath.workdps(60), mock.patch(
+        "skomni.capacity.isolating_partition", wraps=isolating_partition
+    ) as built:
+        if kind == "pin":
+            oracle = PinOracle(model)
+        elif kind == "mpf":
+            oracle, tie_tol = ExtendedPrecisionOracle(model), mpmath.mpf(tie_tol)
+        else:
+            oracle = TabularOracle(model)
+        got = singleton_minimizer_check(oracle, tie_tol)
+        want = _isolating_reference(oracle, tie_tol)
+    assert got.status is want.status
+    assert got.comparisons == want.comparisons == (1 << oracle.m) - oracle.m - 2
+    # At most one Partition is built per verdict: the returned witness.
+    assert built.call_count == (want.witness is not None)
+    if want.witness is None:
+        assert got.witness is None
+    else:
+        assert got.witness.partition == want.witness.partition
+        assert got.witness.partition.cells == want.witness.partition.cells
+        assert _same_bits(got.witness.surplus, want.witness.surplus)
+        assert _same_bits(got.witness.singleton_surplus, want.witness.singleton_surplus)
+
+
+class _TableOracle:
+    """Any list of 2^m numbers posing as subset entropies."""
+
+    exact = False
+
+    def __init__(self, m, table):
+        self.m = m
+        self.table = table
+
+    def entropy(self, subset):
+        return self.table[subset]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=3, max_value=8),
+    st.integers(0, 10_000),
+    st.booleans(),
+    st.data(),
+)
+def test_every_isolating_surplus_is_bitwise_the_reference(m, seed, mpf, data):
+    # Lowering H(complement of B) pulls P_B, and no other candidate, far
+    # below the singleton surplus, so any chosen block becomes the witness
+    # and its surplus, summation order included, is compared bit for bit.
+    block = data.draw(
+        st.sampled_from([b for b in range(1, 1 << m) if 1 <= subsets.size(b) <= m - 2])
+    )
+    rng = random.Random(seed)
+    with mpmath.workdps(60):
+        scalar = mpmath.mpf if mpf else float
+        # Thirds fill every mantissa bit, so the summation order shows.
+        table = [scalar(rng.random()) / 3 * subsets.size(s) for s in range(1 << m)]
+        table[subsets.full_mask(m) & ~block] -= 100 * m
+        oracle = _TableOracle(m, table)
+        got = singleton_minimizer_check(oracle)
+        want = _isolating_reference(oracle, 1e-9)
+    assert got.status is want.status is MinimizerStatus.NOT_MINIMIZER
+    assert got.witness.partition == want.witness.partition == isolating_partition(m, block)
+    assert _same_bits(got.witness.surplus, want.witness.surplus)
+    assert _same_bits(got.witness.singleton_surplus, want.witness.singleton_surplus)
 
 
 def test_isolating_partition_identity():
@@ -195,7 +326,7 @@ def test_exact_oracle_yields_fractions(k4_oracle):
     report = sk_capacity(k4_oracle)
     assert isinstance(report.value, Fraction)
     assert report.exact
-    v = singleton_minimizer_check(k4_oracle, "isolating")
+    v = singleton_minimizer_check(k4_oracle)
     assert v.status is MinimizerStatus.UNIQUE
     assert v.comparisons == 10
 
@@ -262,7 +393,5 @@ def test_capacity_size_limit_precedes_entropy_queries():
 
 
 def test_enumeration_caps_share_one_limit():
-    with pytest.raises(SizeLimitError, match=r"^brute minimizer check supports m <= 12$"):
-        singleton_minimizer_check(_Untouchable(), method="brute")
     with pytest.raises(SizeLimitError, match=r"^LP comparison supports m <= 12$"):
         verdict_by_lp(_Untouchable())

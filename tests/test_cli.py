@@ -122,6 +122,18 @@ def test_bad_tolerance(files, capsys):
     assert "tolerance" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["capacity", "xor", "--tol", "inf"], "tolerance must be positive and finite"),
+    (["capacity", "xor", "--tol", "nan"], "tolerance must be positive and finite"),
+    (["omnivocality", "xor", "--dps", "-5"], "dps must be >= 0"),
+])
+def test_bad_numeric_flags(files, capsys, argv, message):
+    code, out, err = run(capsys, [argv[0], files[argv[1]]] + argv[2:])
+    assert code == 2
+    assert message in err
+    assert out == ""
+
+
 def test_argparse_failures_exit_2(files, capsys):
     assert run(capsys, ["silent", files["xor"]])[0] == 2  # missing --speakers
     assert run(capsys, ["nonsense"])[0] == 2
@@ -133,11 +145,15 @@ def test_singleton_xor(files, capsys):
     assert "UniqueMinimizer (3 comparisons)" in out
 
 
-def test_singleton_identical_brute(files, capsys):
-    code, out, _ = run(capsys, ["singleton", files["identical"], "--method", "brute"])
+def test_singleton_identical(files, capsys):
+    code, out, _ = run(capsys, ["singleton", files["identical"]])
     assert code == 0
-    assert "NonUniqueMinimizer (3 comparisons); tie at 1,2|3" in out
-    assert "surplus(1,2|3) = 1.000000" in out
+    assert "NonUniqueMinimizer (3 comparisons); tie at 1|2,3" in out
+    assert "surplus(1|2,3) = 1.000000" in out
+    code, out, _ = run(capsys, ["singleton", files["identical"], "--json"])
+    assert code == 0
+    assert list(json.loads(out)) == ["status", "comparisons", "witness"]
+    assert run(capsys, ["singleton", files["identical"], "--method", "brute"])[0] == 2
 
 
 def test_singleton_comparison_count_m4(files, capsys):
@@ -379,8 +395,11 @@ def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
     (["--jobs", "0"], "jobs must be between 1 and the CPU count"),
     (["--jobs", str((os.cpu_count() or 1) + 1)], "jobs must be between 1 and the CPU count"),
     (["--trials", "0"], "trial count must be >= 1"),
+    (["--m", "13"], "hunt supports m <= 12"),
 ])
 def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, flags, message):
+    # Too many terminals is a size error (exit 3); the other flags are bad input (exit 2).
+    expected_code = 3 if flags[0] == "--m" else 2
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
@@ -388,6 +407,6 @@ def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr("skomni.cli._hunt_worker", no_pool)
     out = tmp_path / "hunt.jsonl"
     code, _, err = run(capsys, ["hunt", "--m", "4", "--trials", "2", "--out", str(out)] + flags)
-    assert code == 2
+    assert code == expected_code
     assert message in err
     assert not out.exists()

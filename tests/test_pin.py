@@ -191,7 +191,7 @@ def test_oracle_route_equals_crossing_route():
 
 def test_singleton_uniqueness_on_complete_graphs():
     for m in range(3, 9):
-        v = singleton_minimizer_check(PinOracle(complete_graph(m)), "isolating")
+        v = singleton_minimizer_check(PinOracle(complete_graph(m)))
         assert v.status is MinimizerStatus.UNIQUE
         assert v.comparisons == (1 << m) - m - 2
 

@@ -168,7 +168,7 @@ def test_capacity_chain_against_restricted_surplus():
         oracle = TabularOracle(source)
         full = subsets.full_mask(oracle.m)
         unique = (
-            singleton_minimizer_check(oracle, "isolating").status
+            singleton_minimizer_check(oracle).status
             is MinimizerStatus.UNIQUE
         )
         s_value = sk_capacity(oracle).value if unique else None
