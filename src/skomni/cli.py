@@ -6,8 +6,14 @@ isentropy, hunt.  Model files are JSON and auto-detected: an object with
 exact rational arithmetic).  Text output prints floats with six decimals
 and rationals as p/q; --json emits a single JSON object instead.
 
-Exit codes: 0 success, 2 malformed input, 3 domain/size errors,
-4 internal inconsistency (two routes to the same quantity disagreed).
+``omnivocality`` picks its routes and formats what
+``omnivocality.run_routes`` returns; that runner also does the
+``--dps`` re-run and the disagreement check, and the hunt's candidate
+re-check is the same call at 60 digits.
+
+Exit codes: 0 success, 2 malformed input (argparse errors included),
+3 domain/size errors, 4 internal inconsistency (two routes to the same
+quantity disagreed).
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Union
 
@@ -37,32 +42,11 @@ from .errors import (
     SizeLimitError,
 )
 from .isentropic import block_conditional_entropy, check_block_rate_monotone, isentropy_check
-from .omnivocality import (
-    OmniStatus,
-    hunt_record,
-    verdict_by_condition,
-    verdict_by_lp,
-    verdict_for_three_terminals,
-)
+from .omnivocality import FLOAT_DPS, OmniStatus, as_oracle, hunt_record, run_routes
 from .partitions import MAX_ENUMERATION_M, format_partition
-from .pin import PinGraph, PinOracle, pin_capacity
+from .pin import PinGraph, pin_capacity
 from .silent_rate import silent_capacity
-from .sources import ExtendedPrecisionOracle, JointSource, TabularOracle, read_json
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run-wide settings shared by the subcommands."""
-
-    tolerance: float = 1e-9
-    output: str = "text"  # "text" | "json"
-
-    def __post_init__(self) -> None:
-        if not 0 < self.tolerance < math.inf:
-            raise InputError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if self.output not in ("text", "json"):
-            raise InputError(f"unknown output mode {self.output!r}")
-
+from .sources import JointSource, TabularOracle, read_json
 
 Model = Union[JointSource, PinGraph]
 
@@ -76,8 +60,12 @@ def _load_model(path: str, renormalize: bool = False) -> Model:
     raise InputError(f"{path} has neither 'atoms' (source) nor 'edges' (PIN graph)")
 
 
-def _oracle(model: Model):
-    return PinOracle(model) if isinstance(model, PinGraph) else TabularOracle(model)
+def tolerance(text: str) -> float:
+    """``--tol`` value: a positive finite float."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {value}")
+    return value
 
 
 def _fmt(value: Any) -> str:
@@ -96,8 +84,8 @@ def _jsonable(value: Any) -> Any:
     return float(value)
 
 
-def _emit(config: RunConfig, payload: dict[str, Any], text_lines: list[str]) -> int:
-    if config.output == "json":
+def _emit(args: argparse.Namespace, payload: dict[str, Any], text_lines: list[str]) -> int:
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         for line in text_lines:
@@ -105,20 +93,12 @@ def _emit(config: RunConfig, payload: dict[str, Any], text_lines: list[str]) -> 
     return 0
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        tolerance=getattr(args, "tol", 1e-9),
-        output="json" if getattr(args, "json", False) else "text",
-    )
-
-
 def cmd_capacity(args: argparse.Namespace) -> int:
-    config = _config(args)
     model = _load_model(args.model, args.renormalize)
     if isinstance(model, PinGraph):
         report = pin_capacity(model)
     else:
-        report = sk_capacity(TabularOracle(model), config.tolerance)
+        report = sk_capacity(TabularOracle(model), args.tol)
     argmin = [format_partition(p) for p in report.argmin]
     payload = {
         "m": model.m,
@@ -131,13 +111,12 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         f"C = {_fmt(report.value)} bits; argmin: {' '.join(argmin)}",
         f"partitions examined: {report.partitions_examined}",
     ]
-    return _emit(config, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def cmd_singleton(args: argparse.Namespace) -> int:
-    config = _config(args)
     model = _load_model(args.model, args.renormalize)
-    verdict = singleton_minimizer_check(_oracle(model), config.tolerance)
+    verdict = singleton_minimizer_check(as_oracle(model), args.tol)
     payload: dict[str, Any] = {
         "status": verdict.status.value,
         "comparisons": verdict.comparisons,
@@ -163,15 +142,14 @@ def cmd_singleton(args: argparse.Namespace) -> int:
             f"surplus({literal}) = {_fmt(w.surplus)}; "
             f"surplus(singletons) = {_fmt(w.singleton_surplus)}"
         )
-    return _emit(config, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def cmd_silent(args: argparse.Namespace) -> int:
-    config = _config(args)
     model = _load_model(args.model, args.renormalize)
-    oracle = _oracle(model)
+    oracle = as_oracle(model)
     speakers = subsets.parse_subset(args.speakers, oracle.m)
-    report = silent_capacity(oracle, speakers)
+    report = silent_capacity(oracle, speakers, args.tol)
     payload = {
         "speakers": subsets.format_subset(speakers),
         "speakers_entropy": _jsonable(report.speakers_entropy),
@@ -197,7 +175,7 @@ def cmd_silent(args: argparse.Namespace) -> int:
     ]
     if report.sum_rate_bound is not None:
         lines.append(f"sum-rate lower bound = {_fmt(report.sum_rate_bound)}")
-    return _emit(config, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def _omnivocality_lines(verdict) -> list[str]:
@@ -245,63 +223,31 @@ def _omnivocality_payload(verdict) -> dict[str, Any]:
 
 
 def cmd_omnivocality(args: argparse.Namespace) -> int:
-    config = _config(args)
-    if args.dps < 0:
-        raise InputError(f"dps must be >= 0 (0 keeps float arithmetic), got {args.dps}")
     model = _load_model(args.model, args.renormalize)
     methods = [args.method] if args.method != "all" else ["condition", "lp"]
-    oracle = _oracle(model)
-    if args.method == "all" and oracle.m == 3:
+    if args.method == "all" and model.m == 3:
         methods.append("three")
-    runner = {
-        "condition": verdict_by_condition,
-        "lp": verdict_by_lp,
-        "three": verdict_for_three_terminals,
-    }
-
-    def run_all(oracle, band):
-        return [runner[name](oracle, band) for name in methods]
-
-    if args.dps and isinstance(model, JointSource):
-        import mpmath
-
-        with mpmath.workdps(args.dps):
-            verdicts = run_all(ExtendedPrecisionOracle(model), mpmath.mpf(10) ** -(args.dps // 2))
-    else:
-        verdicts = run_all(oracle, config.tolerance)
-
-    conclusive = {v.status for v in verdicts} & {OmniStatus.NECESSARY, OmniStatus.NOT_NECESSARY}
-    if len(conclusive) > 1:
-        raise InternalInconsistencyError(
-            "methods disagree: " + ", ".join(f"{v.method}={v.status.value}" for v in verdicts)
-        )
-    if conclusive:
-        overall = next(iter(conclusive)).value
-    elif any(v.status is OmniStatus.AMBIGUOUS for v in verdicts):
-        overall = OmniStatus.AMBIGUOUS.value
-    else:
-        overall = OmniStatus.UNKNOWN.value
+    status, verdicts = run_routes(model, methods, args.tol, args.dps)
     lines: list[str] = []
     for v in verdicts:
         lines.extend(_omnivocality_lines(v))
     if len(verdicts) > 1:
-        lines.append(f"verdict: {overall} (methods agree)")
+        lines.append(f"verdict: {status.value} (methods agree)")
     payload = {
-        "verdict": overall,
+        "verdict": status.value,
         "methods": [_omnivocality_payload(v) for v in verdicts],
     }
-    return _emit(config, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def cmd_isentropy(args: argparse.Namespace) -> int:
-    config = _config(args)
     model = _load_model(args.model, args.renormalize)
-    oracle = _oracle(model)
-    profile = isentropy_check(oracle, config.tolerance)
+    oracle = as_oracle(model)
+    profile = isentropy_check(oracle, args.tol)
     blocks = [block_conditional_entropy(oracle, k) for k in range(1, oracle.m + 1)]
     monotone = violation = None
     if profile.status == "yes":
-        monotone, violation = check_block_rate_monotone(oracle, config.tolerance)
+        monotone, violation = check_block_rate_monotone(oracle, args.tol)
     payload = {
         "isentropic": profile.status,
         "levels": [_jsonable(v) for v in profile.levels] if profile.levels else None,
@@ -325,7 +271,7 @@ def cmd_isentropy(args: argparse.Namespace) -> int:
             lines.append(
                 f"  violated at k={violation.k}: {_fmt(violation.rate_k)} > {_fmt(violation.rate_next)}"
             )
-    return _emit(config, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def _hunt_worker(packed: tuple[int, tuple[int, ...], int, int, float]) -> dict[str, Any]:
@@ -346,7 +292,6 @@ def _parse_alphabet(text: str, m: int) -> tuple[int, ...]:
 
 
 def cmd_hunt(args: argparse.Namespace) -> int:
-    config = _config(args)
     if args.trials < 1:
         raise InputError(f"trial count must be >= 1, got {args.trials}")
     cpus = os.cpu_count() or 1
@@ -359,7 +304,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
             f"hunt supports m <= {MAX_ENUMERATION_M} (capacity enumerates partitions)"
         )
     alphabet = _parse_alphabet(args.alphabet, args.m)
-    jobs = [(args.m, alphabet, args.seed, trial, config.tolerance) for trial in range(args.trials)]
+    jobs = [(args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             records = list(pool.map(_hunt_worker, jobs, chunksize=8))
@@ -380,7 +325,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     }
     lines = [f"{k}: {v}" for k, v in sorted(counts.items())]
     lines.append(f"log written to {args.out}")
-    return _emit(config, payload, lines)
+    return _emit(args, payload, lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -400,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="rescale atom probabilities to sum to 1 before validating",
             )
         p.add_argument("--json", action="store_true", help="emit a single JSON object")
-        p.add_argument("--tol", type=float, default=1e-9, help="comparison tolerance band")
+        p.add_argument("--tol", type=tolerance, default=1e-9, help="comparison tolerance band")
 
     p = sub.add_parser("capacity", help="secret-key capacity and minimizing partitions")
     common(p)
@@ -427,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--dps",
         type=int,
         default=0,
-        help="re-run tabular sources at this many decimal digits of precision",
+        help="re-run tabular sources at this many decimal digits of precision "
+        f"(0 keeps floats; otherwise more than {FLOAT_DPS})",
     )
     p.set_defaults(func=cmd_omnivocality)
 

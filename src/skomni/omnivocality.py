@@ -20,11 +20,14 @@ nonempty D works.  Three decision routes are provided:
   some single silent terminal, and checking the m leave-one-out sets is
   exhaustive.  The verdict is exact whenever the oracle is.
 
-``probe_conjecture`` combines the condition with the LP route on one
-source and classifies the outcome; a candidate counterexample (condition
-fails but the LP still says necessary) is re-verified at extended
-precision before being reported, so float artifacts do not survive into
-hunt logs.
+``run_routes`` runs any of the routes on one model, at float or extended
+precision, and is the one place where routes that reach different
+conclusive statuses are an internal inconsistency.  Both the CLI and
+``probe_conjecture`` go through it.  The probe combines the condition with
+the LP route and classifies the outcome; a candidate counterexample
+(condition fails but the LP still says necessary) is re-checked at
+``REVERIFY_DPS`` digits before being reported, so float artifacts do not
+survive into hunt logs.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -45,12 +49,19 @@ from .capacity import (
     singleton_partition,
     sk_capacity,
 )
-from .errors import InternalInconsistencyError, SizeLimitError
+from .errors import InputError, InternalInconsistencyError, SizeLimitError
 from .generators import random_source
 from .partitions import MAX_ENUMERATION_M, isolating_partition
 from .pin import PinGraph, PinOracle
 from .silent_rate import silent_capacity
 from .sources import EntropyOracle, ExtendedPrecisionOracle, JointSource, TabularOracle
+
+#: Digits of the hunt's re-check of a tabular candidate.
+REVERIFY_DPS = 60
+
+#: mpmath's default 15 digits are a float's 53 bits, so a smaller ``dps``
+#: would re-check a float run at no more precision than it had.
+FLOAT_DPS = 15
 
 
 class OmniStatus(str, enum.Enum):
@@ -215,18 +226,14 @@ def _classify(condition: MinimizerStatus, lp: OmniStatus) -> Classification:
     if condition is MinimizerStatus.AMBIGUOUS or lp is OmniStatus.AMBIGUOUS:
         return Classification.INCONCLUSIVE
     if condition is MinimizerStatus.UNIQUE:
-        if lp is OmniStatus.NOT_NECESSARY:
-            raise InternalInconsistencyError(
-                "unique singleton minimizer, yet the LP comparison found "
-                "a silent terminal achieving capacity"
-            )
         return Classification.CONSISTENT_PROVEN
     if lp is OmniStatus.NOT_NECESSARY:
         return Classification.CONSISTENT_CONVERSE
     return Classification.CANDIDATE
 
 
-def _as_oracle(model: Union[JointSource, PinGraph, EntropyOracle]) -> EntropyOracle:
+def as_oracle(model: Union[JointSource, PinGraph, EntropyOracle]) -> EntropyOracle:
+    """The float oracle of a pmf, the exact oracle of a PIN graph; oracles pass through."""
     if isinstance(model, JointSource):
         return TabularOracle(model)
     if isinstance(model, PinGraph):
@@ -234,61 +241,93 @@ def _as_oracle(model: Union[JointSource, PinGraph, EntropyOracle]) -> EntropyOra
     return model
 
 
+def run_routes(
+    model: Union[JointSource, PinGraph, EntropyOracle],
+    methods: Sequence[str],
+    tie_tol: float = DEFAULT_TIE_TOL,
+    dps: int = 0,
+) -> tuple[OmniStatus, list[OmnivocalityVerdict]]:
+    """Run the named routes (``condition``, ``lp``, ``three``) on one model.
+
+    With ``dps`` > 0 a pmf is analyzed on an ``ExtendedPrecisionOracle``
+    at an mpmath working precision of ``dps`` decimal digits, with the band
+    10^-(dps // 2) in place of ``tie_tol``; PIN graphs and given oracles
+    ignore ``dps``.  Returns the overall status and the verdicts in
+    ``methods`` order.  The overall status is the conclusive status the
+    routes reached, else NumericallyAmbiguous if any route was, else
+    Unknown; two routes with different conclusive statuses raise
+    ``InternalInconsistencyError``.
+    """
+    if dps < 0 or 0 < dps <= FLOAT_DPS:
+        raise InputError(
+            f"dps must be >= 0, and 0 (float arithmetic) or more than "
+            f"a float's {FLOAT_DPS} digits, got {dps}"
+        )
+    # Looked up per call, so that a patched module attribute takes effect.
+    routes = {
+        "condition": verdict_by_condition,
+        "lp": verdict_by_lp,
+        "three": verdict_for_three_terminals,
+    }
+    if dps and isinstance(model, JointSource):
+        import mpmath
+
+        with mpmath.workdps(dps):
+            oracle = ExtendedPrecisionOracle(model)
+            band = mpmath.mpf(10) ** -(dps // 2)
+            verdicts = [routes[name](oracle, band) for name in methods]
+    else:
+        oracle = as_oracle(model)
+        verdicts = [routes[name](oracle, tie_tol) for name in methods]
+    statuses = {v.status for v in verdicts}
+    conclusive = statuses & {OmniStatus.NECESSARY, OmniStatus.NOT_NECESSARY}
+    if len(conclusive) > 1:
+        raise InternalInconsistencyError(
+            "methods disagree: " + ", ".join(f"{v.method}={v.status.value}" for v in verdicts)
+        )
+    if conclusive:
+        return conclusive.pop(), verdicts
+    if OmniStatus.AMBIGUOUS in statuses:
+        return OmniStatus.AMBIGUOUS, verdicts
+    return OmniStatus.UNKNOWN, verdicts
+
+
 def probe_conjecture(
     model: Union[JointSource, PinGraph, EntropyOracle],
     tie_tol: float = DEFAULT_TIE_TOL,
-    reverify: bool = True,
-    reverify_dps: int = 60,
 ) -> ConjectureProbe:
     """Run the condition and the LP route on one source and classify.
 
     For m >= 4 the converse of the condition is open, so a source whose
     singleton partition is *not* the unique minimizer, yet where every
     leave-one-out LP still falls short of capacity, is a candidate
-    counterexample.  Tabular candidates are re-verified at
-    ``reverify_dps`` digits with a correspondingly tightened tie band; the
-    re-verified statuses replace the float ones, so a candidate that was a
-    rounding artifact is demoted (usually to Inconclusive, since extended
-    precision cannot confirm an exact tie either).
+    counterexample.  A tabular candidate is re-checked by ``run_routes`` at
+    ``REVERIFY_DPS`` digits, the same run as ``skomni omnivocality --dps
+    60``; the re-checked statuses replace the float ones, so a candidate
+    that was a rounding artifact is demoted (usually to Inconclusive, since
+    extended precision cannot confirm an exact tie either).  A unique
+    singleton minimizer with a silent terminal achieving capacity raises
+    ``InternalInconsistencyError``.
     """
-    oracle = _as_oracle(model)
-    if oracle.m < 4:
+    if model.m < 4:
         raise SizeLimitError("conjecture probe targets m >= 4")
-    mv = singleton_minimizer_check(oracle, tie_tol)
-    lp = verdict_by_lp(oracle, tie_tol)
-    classification = _classify(mv.status, lp.status)
-    reverified = False
-    if (
-        classification is Classification.CANDIDATE
-        and reverify
-        and isinstance(model, JointSource)
-    ):
-        mv, lp = _extended_verdicts(model, reverify_dps)
-        classification = _classify(mv.status, lp.status)
-        reverified = True
+    routes = ("condition", "lp")
+    _, (condition, lp) = run_routes(model, routes, tie_tol)
+    classification = _classify(condition.minimizer.status, lp.status)
+    reverified = classification is Classification.CANDIDATE and isinstance(model, JointSource)
+    if reverified:
+        _, (condition, lp) = run_routes(model, routes, tie_tol, REVERIFY_DPS)
+        classification = _classify(condition.minimizer.status, lp.status)
     return ConjectureProbe(
-        condition=mv.status,
+        condition=condition.minimizer.status,
         lp=lp.status,
         classification=classification,
         capacity=lp.evidence[0].capacity,
         gaps=tuple(row.gap for row in lp.evidence),
         reverified=reverified,
-        minimizer=mv,
+        minimizer=condition.minimizer,
         lp_verdict=lp,
     )
-
-
-def _extended_verdicts(
-    source: JointSource, dps: int
-) -> tuple[MinimizerVerdict, OmnivocalityVerdict]:
-    import mpmath
-
-    with mpmath.workdps(dps):
-        oracle = ExtendedPrecisionOracle(source)
-        band = mpmath.mpf(10) ** (-(dps // 2))
-        mv = singleton_minimizer_check(oracle, band)
-        lp = verdict_by_lp(oracle, band)
-    return mv, lp
 
 
 def atoms_digest(source: JointSource) -> str:

@@ -46,8 +46,7 @@ class PinGraph:
     edges: tuple[tuple[int, int, int], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not 2 <= self.m <= subsets.MAX_TERMINALS:
-            raise InputError(f"m={self.m!r} outside 2..{subsets.MAX_TERMINALS}")
+        subsets.check_terminal_count(self.m)
         seen = set()
         normalized = []
         for edge in self.edges:

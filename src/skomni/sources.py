@@ -73,8 +73,7 @@ class JointSource:
     atoms: dict[tuple[int, ...], float]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.m, int) or not 2 <= self.m <= subsets.MAX_TERMINALS:
-            raise InputError(f"m={self.m!r} outside 2..{subsets.MAX_TERMINALS}")
+        subsets.check_terminal_count(self.m)
         sizes = tuple(self.alphabet_sizes)
         if len(sizes) != self.m or any(type(s) is not int or s < 1 for s in sizes):
             raise InputError(f"alphabet_sizes {self.alphabet_sizes!r} invalid for m={self.m}")

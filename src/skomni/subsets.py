@@ -10,10 +10,18 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import InputError, InvalidSubsetError
+from .errors import InputError, InvalidSubsetError, SizeLimitError
 
 #: Hard cap on the number of terminals any mask-based structure may use.
 MAX_TERMINALS = 24
+
+
+def check_terminal_count(m: object) -> None:
+    """Check a model's m: non-int or below 2 is bad input, above MAX_TERMINALS a size limit."""
+    if not isinstance(m, int) or m < 2:
+        raise InputError(f"m={m!r} outside 2..{MAX_TERMINALS}")
+    if m > MAX_TERMINALS:
+        raise SizeLimitError(f"m={m} outside 2..{MAX_TERMINALS}")
 
 
 def full_mask(m: int) -> int:

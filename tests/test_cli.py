@@ -3,8 +3,16 @@ import os
 
 import pytest
 
+from skomni.capacity import MinimizerStatus
 from skomni.cli import main
-from skomni.omnivocality import OmniStatus, OmnivocalityVerdict
+from skomni.generators import random_source
+from skomni.omnivocality import (
+    REVERIFY_DPS,
+    Classification,
+    OmniStatus,
+    OmnivocalityVerdict,
+    probe_conjecture,
+)
 
 from conftest import (
     make_broadcast_pair,
@@ -126,6 +134,8 @@ def test_bad_tolerance(files, capsys):
     (["capacity", "xor", "--tol", "inf"], "tolerance must be positive and finite"),
     (["capacity", "xor", "--tol", "nan"], "tolerance must be positive and finite"),
     (["omnivocality", "xor", "--dps", "-5"], "dps must be >= 0"),
+    (["omnivocality", "xor", "--dps", "1"], "more than a float's 15 digits"),
+    (["omnivocality", "xor", "--dps", "15"], "more than a float's 15 digits"),
 ])
 def test_bad_numeric_flags(files, capsys, argv, message):
     code, out, err = run(capsys, [argv[0], files[argv[1]]] + argv[2:])
@@ -205,6 +215,17 @@ def test_silent_single_speaker(files, capsys):
     assert "C_restricted = 1.000000" in out
 
 
+def test_silent_tol_sets_the_binding_band(tmp_path, capsys):
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(random_source(3, (2, 2, 2), seed=1).to_json_dict()))
+    code, out, _ = run(capsys, ["silent", str(path), "--speakers", "1,2"])
+    assert code == 0
+    assert "binding: 1; 2\n" in out
+    code, out, _ = run(capsys, ["silent", str(path), "--speakers", "1,2", "--tol", "0.5"])
+    assert code == 0
+    assert "binding: 1; 2; 1,2\n" in out
+
+
 def test_silent_bad_subset(files, capsys):
     code, _, err = run(capsys, ["silent", files["xor"], "--speakers", "1,,2"])
     assert code == 2
@@ -277,12 +298,34 @@ def test_omnivocality_conclusive_disagreement_is_internal_error(files, capsys, m
     def fake_lp(oracle, band):
         return OmnivocalityVerdict(OmniStatus.NOT_NECESSARY, "lp", None, (), None)
 
-    monkeypatch.setattr("skomni.cli.verdict_by_condition", fake_condition)
-    monkeypatch.setattr("skomni.cli.verdict_by_lp", fake_lp)
+    monkeypatch.setattr("skomni.omnivocality.verdict_by_condition", fake_condition)
+    monkeypatch.setattr("skomni.omnivocality.verdict_by_lp", fake_lp)
     code, _, err = run(capsys, ["omnivocality", files["xor4"]])
     assert code == 4
     assert "internal inconsistency" in err
     assert "methods disagree" in err
+
+
+def test_hunt_recheck_is_omnivocality_at_reverify_dps(tmp_path, capsys):
+    source = random_source(4, (2, 2, 2, 2), 12)
+    path = tmp_path / "candidate.json"
+    path.write_text(json.dumps(source.to_json_dict()))
+    probe = probe_conjecture(source)
+    assert probe.reverified and probe.classification is Classification.CANDIDATE
+    code, out, _ = run(capsys, ["omnivocality", str(path), "--dps", str(REVERIFY_DPS), "--json"])
+    assert code == 0
+    condition, lp = json.loads(out)["methods"]
+    condition_status = {
+        MinimizerStatus.UNIQUE: OmniStatus.NECESSARY,
+        MinimizerStatus.AMBIGUOUS: OmniStatus.AMBIGUOUS,
+    }.get(probe.condition, OmniStatus.UNKNOWN)
+    assert condition["status"] == condition_status.value
+    assert lp["status"] == probe.lp.value
+    assert [row["gap"] for row in lp["evidence"]] == [float(g) for g in probe.gaps]
+    # The float run differs in the last bits, so these are the re-checked gaps.
+    _, out, _ = run(capsys, ["omnivocality", str(path), "--json"])
+    float_lp = json.loads(out)["methods"][1]
+    assert [row["gap"] for row in float_lp["evidence"]] != [float(g) for g in probe.gaps]
 
 
 def test_isentropy_xor(files, capsys):
@@ -380,6 +423,18 @@ def test_hunt_json_summary(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["trials"] == 4
     assert sum(payload["counts"].values()) == 4
+
+
+@pytest.mark.parametrize("payload", [
+    {"m": 25, "alphabet_sizes": [2] * 25, "atoms": [{"x": [0] * 25, "p": 1.0}]},
+    {"m": 25, "edges": [{"u": 1, "v": 2}]},
+], ids=["pmf", "pin"])
+def test_too_many_terminals_exits_3(tmp_path, capsys, payload):
+    path = tmp_path / "m25.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, ["capacity", str(path)])
+    assert code == 3
+    assert "m=25 outside 2..24" in err
 
 
 def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):

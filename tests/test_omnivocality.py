@@ -8,6 +8,7 @@ from skomni.omnivocality import (
     Classification,
     Construction,
     OmniStatus,
+    OmnivocalityVerdict,
     _classify,
     atoms_digest,
     hunt_record,
@@ -261,8 +262,17 @@ def test_classify_matrix():
         _classify(MinimizerStatus.AMBIGUOUS, OmniStatus.NECESSARY)
         is Classification.INCONCLUSIVE
     )
-    with pytest.raises(InternalInconsistencyError):
-        _classify(MinimizerStatus.UNIQUE, OmniStatus.NOT_NECESSARY)
+
+
+def test_probe_raises_when_routes_disagree(monkeypatch):
+    # A unique singleton minimizer (condition: Necessary) with a silent
+    # terminal achieving capacity is a contradiction, not a classification.
+    def fake_lp(oracle, band):
+        return OmnivocalityVerdict(OmniStatus.NOT_NECESSARY, "lp", None, (), None)
+
+    monkeypatch.setattr("skomni.omnivocality.verdict_by_lp", fake_lp)
+    with pytest.raises(InternalInconsistencyError, match="methods disagree"):
+        probe_conjecture(make_xor4_source())
 
 
 def test_probe_k4_consistent_proven(k4_oracle):
@@ -303,13 +313,6 @@ def test_probe_candidate_survives_reverification():
     assert probe.condition is MinimizerStatus.NOT_MINIMIZER
     assert probe.lp is OmniStatus.NECESSARY
     assert min(abs(float(g)) for g in probe.gaps) > 1e-4
-
-
-def test_probe_reverification_can_be_disabled():
-    source = random_source(4, (2, 2, 2, 2), seed=12)
-    probe = probe_conjecture(source, reverify=False)
-    assert probe.classification is Classification.CANDIDATE
-    assert not probe.reverified
 
 
 def test_atoms_digest_stability():
