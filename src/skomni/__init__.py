@@ -5,9 +5,7 @@ from .capacity import (
     MinimizerStatus,
     MinimizerVerdict,
     partition_surplus,
-    restricted_singleton_surplus,
     singleton_minimizer_check,
-    singleton_surplus_identity,
     sk_capacity,
 )
 from .errors import (
@@ -15,18 +13,10 @@ from .errors import (
     InternalInconsistencyError,
     InvalidPartitionError,
     InvalidSubsetError,
-    PreconditionError,
     SizeLimitError,
     SkomniError,
 )
-from .generators import exchangeable_mixture, random_source
-from .isentropic import (
-    IsentropyProfile,
-    block_conditional_entropy,
-    check_block_rate_monotone,
-    isentropy_check,
-    surplus_complement,
-)
+from .generators import random_source
 from .omnivocality import (
     Classification,
     ConjectureProbe,

@@ -37,12 +37,7 @@ from typing import Any, Optional
 
 from . import subsets
 from .errors import SizeLimitError
-from .partitions import (
-    MAX_ENUMERATION_M,
-    Partition,
-    isolating_partition,
-    singleton_partition,
-)
+from .partitions import Partition, isolating_partition
 from .sources import EntropyOracle
 
 #: Default half-width of the band inside which float comparisons are ties.
@@ -83,8 +78,8 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     m = oracle.m
     if m < 2:
         raise SizeLimitError("capacity needs at least 2 terminals")
-    if m > MAX_ENUMERATION_M:
-        raise SizeLimitError(f"partition enumeration supports m <= {MAX_ENUMERATION_M}")
+    if m > subsets.MAX_ENUMERATION_M:
+        raise SizeLimitError(f"partition enumeration supports m <= {subsets.MAX_ENUMERATION_M}")
     h = [oracle.entropy(subset) for subset in range(1 << m)]
     joint = h[-1]
     exact = oracle.exact
@@ -119,48 +114,6 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     walk(1)
     argmin = tuple(q for v, q in near if v <= best + band)
     return CapacityReport(best, argmin, examined, exact)
-
-
-def restricted_singleton_surplus(oracle: EntropyOracle, speakers: int) -> Any:
-    """Singleton surplus computed within a speaker set of size m-1.
-
-    For T = {1..m} minus one terminal this is
-    (sum_{i in T} H(X_i) - H(X_T)) / (m - 2); it upper-bounds the capacity
-    achievable when the missing terminal stays silent.
-    """
-    m = oracle.m
-    subsets.check_subset(speakers, m)
-    if subsets.size(speakers) != m - 1 or m < 3:
-        raise SizeLimitError("restricted singleton surplus needs |T| = m-1 and m >= 3")
-    total = sum(oracle.entropy(1 << (t - 1)) for t in subsets.members(speakers))
-    return _ratio(total - oracle.entropy(speakers), m - 2, oracle.exact)
-
-
-def singleton_surplus_identity(oracle: EntropyOracle, silent: int) -> tuple[Any, Any]:
-    """Both sides of the identity linking restricted and global surplus.
-
-    With T = {1..m} minus the silent terminal u and S the singleton
-    partition:
-
-        surplus_T(S) - surplus(S)
-            = (surplus(S) - surplus({{u}, T})) / (m - 2).
-
-    Returns (lhs, rhs); these agree up to arithmetic noise, which makes the
-    identity a useful cross-check of both code paths.
-    """
-    m = oracle.m
-    if m < 3:
-        raise SizeLimitError("identity needs m >= 3")
-    subsets.check_subset(silent, m)
-    if subsets.size(silent) != 1:
-        raise SizeLimitError("silent set must be a single terminal")
-    speakers = subsets.full_mask(m) & ~silent
-    s = singleton_partition(m)
-    lhs = restricted_singleton_surplus(oracle, speakers) - partition_surplus(oracle, s)
-    two_cell = Partition.from_cells([silent, speakers], m)
-    diff = partition_surplus(oracle, s) - partition_surplus(oracle, two_cell)
-    rhs = _ratio(diff, m - 2, oracle.exact)
-    return lhs, rhs
 
 
 class MinimizerStatus(str, enum.Enum):

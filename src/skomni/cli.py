@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Subcommands mirror the library: capacity, singleton, silent, omnivocality,
-isentropy, hunt.  Model files are JSON and auto-detected: an object with
-"atoms" is a joint pmf, one with "edges" is a PIN multigraph (analyzed in
-exact rational arithmetic).  Text output prints floats with six decimals
+hunt.  Model files are JSON and auto-detected: an object with "atoms" is a
+joint pmf, one with "edges" is a PIN multigraph (analyzed in exact
+rational arithmetic).  Text output prints floats with six decimals
 and rationals as p/q; --json emits a single JSON object instead.
 
 ``omnivocality`` picks its routes and formats what
@@ -29,6 +29,7 @@ from typing import Any, Union
 
 from . import subsets
 from .capacity import (
+    DEFAULT_TIE_TOL,
     MinimizerStatus,
     singleton_minimizer_check,
     sk_capacity,
@@ -38,12 +39,10 @@ from .errors import (
     InternalInconsistencyError,
     InvalidPartitionError,
     InvalidSubsetError,
-    PreconditionError,
     SizeLimitError,
 )
-from .isentropic import block_conditional_entropy, check_block_rate_monotone, isentropy_check
 from .omnivocality import FLOAT_DPS, OmniStatus, as_oracle, hunt_record, run_routes
-from .partitions import MAX_ENUMERATION_M, format_partition
+from .partitions import format_partition
 from .pin import PinGraph, pin_capacity
 from .silent_rate import silent_capacity
 from .sources import JointSource, TabularOracle, read_json
@@ -240,40 +239,6 @@ def cmd_omnivocality(args: argparse.Namespace) -> int:
     return _emit(args, payload, lines)
 
 
-def cmd_isentropy(args: argparse.Namespace) -> int:
-    model = _load_model(args.model, args.renormalize)
-    oracle = as_oracle(model)
-    profile = isentropy_check(oracle, args.tol)
-    blocks = [block_conditional_entropy(oracle, k) for k in range(1, oracle.m + 1)]
-    monotone = violation = None
-    if profile.status == "yes":
-        monotone, violation = check_block_rate_monotone(oracle, args.tol)
-    payload = {
-        "isentropic": profile.status,
-        "levels": [_jsonable(v) for v in profile.levels] if profile.levels else None,
-        "spreads": [_jsonable(s) for s in profile.spreads],
-        "block_conditional_entropies": [_jsonable(b) for b in blocks],
-        "block_rate_monotone": monotone,
-    }
-    lines = [f"isentropic: {profile.status}"]
-    if profile.levels:
-        lines.append("levels: " + " ".join(_fmt(v) for v in profile.levels))
-    if profile.worst is not None:
-        lines.append(
-            f"worst spread {_fmt(profile.worst.spread)} between "
-            f"{subsets.format_subset(profile.worst.low_subset)} and "
-            f"{subsets.format_subset(profile.worst.high_subset)}"
-        )
-    lines.append("block conditional entropies: " + " ".join(_fmt(b) for b in blocks))
-    if monotone is not None:
-        lines.append(f"normalized block rate non-decreasing: {'yes' if monotone else 'no'}")
-        if violation is not None:
-            lines.append(
-                f"  violated at k={violation.k}: {_fmt(violation.rate_k)} > {_fmt(violation.rate_next)}"
-            )
-    return _emit(args, payload, lines)
-
-
 def _hunt_worker(packed: tuple[int, tuple[int, ...], int, int, float]) -> dict[str, Any]:
     m, alphabet_sizes, seed, trial, tol = packed
     return hunt_record(m, alphabet_sizes, seed, trial, tol)
@@ -299,19 +264,23 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise InputError(f"jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
     if args.m < 4:
         raise SizeLimitError("hunt targets m >= 4 (smaller m is decided exactly)")
-    if args.m > MAX_ENUMERATION_M:
+    if args.m > subsets.MAX_ENUMERATION_M:
         raise SizeLimitError(
-            f"hunt supports m <= {MAX_ENUMERATION_M} (capacity enumerates partitions)"
+            f"hunt supports m <= {subsets.MAX_ENUMERATION_M} (capacity enumerates partitions)"
         )
     alphabet = _parse_alphabet(args.alphabet, args.m)
     jobs = [(args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_hunt_worker, jobs, chunksize=8))
-    else:
-        records = [_hunt_worker(job) for job in jobs]
+    try:
+        fh = open(args.out, "w")
+    except OSError as exc:
+        raise InputError(f"cannot open log {args.out}: {exc.strerror}") from None
     counts: dict[str, int] = {}
-    with open(args.out, "w") as fh:
+    with fh:
+        if args.jobs > 1:
+            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+                records = list(pool.map(_hunt_worker, jobs, chunksize=8))
+        else:
+            records = [_hunt_worker(job) for job in jobs]
         for record in records:
             fh.write(json.dumps(record) + "\n")
             counts[record["classification"]] = counts.get(record["classification"], 0) + 1
@@ -345,7 +314,9 @@ def _build_parser() -> argparse.ArgumentParser:
                 help="rescale atom probabilities to sum to 1 before validating",
             )
         p.add_argument("--json", action="store_true", help="emit a single JSON object")
-        p.add_argument("--tol", type=tolerance, default=1e-9, help="comparison tolerance band")
+        p.add_argument(
+            "--tol", type=tolerance, default=DEFAULT_TIE_TOL, help="comparison tolerance band"
+        )
 
     p = sub.add_parser("capacity", help="secret-key capacity and minimizing partitions")
     common(p)
@@ -377,10 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_omnivocality)
 
-    p = sub.add_parser("isentropy", help="per-size entropy levels and block-rate monotonicity")
-    common(p)
-    p.set_defaults(func=cmd_isentropy)
-
     p = sub.add_parser("hunt", help="search random sources for conjecture counterexamples")
     common(p, model=False)
     p.add_argument("--m", type=int, required=True, help="number of terminals (>= 4)")
@@ -405,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidSubsetError, InvalidPartitionError, SizeLimitError, PreconditionError) as exc:
+    except (InvalidSubsetError, InvalidPartitionError, SizeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalInconsistencyError as exc:

@@ -28,9 +28,5 @@ class SizeLimitError(SkomniError):
     """The operation does not support the requested number of terminals."""
 
 
-class PreconditionError(SkomniError):
-    """A documented precondition of the operation does not hold."""
-
-
 class InternalInconsistencyError(SkomniError):
     """Two independent computations of the same quantity disagreed."""

@@ -1,11 +1,9 @@
-"""Seeded test-source generators.
+"""Seeded random sources for the hunt.
 
-Both generators are deterministic functions of their arguments: they draw
+``random_source`` is a deterministic function of its arguments: it draws
 from ``random.Random(seed)`` only, so the same call yields the same source
-on any platform.  ``random_source`` fills the whole outcome grid with
-normalized uniform weights (full support, generic position);
-``exchangeable_mixture`` mixes iid-per-terminal components, which makes
-the result exchangeable and therefore isentropic.
+on any platform.  It fills the whole outcome grid with normalized uniform
+weights (full support, generic position).
 """
 
 from __future__ import annotations
@@ -30,36 +28,3 @@ def random_source(m: int, alphabet_sizes: Sequence[int], seed: int) -> JointSour
     total = math.fsum(weights)
     atoms = {cell: w / total for cell, w in zip(cells, weights)}
     return JointSource(m, sizes, atoms)
-
-
-def exchangeable_mixture(
-    m: int,
-    alphabet_size: int,
-    components: int,
-    seed: int,
-) -> JointSource:
-    """Mixture of iid sources: p(x) = sum_c w_c * prod_i q_c(x_i).
-
-    Every terminal uses the same per-component symbol pmf q_c, so the
-    joint law is invariant under permuting terminals.
-    """
-    if components < 1:
-        raise InputError("need at least one mixture component")
-    rng = random.Random(seed)
-    raw_w = [rng.random() for _ in range(components)]
-    w_total = math.fsum(raw_w)
-    weights = [w / w_total for w in raw_w]
-    pmfs = []
-    for _ in range(components):
-        raw = [rng.random() for _ in range(alphabet_size)]
-        total = math.fsum(raw)
-        pmfs.append([p / total for p in raw])
-    atoms = {}
-    for cell in product(range(alphabet_size), repeat=m):
-        mass = math.fsum(
-            w * math.prod(q[sym] for sym in cell) for w, q in zip(weights, pmfs)
-        )
-        atoms[cell] = mass
-    total = math.fsum(atoms.values())
-    atoms = {cell: p / total for cell, p in atoms.items()}
-    return JointSource(m, (alphabet_size,) * m, atoms)

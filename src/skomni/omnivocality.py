@@ -46,12 +46,11 @@ from .capacity import (
     MinimizerVerdict,
     partition_surplus,
     singleton_minimizer_check,
-    singleton_partition,
     sk_capacity,
 )
 from .errors import InputError, InternalInconsistencyError, SizeLimitError
 from .generators import random_source
-from .partitions import MAX_ENUMERATION_M, isolating_partition
+from .partitions import isolating_partition, singleton_partition
 from .pin import PinGraph, PinOracle
 from .silent_rate import silent_capacity
 from .sources import EntropyOracle, ExtendedPrecisionOracle, JointSource, TabularOracle
@@ -171,8 +170,8 @@ def verdict_by_lp(
 ) -> OmnivocalityVerdict:
     """Compare capacity against every leave-one-out restricted capacity."""
     m = _require_m(oracle, "LP comparison")
-    if m > MAX_ENUMERATION_M:
-        raise SizeLimitError(f"LP comparison supports m <= {MAX_ENUMERATION_M}")
+    if m > subsets.MAX_ENUMERATION_M:
+        raise SizeLimitError(f"LP comparison supports m <= {subsets.MAX_ENUMERATION_M}")
     c = sk_capacity(oracle, tie_tol).value
     band = 0 if oracle.exact else tie_tol
     rows = []

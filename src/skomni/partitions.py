@@ -19,9 +19,6 @@ from dataclasses import dataclass, field
 from . import subsets
 from .errors import InputError, InvalidPartitionError, SizeLimitError
 
-#: Enumeration is capped here; Bell(12) is about 4.2 million partitions.
-MAX_ENUMERATION_M = 12
-
 
 def _cells_from_rgs(rgs: tuple[int, ...]) -> tuple[int, ...]:
     n_cells = max(rgs) + 1
@@ -116,8 +113,8 @@ def enumerate_partitions(m: int, min_cells: int = 2) -> Iterator[Partition]:
     """
     if not isinstance(m, int) or m < 1:
         raise SizeLimitError(f"m={m!r} is not a positive integer")
-    if m > MAX_ENUMERATION_M:
-        raise SizeLimitError(f"partition enumeration supports m <= {MAX_ENUMERATION_M}")
+    if m > subsets.MAX_ENUMERATION_M:
+        raise SizeLimitError(f"partition enumeration supports m <= {subsets.MAX_ENUMERATION_M}")
     if min_cells > m:
         return
     rgs = [0] * m

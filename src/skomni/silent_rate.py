@@ -30,9 +30,6 @@ from .errors import InvalidSubsetError, SizeLimitError
 from .simplex import CoverSolution, solve_min_cover
 from .sources import EntropyOracle
 
-#: build_rate_region enumerates 2^m subsets; keep that bounded.
-MAX_REGION_M = 16
-
 #: Float slack below which a constraint counts as binding at the optimum.
 DEFAULT_BINDING_TOL = 1e-9
 
@@ -58,8 +55,8 @@ class RateRegion:
 def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
     """Constraint region for the given speaker set, by full enumeration."""
     m = oracle.m
-    if m > MAX_REGION_M:
-        raise SizeLimitError(f"rate region construction supports m <= {MAX_REGION_M}")
+    if m > subsets.MAX_REGION_M:
+        raise SizeLimitError(f"rate region construction supports m <= {subsets.MAX_REGION_M}")
     subsets.check_subset(speakers, m)
     full = subsets.full_mask(m)
     best: dict[int, Any] = {}
@@ -88,8 +85,8 @@ def reduced_rate_region(oracle: EntropyOracle, silent_terminal: int) -> RateRegi
     m = oracle.m
     if m < 2:
         raise SizeLimitError("reduced region needs m >= 2")
-    if m > MAX_REGION_M:
-        raise SizeLimitError(f"rate region construction supports m <= {MAX_REGION_M}")
+    if m > subsets.MAX_REGION_M:
+        raise SizeLimitError(f"rate region construction supports m <= {subsets.MAX_REGION_M}")
     if not isinstance(silent_terminal, int) or not 1 <= silent_terminal <= m:
         raise InvalidSubsetError(f"silent terminal {silent_terminal!r} outside 1..{m}")
     u = 1 << (silent_terminal - 1)

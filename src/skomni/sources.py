@@ -110,10 +110,17 @@ class JointSource:
         for entry in raw_atoms:
             if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
                 raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
-            x = tuple(entry["x"])
-            if x in atoms:
+            x, p = entry["x"], entry["p"]
+            if type(p) not in (int, float):
+                raise InputError(f"atom entry {entry!r}: 'p' must be a number")
+            try:
+                x = tuple(x)
+                repeated = x in atoms
+            except TypeError:  # x is not iterable, or holds lists or objects
+                raise InputError(f"atom entry {entry!r}: 'x' must be a list of integers") from None
+            if repeated:
                 raise InputError(f"atom {list(x)!r} listed twice")
-            atoms[x] = entry["p"]
+            atoms[x] = p
         if renormalize:
             total = math.fsum(float(p) for p in atoms.values())
             if total <= 0.0 or not math.isfinite(total):

@@ -12,8 +12,20 @@ from collections.abc import Iterable, Iterator
 
 from .errors import InputError, InvalidSubsetError, SizeLimitError
 
-#: Hard cap on the number of terminals any mask-based structure may use.
+# The package's size caps.  Every analysis reads a table of all 2^m subset
+# entropies; the searches on top of it cost more, so each has a lower cap.
+
+#: Terminals any mask-based structure may use: the entropy table holds
+#: 2^m entries, 16.8 million at m = 24.
 MAX_TERMINALS = 24
+
+#: Terminals for a search over set partitions (capacity, the LP route,
+#: the hunt): Bell(12) is about 4.2 million partitions.
+MAX_ENUMERATION_M = 12
+
+#: Terminals for a rate region: the region enumerates 2^m subsets and the
+#: covering LP has 2^(m-1) constraints.
+MAX_REGION_M = 16
 
 
 def check_terminal_count(m: object) -> None:

@@ -7,6 +7,9 @@ against other library output.
 """
 
 import math
+import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -17,8 +20,10 @@ from skomni.capacity import (
     MinimizerWitness,
     partition_surplus,
 )
-from skomni.generators import exchangeable_mixture, random_source
-from skomni.partitions import enumerate_partitions, singleton_partition
+from skomni import subsets
+from skomni.errors import SizeLimitError
+from skomni.generators import random_source
+from skomni.partitions import Partition, enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.sources import JointSource, TabularOracle
 
@@ -115,15 +120,69 @@ def make_xor4_source() -> JointSource:
     return JointSource(4, (2, 2, 2, 2), atoms)
 
 
-def make_unequal_marginals() -> JointSource:
-    """X1 fair bit, X2 = X3 = 0 constant; clearly not isentropic."""
-    atoms = {(0, 0, 0): 0.5, (1, 0, 0): 0.5}
-    return JointSource(3, (2, 2, 2), atoms)
-
-
 def make_path3_graph() -> PinGraph:
     """Path 1 - 2 - 3; strength 1 with a three-way argmin tie."""
     return PinGraph(3, ((1, 2, 1), (2, 3, 1)))
+
+
+def exchangeable_mixture(m: int, alphabet_size: int, components: int, seed: int) -> JointSource:
+    """Seeded mixture of iid sources: p(x) = sum_c w_c * prod_i q_c(x_i).
+
+    Every terminal uses the same per-component symbol pmf q_c, so the
+    joint law is invariant under permuting terminals and every subset
+    entropy depends only on the subset's size.
+    """
+    rng = random.Random(seed)
+    raw_w = [rng.random() for _ in range(components)]
+    w_total = math.fsum(raw_w)
+    weights = [w / w_total for w in raw_w]
+    pmfs = []
+    for _ in range(components):
+        raw = [rng.random() for _ in range(alphabet_size)]
+        total = math.fsum(raw)
+        pmfs.append([p / total for p in raw])
+    atoms = {}
+    for cell in product(range(alphabet_size), repeat=m):
+        atoms[cell] = math.fsum(
+            w * math.prod(q[sym] for sym in cell) for w, q in zip(weights, pmfs)
+        )
+    total = math.fsum(atoms.values())
+    atoms = {cell: p / total for cell, p in atoms.items()}
+    return JointSource(m, (alphabet_size,) * m, atoms)
+
+
+def restricted_singleton_surplus(oracle, speakers):
+    """Singleton surplus within a speaker set T of size m-1.
+
+    (sum_{i in T} H(X_i) - H(X_T)) / (m - 2) upper-bounds the capacity
+    achievable when the missing terminal stays silent.
+    """
+    m = oracle.m
+    subsets.check_subset(speakers, m)
+    if subsets.size(speakers) != m - 1 or m < 3:
+        raise SizeLimitError("restricted singleton surplus needs |T| = m-1 and m >= 3")
+    total = sum(oracle.entropy(1 << (t - 1)) for t in subsets.members(speakers))
+    num = total - oracle.entropy(speakers)
+    return Fraction(num, m - 2) if oracle.exact else num / (m - 2)
+
+
+def singleton_surplus_identity(oracle, silent):
+    """Both sides of the identity linking restricted and global surplus.
+
+    With T = {1..m} minus the silent terminal u and S the singleton
+    partition:
+
+        surplus_T(S) - surplus(S) = (surplus(S) - surplus({{u}, T})) / (m - 2).
+
+    Returns (lhs, rhs), which agree up to arithmetic noise.
+    """
+    m = oracle.m
+    speakers = subsets.full_mask(m) & ~silent
+    s_value = partition_surplus(oracle, singleton_partition(m))
+    lhs = restricted_singleton_surplus(oracle, speakers) - s_value
+    diff = s_value - partition_surplus(oracle, Partition.from_cells([silent, speakers], m))
+    rhs = Fraction(diff, m - 2) if oracle.exact else diff / (m - 2)
+    return lhs, rhs
 
 
 def reference_minimizer_check(oracle, candidates, tie_tol=DEFAULT_TIE_TOL):

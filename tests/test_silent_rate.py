@@ -5,7 +5,6 @@ import pytest
 from skomni import subsets
 from skomni.capacity import (
     MinimizerStatus,
-    restricted_singleton_surplus,
     singleton_minimizer_check,
     sk_capacity,
 )
@@ -21,7 +20,7 @@ from skomni.silent_rate import (
 from skomni.generators import random_source
 from skomni.sources import TabularOracle, conditional_entropy
 
-from conftest import binary_entropy, tabular_test_sources
+from conftest import binary_entropy, restricted_singleton_surplus, tabular_test_sources
 
 
 def _bounds(region):
