@@ -7,15 +7,34 @@ cells, of the normalized entropy surplus
     surplus(P) = (sum_{A in P} H(X_A) - H(X_{1..m})) / (|P| - 1).
 
 This module evaluates that objective against any subset-entropy oracle,
-minimizes it by full enumeration, and decides whether the all-singletons
-partition is the minimizer.  Both searches read the 2^m subset entropies
-into a list once and work on cell masks, summing cell entropies in cell
-order like ``partition_surplus``, so their values are bitwise the ones
-``partition_surplus`` gives.  The minimization walks the partitions depth
-first in the lexicographic restricted-growth order of
-``enumerate_partitions``, and only partitions in the tie band become
-``Partition`` objects.  The minimizer check uses the reduction to
-isolating partitions: the singleton partition minimizes the surplus iff
+minimizes it without enumerating partitions, and decides whether the
+all-singletons partition is the minimizer.  Both searches read the 2^m
+subset entropies into a list once and work on cell masks, summing cell
+entropies in cell order like ``partition_surplus``, so their values are
+bitwise the ones ``partition_surplus`` gives.
+
+The minimization is a Dinkelbach (Newton) iteration over the Dilworth
+truncation of h - gamma (Narayanan, "The principal lattice of partitions
+of a submodular function", Linear Algebra Appl., 1991; Chan,
+Al-Bashabsheh, Ebrahimi, Kaced and Liu, "Multivariate mutual information
+inspired by secret-key agreement", Proc. IEEE, 2015).  At a fixed gamma
+the greedy values
+
+    x_j = min over B with j in B, B inside {1..j}, of h(B) - gamma - x(B - j)
+
+maximize x(1..m) subject to x(B) <= h(B) - gamma, in 2^m table reads, and
+merging each j with a minimizing B (and the cells B meets) builds a
+partition minimizing sum_{A in P} (h(A) - gamma).  A partition beats the
+trivial one there exactly when its surplus is below gamma.  So gamma
+starts at the singleton surplus and steps down to the surplus of the
+partition found until that is no longer strictly below; the last gamma is
+the capacity.  The cell count falls at every step, so at most m
+partitions are evaluated.  Taking the minimizing B with the fewest
+members gives the finest minimizing partition, the common refinement of
+all of them.
+
+The minimizer check uses the reduction to isolating partitions: the
+singleton partition minimizes the surplus iff
 
     surplus(S) <= surplus(P_B)   for every B with 1 <= |B| <= m-2,
 
@@ -25,7 +44,9 @@ Bell(m)).  Uniqueness corresponds to all inequalities strict.
 Exact oracles (integer entropies) make every quantity here an exact
 ``Fraction`` and verdicts never come back ambiguous; float oracles use a
 tie tolerance band, inside which only a bitwise-zero difference counts as
-a genuine tie.
+a genuine tie.  Partitions that tie in the reals can round an ulp apart;
+the greedy cannot see such a gap, so a float capacity can then read an
+ulp above the least rounded surplus over all partitions.
 """
 
 from __future__ import annotations
@@ -69,51 +90,75 @@ class CapacityReport:
     exact: bool
 
 
-def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> CapacityReport:
-    """Minimize the partition surplus by full enumeration.
+def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> list[int]:
+    """Cells of the greedy Dilworth-truncation partition of h - gamma.
 
-    ``argmin`` collects every partition within ``tie_tol`` of the minimum
-    (exactly equal for exact oracles), in canonical enumeration order.
+    Terminal j takes x_j = min over B with j in B inside {1..j} of
+    h(B) - gamma - x(B - j), then merges with the cells that meet the B of
+    fewest members (lowest mask first) among those within ``band`` of the
+    minimum.  Cells come back in canonical order, by smallest member.
+    """
+    x = [0]  # x[s] = x(s) for the subsets s of the terminals placed so far
+    cells: list[int] = []
+    for j in range(m):
+        bit = 1 << j
+        gains = [a - b for a, b in zip(h[bit : bit << 1], x)]
+        low = min(gains)
+        cutoff = low + band
+        if gains[0] <= cutoff:  # B = {j} has the fewest members
+            chosen = bit
+        else:
+            chosen = bit | min((s for s, g in enumerate(gains) if g <= cutoff), key=int.bit_count)
+        merged = chosen
+        for cell in [c for c in cells if c & chosen]:
+            cells.remove(cell)
+            merged |= cell
+        cells.append(merged)
+        x_j = low - gamma
+        x += [v + x_j for v in x]
+    return sorted(cells, key=lambda c: c & -c)
+
+
+def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> CapacityReport:
+    """Minimize the partition surplus by Newton steps over the Dilworth truncation.
+
+    ``value`` is the least surplus evaluated, bitwise as
+    ``partition_surplus`` gives it; Newton steps compare strictly.
+    ``argmin`` holds one partition: the finest minimizer, chosen by a last
+    greedy pass at gamma = ``value`` that keeps the fewest-member set within
+    ``tie_tol`` of each step minimum (exactly equal for exact oracles).  If
+    that pass gives the trivial partition or one whose surplus lies outside
+    the band, ``argmin`` holds the partition whose surplus set ``value``.
+    ``partitions_examined`` counts the surpluses the Newton steps evaluated.
     """
     m = oracle.m
     if m < 2:
         raise SizeLimitError("capacity needs at least 2 terminals")
     if m > subsets.MAX_ENUMERATION_M:
-        raise SizeLimitError(f"partition enumeration supports m <= {subsets.MAX_ENUMERATION_M}")
+        raise SizeLimitError(f"capacity supports m <= {subsets.MAX_ENUMERATION_M}")
     h = [oracle.entropy(subset) for subset in range(1 << m)]
-    joint = h[-1]
     exact = oracle.exact
     band = 0 if exact else tie_tol
-    best: Any = None
-    near: list[tuple[Any, Partition]] = []
-    examined = 0
-    rgs = [0] * m
-    cells = [1]
 
-    def walk(i: int) -> None:
-        nonlocal best, near, examined
-        for c in range(len(cells) + 1):
-            rgs[i] = c
-            if c == len(cells):
-                cells.append(0)
-            cells[c] |= 1 << i
-            if i + 1 < m:
-                walk(i + 1)
-            elif len(cells) >= 2:
-                examined += 1
-                value = _ratio(sum(map(h.__getitem__, cells)) - joint, len(cells) - 1, exact)
-                if best is None or value < best:
-                    best = value
-                    near = [(v, q) for v, q in near if v <= best + band]
-                if value <= best + band:
-                    near.append((value, Partition(tuple(rgs), tuple(cells))))
-            cells[c] ^= 1 << i
-            if not cells[c]:
-                cells.pop()
+    def surplus(cells: list[int]) -> Any:
+        return _ratio(sum(map(h.__getitem__, cells)) - h[-1], len(cells) - 1, exact)
 
-    walk(1)
-    argmin = tuple(q for v, q in near if v <= best + band)
-    return CapacityReport(best, argmin, examined, exact)
+    best = [1 << i for i in range(m)]
+    value = surplus(best)
+    examined = 1
+    while True:
+        cells = _greedy_cells(h, m, value, 0)
+        if len(cells) < 2 or cells == best:
+            break
+        examined += 1
+        candidate = surplus(cells)
+        if not candidate < value:
+            break
+        value, best = candidate, cells
+    finest = _greedy_cells(h, m, value, band)
+    if len(finest) >= 2 and abs(surplus(finest) - value) <= band:
+        best = finest
+    return CapacityReport(value, (Partition.from_cells(best, m),), examined, exact)
 
 
 class MinimizerStatus(str, enum.Enum):

@@ -253,6 +253,11 @@ def _parse_alphabet(text: str, m: int) -> tuple[int, ...]:
         parts = parts * m
     if len(parts) != m or any(s < 2 for s in parts):
         raise InputError(f"alphabet spec {text!r} does not fit m={m} (sizes >= 2)")
+    cells = math.prod(parts)
+    if cells > subsets.MAX_GRID_CELLS:
+        raise SizeLimitError(
+            f"alphabet grid has {cells} cells; hunt supports at most {subsets.MAX_GRID_CELLS}"
+        )
     return tuple(parts)
 
 
@@ -266,7 +271,8 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise SizeLimitError("hunt targets m >= 4 (smaller m is decided exactly)")
     if args.m > subsets.MAX_ENUMERATION_M:
         raise SizeLimitError(
-            f"hunt supports m <= {subsets.MAX_ENUMERATION_M} (capacity enumerates partitions)"
+            f"hunt supports m <= {subsets.MAX_ENUMERATION_M} "
+            "(each trial fills a 3^m entropy table)"
         )
     alphabet = _parse_alphabet(args.alphabet, args.m)
     jobs = [(args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials)]
@@ -318,7 +324,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "--tol", type=tolerance, default=DEFAULT_TIE_TOL, help="comparison tolerance band"
         )
 
-    p = sub.add_parser("capacity", help="secret-key capacity and minimizing partitions")
+    p = sub.add_parser("capacity", help="secret-key capacity and finest minimizing partition")
     common(p)
     p.set_defaults(func=cmd_capacity)
 

@@ -19,13 +19,20 @@ from .errors import InputError, InvalidSubsetError, SizeLimitError
 #: 2^m entries, 16.8 million at m = 24.
 MAX_TERMINALS = 24
 
-#: Terminals for a search over set partitions (capacity, the LP route,
-#: the hunt): Bell(12) is about 4.2 million partitions.
+#: Terminals for ``pin_capacity``, which enumerates all Bell(m) - 1
+#: partitions (4.2 million at m = 12), and for capacity, the LP route and
+#: the hunt, whose entropy table fill costs 3^m cell sums (under 1 s for
+#: a binary source at m = 12).
 MAX_ENUMERATION_M = 12
 
 #: Terminals for a rate region: the region enumerates 2^m subsets and the
 #: covering LP has 2^(m-1) constraints.
 MAX_REGION_M = 16
+
+#: Outcomes in a hunt source's alphabet grid: ``random_source`` builds
+#: every cell.  At 32^4 = 2^20 cells one m = 4 trial peaks about 560 MB
+#: above the interpreter and takes about 16 s (Python 3.11, x86-64).
+MAX_GRID_CELLS = 1 << 20
 
 
 def check_terminal_count(m: object) -> None:

@@ -79,7 +79,7 @@ def test_capacity_text(files, capsys):
     code, out, _ = run(capsys, ["capacity", files["xor"]])
     assert code == 0
     assert "C = 0.500000 bits; argmin: 1|2|3" in out
-    assert "partitions examined: 4" in out
+    assert "partitions examined: 1" in out
 
 
 def test_capacity_pin_exact_rendering(files, capsys):
@@ -106,7 +106,7 @@ def test_capacity_json_round_trips(files, capsys):
     payload = json.loads(out)
     assert payload["capacity"] == 0.5
     assert payload["argmin"] == ["1|2|3"]
-    assert payload["partitions_examined"] == 4
+    assert payload["partitions_examined"] == 1
     assert json.loads(json.dumps(payload)) == payload
 
 
@@ -443,10 +443,12 @@ def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
     (["--trials", "0"], "trial count must be >= 1"),
     (["--m", "13"], "hunt supports m <= 12"),
     (["--out", "{tmp}/missing/x.jsonl"], "cannot open log {tmp}/missing/x.jsonl"),
+    (["--alphabet", "60"], "alphabet grid has 12960000 cells; hunt supports at most 1048576"),
 ])
 def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, flags, message):
-    # Too many terminals is a size error (exit 3); the other flags are bad input (exit 2).
-    expected_code = 3 if flags[0] == "--m" else 2
+    # Too many terminals or alphabet cells is a size error (exit 3); the
+    # other flags are bad input (exit 2).
+    expected_code = 3 if flags[0] in ("--m", "--alphabet") else 2
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
