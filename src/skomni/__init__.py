@@ -5,6 +5,7 @@ from .capacity import (
     MinimizerStatus,
     MinimizerVerdict,
     partition_surplus,
+    restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
 )
@@ -54,7 +55,6 @@ from .silent_rate import (
     min_sum_rate,
     reduced_rate_region,
     silent_capacity,
-    sum_rate_lower_bound,
 )
 from .sources import (
     ExtendedPrecisionOracle,

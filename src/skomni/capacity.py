@@ -7,11 +7,11 @@ cells, of the normalized entropy surplus
     surplus(P) = (sum_{A in P} H(X_A) - H(X_{1..m})) / (|P| - 1).
 
 This module evaluates that objective against any subset-entropy oracle,
-minimizes it without enumerating partitions, and decides whether the
-all-singletons partition is the minimizer.  Both searches read the 2^m
-subset entropies into a list once and work on cell masks, summing cell
-entropies in cell order like ``partition_surplus``, so their values are
-bitwise the ones ``partition_surplus`` gives.
+minimizes it without enumerating partitions, also when only some
+terminals talk, and decides whether the all-singletons partition is the
+minimizer.  The searches read the subset entropies into a list once and
+work on cell masks, summing cell entropies in cell order, so their values
+are bitwise the ones ``partition_surplus`` gives.
 
 The minimization is a Dinkelbach (Newton) iteration over the Dilworth
 truncation of h - gamma (Narayanan, "The principal lattice of partitions
@@ -32,6 +32,14 @@ the capacity.  The cell count falls at every step, so at most m
 partitions are evaluated.  Taking the minimizing B with the fewest
 members gives the finest minimizing partition, the common refinement of
 all of them.
+
+When only the speakers T talk, the capacity is min(C(X_T), min over
+silent d of I(X_T; X_d)), the optimum of the covering program in
+``silent_rate``: its constraints on proper subsets of T are T's own
+omniscience constraints (Csiszar and Narayan, IEEE Trans. IT, 2004), and
+its constraint on T is max over d of H(X_T | X_d).  For one silent
+terminal u, I(X_T; X_u) is the surplus of {T, {u}}, never below C, so u
+may stay silent iff C(X_T) >= C.
 
 The minimizer check uses the reduction to isolating partitions: the
 singleton partition minimizes the surplus iff
@@ -59,7 +67,7 @@ from typing import Any, Optional
 from . import subsets
 from .errors import SizeLimitError
 from .partitions import Partition, isolating_partition
-from .sources import EntropyOracle
+from .sources import EntropyOracle, mutual_information
 
 #: Default half-width of the band inside which float comparisons are ties.
 DEFAULT_TIE_TOL = 1e-9
@@ -119,6 +127,27 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> list[int]:
     return sorted(cells, key=lambda c: c & -c)
 
 
+def _cells_surplus(h: list, cells: list[int], exact: bool) -> Any:
+    return _ratio(sum(map(h.__getitem__, cells)) - h[-1], len(cells) - 1, exact)
+
+
+def _newton_search(h: list, m: int, exact: bool) -> tuple[Any, list[int], int]:
+    """Least surplus over the table ``h``: (value, its cells, partitions evaluated)."""
+    best = [1 << i for i in range(m)]
+    value = _cells_surplus(h, best, exact)
+    examined = 1
+    while True:
+        cells = _greedy_cells(h, m, value, 0)
+        if len(cells) < 2 or cells == best:
+            break
+        examined += 1
+        candidate = _cells_surplus(h, cells, exact)
+        if not candidate < value:
+            break
+        value, best = candidate, cells
+    return value, best, examined
+
+
 def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> CapacityReport:
     """Minimize the partition surplus by Newton steps over the Dilworth truncation.
 
@@ -139,26 +168,33 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     h = [oracle.entropy(subset) for subset in range(1 << m)]
     exact = oracle.exact
     band = 0 if exact else tie_tol
-
-    def surplus(cells: list[int]) -> Any:
-        return _ratio(sum(map(h.__getitem__, cells)) - h[-1], len(cells) - 1, exact)
-
-    best = [1 << i for i in range(m)]
-    value = surplus(best)
-    examined = 1
-    while True:
-        cells = _greedy_cells(h, m, value, 0)
-        if len(cells) < 2 or cells == best:
-            break
-        examined += 1
-        candidate = surplus(cells)
-        if not candidate < value:
-            break
-        value, best = candidate, cells
+    value, best, examined = _newton_search(h, m, exact)
     finest = _greedy_cells(h, m, value, band)
-    if len(finest) >= 2 and abs(surplus(finest) - value) <= band:
+    if len(finest) >= 2 and abs(_cells_surplus(h, finest, exact) - value) <= band:
         best = finest
     return CapacityReport(value, (Partition.from_cells(best, m),), examined, exact)
+
+
+def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
+    """Capacity min(C(X_T), min over silent d of I(X_T; X_d)) when only ``speakers`` talk.
+
+    C(X_T) is the Newton search over the entropies of T's subsets: H(X_T)
+    when |T| = 1, the capacity itself when T is every terminal.  Each I
+    term sums like a 2-cell surplus, so for T = {1..m} minus u it is
+    bitwise ``partition_surplus`` of {T, {u}}.
+    """
+    m = oracle.m
+    if m > subsets.MAX_REGION_M:
+        raise SizeLimitError(f"restricted capacity supports m <= {subsets.MAX_REGION_M}")
+    subsets.check_subset(speakers, m)
+    exact = oracle.exact
+    # Ascending submasks of T: entry s is the subset picked by the bits of s.
+    table = [oracle.entropy(b) for b in (0, *subsets.iter_submasks(speakers))]
+    k = subsets.size(speakers)
+    value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact)[0]
+    for d in subsets.members(subsets.full_mask(m) & ~speakers):
+        value = min(value, _ratio(mutual_information(oracle, speakers, 1 << (d - 1)), 1, exact))
+    return value
 
 
 class MinimizerStatus(str, enum.Enum):
@@ -204,13 +240,14 @@ def singleton_minimizer_check(
     m = oracle.m
     if m < 3:
         raise SizeLimitError("minimizer check needs m >= 3")
+    if m > subsets.MAX_ENUMERATION_M:
+        raise SizeLimitError(f"minimizer check supports m <= {subsets.MAX_ENUMERATION_M}")
     h = [oracle.entropy(subset) for subset in range(1 << m)]
     full = len(h) - 1
-    joint = h[full]
     exact = oracle.exact
     band = 0 if exact else tie_tol
     singletons = [1 << i for i in range(m)]
-    s_value = _ratio(sum(map(h.__getitem__, singletons)) - joint, m - 1, exact)
+    s_value = _cells_surplus(h, singletons, exact)
 
     comparisons = 0
     worst: Any = None
@@ -223,7 +260,7 @@ def singleton_minimizer_check(
         # Every terminal below the least member of the rest lies in the
         # block, so that many singletons precede the rest cell.
         cells.insert((rest & -rest).bit_length() - 1, rest)
-        value = _ratio(sum(map(h.__getitem__, cells)) - joint, len(cells) - 1, exact)
+        value = _cells_surplus(h, cells, exact)
         comparisons += 1
         d = value - s_value
         if worst is None or d < worst:

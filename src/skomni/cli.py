@@ -19,6 +19,7 @@ quantity disagreed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -159,9 +160,6 @@ def cmd_silent(args: argparse.Namespace) -> int:
             {"subset": subsets.format_subset(c.speakers_subset), "bound": _jsonable(c.lower_bound)}
             for c in report.binding
         ],
-        "sum_rate_bound": _jsonable(report.sum_rate_bound)
-        if report.sum_rate_bound is not None
-        else None,
     }
     rates = ", ".join(f"R{t} = {_fmt(r)}" for t, r in sorted(report.rates.items()))
     lines = [
@@ -172,8 +170,6 @@ def cmd_silent(args: argparse.Namespace) -> int:
         f"rates: {rates}",
         "binding: " + "; ".join(subsets.format_subset(c.speakers_subset) for c in report.binding),
     ]
-    if report.sum_rate_bound is not None:
-        lines.append(f"sum-rate lower bound = {_fmt(report.sum_rate_bound)}")
     return _emit(args, payload, lines)
 
 
@@ -277,16 +273,13 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     alphabet = _parse_alphabet(args.alphabet, args.m)
     jobs = [(args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials)]
     try:
-        fh = open(args.out, "w")
+        # Line buffered, so the log holds every trial finished so far.
+        fh = open(args.out, "w", buffering=1)
     except OSError as exc:
         raise InputError(f"cannot open log {args.out}: {exc.strerror}") from None
     counts: dict[str, int] = {}
-    with fh:
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                records = list(pool.map(_hunt_worker, jobs, chunksize=8))
-        else:
-            records = [_hunt_worker(job) for job in jobs]
+    with fh, ProcessPoolExecutor(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+        records = pool.map(_hunt_worker, jobs, chunksize=8) if pool else map(_hunt_worker, jobs)
         for record in records:
             fh.write(json.dumps(record) + "\n")
             counts[record["classification"]] = counts.get(record["classification"], 0) + 1

@@ -6,26 +6,26 @@ capacity.  Omnivocality (all m terminals talking) is *necessary* iff no
 nonempty D works.  Three decision routes are provided:
 
 * ``verdict_by_condition``: if the singleton partition is the unique
-  surplus minimizer, omnivocality is necessary.  The converse direction is
-  unproven for m >= 4, so failure of the condition returns Unknown.
+  surplus minimizer, omnivocality is necessary.  The converse fails for
+  m >= 4, so failure of the condition returns Unknown.
 * ``verdict_for_three_terminals``: for m = 3 the condition is an exact
   characterization; when it fails, an explicit silent set is constructed
   from the witness set W = {k : surplus(S) >= surplus of the partition
   cutting k off}.  |W| >= 2 lets a single speaker carry the protocol (two
   silent terminals from W); |W| = 1 silences exactly that terminal.
-* ``verdict_by_lp``: capacity restricted to each leave-one-out speaker set
-  is compared against the unrestricted capacity.  A scheme for speaker set
-  T is also a scheme for any larger speaker set, so restricted capacity is
-  monotone in T; if any proper silent set achieves capacity then so does
-  some single silent terminal, and checking the m leave-one-out sets is
-  exhaustive.  The verdict is exact whenever the oracle is.
+* ``verdict_by_lp``: ``restricted_capacity`` of each leave-one-out speaker
+  set is compared against the unrestricted capacity.  A scheme for speaker
+  set T is also a scheme for any larger speaker set, so restricted capacity
+  is monotone in T; if any proper silent set achieves capacity then so
+  does some single silent terminal, and checking the m leave-one-out sets
+  is exhaustive.  The verdict is exact whenever the oracle is.
 
 ``run_routes`` runs any of the routes on one model, at float or extended
 precision, and is the one place where routes that reach different
 conclusive statuses are an internal inconsistency.  Both the CLI and
 ``probe_conjecture`` go through it.  The probe combines the condition with
 the LP route and classifies the outcome; a candidate counterexample
-(condition fails but the LP still says necessary) is re-checked at
+(condition fails but the LP route still says necessary) is re-checked at
 ``REVERIFY_DPS`` digits before being reported, so float artifacts do not
 survive into hunt logs.
 """
@@ -45,6 +45,7 @@ from .capacity import (
     MinimizerStatus,
     MinimizerVerdict,
     partition_surplus,
+    restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
 )
@@ -52,7 +53,6 @@ from .errors import InputError, InternalInconsistencyError, SizeLimitError
 from .generators import random_source
 from .partitions import isolating_partition, singleton_partition
 from .pin import PinGraph, PinOracle
-from .silent_rate import silent_capacity
 from .sources import EntropyOracle, ExtendedPrecisionOracle, JointSource, TabularOracle
 
 #: Digits of the hunt's re-check of a tabular candidate.
@@ -168,7 +168,7 @@ def verdict_for_three_terminals(
 def verdict_by_lp(
     oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL
 ) -> OmnivocalityVerdict:
-    """Compare capacity against every leave-one-out restricted capacity."""
+    """Compare capacity against every leave-one-out ``restricted_capacity``."""
     m = _require_m(oracle, "LP comparison")
     if m > subsets.MAX_ENUMERATION_M:
         raise SizeLimitError(f"LP comparison supports m <= {subsets.MAX_ENUMERATION_M}")
@@ -180,9 +180,9 @@ def verdict_by_lp(
     full = subsets.full_mask(m)
     for u in range(1, m + 1):
         speakers = full & ~(1 << (u - 1))
-        report = silent_capacity(oracle, speakers)
-        gap = c - report.capacity
-        rows.append(EvidenceRow(speakers, report.capacity, c, gap))
+        restricted = restricted_capacity(oracle, speakers)
+        gap = c - restricted
+        rows.append(EvidenceRow(speakers, restricted, c, gap))
         if gap < -band:
             raise InternalInconsistencyError(
                 f"restricted capacity exceeds capacity by {-gap} "
@@ -217,8 +217,6 @@ class ConjectureProbe:
     capacity: Any
     gaps: tuple[Any, ...]
     reverified: bool
-    minimizer: MinimizerVerdict
-    lp_verdict: OmnivocalityVerdict
 
 
 def _classify(condition: MinimizerStatus, lp: OmniStatus) -> Classification:
@@ -297,14 +295,15 @@ def probe_conjecture(
 ) -> ConjectureProbe:
     """Run the condition and the LP route on one source and classify.
 
-    For m >= 4 the converse of the condition is open, so a source whose
-    singleton partition is *not* the unique minimizer, yet where every
-    leave-one-out LP still falls short of capacity, is a candidate
-    counterexample.  A tabular candidate is re-checked by ``run_routes`` at
-    ``REVERIFY_DPS`` digits, the same run as ``skomni omnivocality --dps
-    60``; the re-checked statuses replace the float ones, so a candidate
-    that was a rounding artifact is demoted (usually to Inconclusive, since
-    extended precision cannot confirm an exact tie either).  A unique
+    For m >= 4 the condition is not necessary: a source whose singleton
+    partition is *not* the unique minimizer, yet where every leave-one-out
+    restricted capacity still falls short of capacity, is a counterexample
+    to its converse, reported as a candidate.  A tabular candidate is
+    re-checked by ``run_routes`` at ``REVERIFY_DPS`` digits, the same run as
+    ``skomni omnivocality --dps 60``; the re-checked statuses replace the
+    float ones, so a candidate that was a rounding artifact is demoted
+    (usually to Inconclusive, since extended precision cannot confirm an
+    exact tie either).  A unique
     singleton minimizer with a silent terminal achieving capacity raises
     ``InternalInconsistencyError``.
     """
@@ -324,8 +323,6 @@ def probe_conjecture(
         capacity=lp.evidence[0].capacity,
         gaps=tuple(row.gap for row in lp.evidence),
         reverified=reverified,
-        minimizer=condition.minimizer,
-        lp_verdict=lp,
     )
 
 

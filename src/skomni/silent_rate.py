@@ -1,7 +1,7 @@
-"""Capacity when only a subset of terminals may talk.
+"""Rate regions for a speaker set, and the covering LP over them.
 
 With speaker set T, the secret-key capacity equals H(X_T) minus the least
-total communication rate that lets every speaker reconstruct X_T.  That
+total communication rate that lets every terminal reconstruct X_T.  That
 least rate is the optimum of a covering program over rate vectors
 (R_i : i in T):
 
@@ -16,16 +16,18 @@ admissible A.  ``reduced_rate_region`` builds the same region for the
 one-silent-terminal case T = {1..m} minus u directly from the closed form
 (bound H(X_B | X_{T minus B}) for proper B, and H(X_T | X_u) for B = T);
 the two routes must agree constraint for constraint, which the test suite
-checks.  The optimum itself comes from the in-repo covering simplex.
+checks.  The optimum comes from the in-repo covering simplex; its closed
+form ``capacity.restricted_capacity`` is what ``silent_capacity`` reports.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from . import subsets
+from .capacity import restricted_capacity
 from .errors import InvalidSubsetError, SizeLimitError
 from .simplex import CoverSolution, solve_min_cover
 from .sources import EntropyOracle
@@ -137,33 +139,13 @@ def min_sum_rate(
     return RateSolution(sol.objective, rates, tuple(binding), sol)
 
 
-def sum_rate_lower_bound(oracle: EntropyOracle, speakers: int) -> Any:
-    """Closed-form lower bound on the least total rate for |T| = m-1:
-
-        (1 / (m-2)) * sum_{j in T} H(X_{T minus j} | X_j).
-
-    Valid for m >= 3; tight for some sources (e.g. independent bits).
-    """
-    m = oracle.m
-    subsets.check_subset(speakers, m)
-    if m < 3 or subsets.size(speakers) != m - 1:
-        raise SizeLimitError("sum-rate bound needs m >= 3 and |T| = m-1")
-    h_t = oracle.entropy(speakers)
-    total = sum(h_t - oracle.entropy(1 << (j - 1)) for j in subsets.members(speakers))
-    if oracle.exact:
-        return Fraction(total, m - 2)
-    return total / (m - 2)
-
-
 @dataclass(frozen=True)
 class SilentCapacityReport:
-    speakers: int
     speakers_entropy: Any
     min_sum_rate: Any
     capacity: Any
     rates: dict[int, Any]
     binding: tuple[RateConstraint, ...]
-    sum_rate_bound: Optional[Any]
     exact: bool
 
 
@@ -172,25 +154,16 @@ def silent_capacity(
     speakers: int,
     binding_tol: float = DEFAULT_BINDING_TOL,
 ) -> SilentCapacityReport:
-    """Capacity H(X_T) - min-sum-rate when only ``speakers`` may talk.
-
-    The closed-form sum-rate lower bound is attached whenever it applies
-    (m >= 3 and exactly one silent terminal).
-    """
-    region = build_rate_region(oracle, speakers)
-    solution = min_sum_rate(region, binding_tol)
+    """``restricted_capacity`` of ``speakers``, R_min = H(X_T) minus it, and
+    the covering LP's optimal rates with the constraints they make tight."""
+    capacity = restricted_capacity(oracle, speakers)
+    solution = min_sum_rate(build_rate_region(oracle, speakers), binding_tol)
     h_t = oracle.entropy(speakers)
-    capacity = h_t - solution.min_sum
-    bound = None
-    if oracle.m >= 3 and subsets.size(speakers) == oracle.m - 1:
-        bound = sum_rate_lower_bound(oracle, speakers)
     return SilentCapacityReport(
-        speakers=speakers,
         speakers_entropy=h_t,
-        min_sum_rate=solution.min_sum,
+        min_sum_rate=h_t - capacity,
         capacity=capacity,
         rates=solution.rates,
         binding=solution.binding,
-        sum_rate_bound=bound,
         exact=oracle.exact,
     )

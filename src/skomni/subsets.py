@@ -20,13 +20,13 @@ from .errors import InputError, InvalidSubsetError, SizeLimitError
 MAX_TERMINALS = 24
 
 #: Terminals for ``pin_capacity``, which enumerates all Bell(m) - 1
-#: partitions (4.2 million at m = 12), and for capacity, the LP route and
-#: the hunt, whose entropy table fill costs 3^m cell sums (under 1 s for
-#: a binary source at m = 12).
+#: partitions (4.2 million at m = 12), and for capacity, the minimizer
+#: check, the LP route and the hunt, whose entropy table fill costs 3^m
+#: cell sums (under 1 s for a binary source at m = 12).
 MAX_ENUMERATION_M = 12
 
-#: Terminals for a rate region: the region enumerates 2^m subsets and the
-#: covering LP has 2^(m-1) constraints.
+#: Terminals for ``silent``: the restricted capacity and the rate region
+#: read 2^m subsets and the covering LP has 2^(m-1) constraints.
 MAX_REGION_M = 16
 
 #: Outcomes in a hunt source's alphabet grid: ``random_source`` builds

@@ -35,7 +35,6 @@ from skomni.silent_rate import (
     build_rate_region,
     reduced_rate_region,
     silent_capacity,
-    sum_rate_lower_bound,
 )
 from skomni.sources import TabularOracle
 
@@ -97,15 +96,13 @@ def test_criterion_03_xor_end_to_end():
         report = silent_capacity(oracle, speakers)
         assert report.capacity == pytest.approx(0.0, abs=1e-9)
         assert report.min_sum_rate == pytest.approx(2.0, abs=1e-9)
-        bound = sum_rate_lower_bound(oracle, speakers)
-        assert bound == pytest.approx(report.min_sum_rate, abs=1e-9)
     for verdict in (
         verdict_by_condition(oracle),
         verdict_by_lp(oracle),
         verdict_for_three_terminals(oracle),
     ):
         assert verdict.status is OmniStatus.NECESSARY
-    _ok(3, "C = 0.5, every 2-speaker capacity 0, bound = R_min = 2, 3x Necessary")
+    _ok(3, "C = 0.5, every 2-speaker capacity 0, R_min = 2, 3x Necessary")
 
 
 def test_criterion_04_identical_bits_witness():
@@ -149,7 +146,6 @@ def test_criterion_06_capacity_chain_ordering():
             speakers = full & ~subsets.bit(u)
             report = silent_capacity(oracle, speakers)
             restricted = restricted_singleton_surplus(oracle, speakers)
-            assert sum_rate_lower_bound(oracle, speakers) <= report.min_sum_rate + 1e-8
             assert report.capacity <= restricted + 1e-8
             if status is MinimizerStatus.UNIQUE:
                 assert restricted < s_surplus

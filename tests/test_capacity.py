@@ -10,6 +10,7 @@ from skomni import subsets
 from skomni.capacity import (
     MinimizerStatus,
     partition_surplus,
+    restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
 )
@@ -444,6 +445,12 @@ class _Untouchable:
 def test_capacity_size_limit_precedes_entropy_queries():
     with pytest.raises(SizeLimitError, match="m <= 12"):
         sk_capacity(_Untouchable())
+    with pytest.raises(SizeLimitError, match=r"^minimizer check supports m <= 12$"):
+        singleton_minimizer_check(_Untouchable())
+    beyond_regions = _Untouchable()
+    beyond_regions.m = subsets.MAX_REGION_M + 1
+    with pytest.raises(SizeLimitError, match=r"^restricted capacity supports m <= 16$"):
+        restricted_capacity(beyond_regions, 1)
 
 
 def test_enumeration_caps_share_one_limit():

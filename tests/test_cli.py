@@ -4,7 +4,7 @@ import os
 import pytest
 
 from skomni.capacity import MinimizerStatus
-from skomni.cli import main
+from skomni.cli import _hunt_worker, main
 from skomni.generators import random_source
 from skomni.omnivocality import (
     REVERIFY_DPS,
@@ -196,7 +196,6 @@ def test_silent_xor(files, capsys):
     assert "R_min = 2.000000" in out
     assert "C_restricted = 0.000000" in out
     assert "R1 = 1.000000" in out
-    assert "sum-rate lower bound = 2.000000" in out
 
 
 def test_silent_omniscience(files, capsys):
@@ -381,6 +380,24 @@ def test_hunt_parallel_matches_serial(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def _fail_at_trial_16(packed):
+    if packed[3] == 16:
+        raise RuntimeError("trial 16 failed")
+    return _hunt_worker(packed)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_hunt_log_keeps_the_trials_finished_before_a_failure(tmp_path, monkeypatch, jobs):
+    # Records reach the log as their trials finish; pool workers return
+    # them in chunks of 8, so the failure sits at a chunk boundary.
+    monkeypatch.setattr("skomni.cli._hunt_worker", _fail_at_trial_16)
+    log = tmp_path / "h.jsonl"
+    with pytest.raises(RuntimeError, match="trial 16 failed"):
+        main(["hunt", "--m", "4", "--trials", "24", "--jobs", jobs, "--out", str(log)])
+    trials = [json.loads(line)["trial"] for line in log.read_text().splitlines()]
+    assert trials == list(range(16))
+
+
 def test_hunt_json_summary(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -413,6 +430,22 @@ def test_too_many_terminals_exits_3(tmp_path, capsys, payload):
     code, _, err = run(capsys, ["capacity", str(path)])
     assert code == 3
     assert "m=25 outside 2..24" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["capacity"], "capacity supports m <= 12"),
+    (["singleton"], "minimizer check supports m <= 12"),
+    (["omnivocality"], "minimizer check supports m <= 12"),
+    (["silent", "--speakers", "1,2"], "restricted capacity supports m <= 16"),
+], ids=["capacity", "singleton", "omnivocality", "silent"])
+def test_analyses_beyond_their_size_cap_exit_3(tmp_path, capsys, argv, message):
+    m = 18
+    atoms = [{"x": [0] * m, "p": 0.5}, {"x": [1] * m, "p": 0.5}]
+    path = tmp_path / "m18.json"
+    path.write_text(json.dumps({"m": m, "alphabet_sizes": [2] * m, "atoms": atoms}))
+    code, _, err = run(capsys, [argv[0], str(path)] + argv[1:])
+    assert code == 3
+    assert message in err
 
 
 def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):

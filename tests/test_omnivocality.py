@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from skomni import subsets
@@ -17,8 +19,9 @@ from skomni.omnivocality import (
     verdict_by_lp,
     verdict_for_three_terminals,
 )
-from skomni.pin import PinOracle, complete_graph
-from skomni.silent_rate import silent_capacity
+from skomni.partitions import parse_partition
+from skomni.pin import PinGraph, PinOracle, complete_graph
+from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
 from skomni.sources import TabularOracle, mutual_information
 
 from conftest import (
@@ -179,12 +182,30 @@ def test_lp_identical(identical_oracle):
 def test_lp_k3():
     v = verdict_by_lp(PinOracle(complete_graph(3)))
     assert v.status is OmniStatus.NECESSARY
-    from fractions import Fraction
-
     for row in v.evidence:
         assert row.capacity == Fraction(3, 2)
         assert row.silent_capacity == Fraction(1)
         assert row.gap == Fraction(1, 2)
+
+
+def test_lp_necessary_where_the_singleton_partition_is_beaten():
+    # An exact source where every terminal must talk although the
+    # singleton partition is not the unique minimizer: C = 5/2 is reached
+    # at 1,4|2|3, yet each leave-one-out capacity falls short of it.
+    oracle = PinOracle(PinGraph(4, ((1, 2, 1), (1, 3, 1), (1, 4, 3), (2, 3, 2), (3, 4, 1))))
+    report = sk_capacity(oracle)
+    assert report.value == Fraction(5, 2)
+    assert report.argmin == (parse_partition("1,4|2|3", 4),)
+    condition = verdict_by_condition(oracle)
+    assert condition.status is OmniStatus.UNKNOWN
+    assert condition.minimizer.status is MinimizerStatus.NOT_MINIMIZER
+    lp = verdict_by_lp(oracle)
+    assert lp.status is OmniStatus.NECESSARY
+    assert [row.silent_capacity for row in lp.evidence] == [1, 2, 1, 2]
+    for row in lp.evidence:
+        assert isinstance(row.silent_capacity, Fraction)
+        by_lp = min_sum_rate(build_rate_region(oracle, row.speakers)).min_sum
+        assert row.silent_capacity == oracle.entropy(row.speakers) - by_lp
 
 
 def test_lp_two_speaker_equality_is_on_the_right_rows(two_speaker_oracle):

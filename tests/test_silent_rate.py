@@ -1,24 +1,35 @@
 from fractions import Fraction
 
+import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skomni import subsets
 from skomni.capacity import (
     MinimizerStatus,
+    partition_surplus,
+    restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
 )
-from skomni.errors import InvalidSubsetError, SizeLimitError
-from skomni.pin import PinOracle, complete_graph
+from skomni.errors import InvalidSubsetError
+from skomni.partitions import Partition
+from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.silent_rate import (
     build_rate_region,
     min_sum_rate,
     reduced_rate_region,
     silent_capacity,
-    sum_rate_lower_bound,
 )
 from skomni.generators import random_source
-from skomni.sources import TabularOracle, conditional_entropy
+from skomni.sources import (
+    ExtendedPrecisionOracle,
+    JointSource,
+    TabularOracle,
+    conditional_entropy,
+    mutual_information,
+)
 
 from conftest import binary_entropy, restricted_singleton_surplus, tabular_test_sources
 
@@ -109,14 +120,12 @@ def test_silent_capacity_xor(xor_oracle):
         assert report.speakers_entropy == pytest.approx(2.0)
         assert report.min_sum_rate == pytest.approx(2.0)
         assert report.capacity == pytest.approx(0.0, abs=1e-9)
-        assert report.sum_rate_bound == pytest.approx(2.0)
 
 
 def test_silent_capacity_omniscience_xor(xor_oracle):
     report = silent_capacity(xor_oracle, 0b111)
     assert report.min_sum_rate == pytest.approx(1.5)
     assert report.capacity == pytest.approx(0.5)
-    assert report.sum_rate_bound is None
 
 
 def test_silent_capacity_identical_single_speaker(identical_oracle):
@@ -139,24 +148,6 @@ def test_silent_capacity_pin_exact():
     assert report.min_sum_rate == Fraction(2)
     assert report.capacity == Fraction(1)
     assert isinstance(report.rates[1], Fraction)
-
-
-def test_sum_rate_lower_bound_examples(xor_oracle, identical_oracle, iid_oracle):
-    assert sum_rate_lower_bound(xor_oracle, 0b011) == pytest.approx(2.0)
-    assert sum_rate_lower_bound(identical_oracle, 0b011) == pytest.approx(0.0)
-    assert sum_rate_lower_bound(iid_oracle, 0b110) == pytest.approx(2.0)
-    with pytest.raises(SizeLimitError):
-        sum_rate_lower_bound(xor_oracle, 0b111)
-
-
-def test_bound_never_exceeds_optimum():
-    for source in tabular_test_sources((3, 4, 5)):
-        oracle = TabularOracle(source)
-        full = subsets.full_mask(oracle.m)
-        for u in range(1, oracle.m + 1):
-            speakers = full & ~(1 << (u - 1))
-            report = silent_capacity(oracle, speakers)
-            assert report.sum_rate_bound <= report.min_sum_rate + 1e-8
 
 
 def test_capacity_chain_against_restricted_surplus():
@@ -297,3 +288,75 @@ def test_region_bounds_are_conditional_entropies_without_revalidation(monkeypatc
     # of conditional_entropy exactly.
     assert calls == [(speakers, m)]
     assert built == reduced == expected
+
+
+class _SpeakerView:
+    """The source of the speakers T alone: its terminal i is T's i-th member."""
+
+    def __init__(self, oracle, speakers):
+        self.oracle = oracle
+        self.members = subsets.members(speakers)
+        self.m = len(self.members)
+        self.exact = oracle.exact
+
+    def entropy(self, subset):
+        mask = sum(1 << (t - 1) for i, t in enumerate(self.members) if subset >> i & 1)
+        return self.oracle.entropy(mask)
+
+
+@st.composite
+def _restricted_cases(draw):
+    """(kind, model): PIN graphs at m = 3..6, float and mpf pmfs at m = 3..5."""
+    kind = draw(st.sampled_from(["pin", "float", "mpf"]))
+    m = draw(st.integers(3, 6 if kind == "pin" else 5))
+    if kind == "pin":
+        pairs = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        return kind, PinGraph(m, tuple((u, v, draw(st.integers(1, 3))) for u, v in chosen))
+    seed = draw(st.integers(0, 10_000))
+    if draw(st.booleans()):
+        return kind, random_source(m, (2,) * m, seed=seed)
+    # Sparse supports put exact relations between the subset entropies.
+    grid = [tuple((x >> i) & 1 for i in range(m)) for x in range(1 << m)]
+    support = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=6, unique=True))
+    weights = [draw(st.integers(1, 4)) for _ in support]
+    total = sum(weights)
+    return kind, JointSource(m, (2,) * m, {x: w / total for x, w in zip(support, weights)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(_restricted_cases())
+def test_restricted_capacity_is_the_covering_lp_on_every_speaker_set(case):
+    # The LP's optimum is the independent route: H(X_T) - R_min.  The
+    # closed form is min(C(X_T), min over silent d of I(X_T; X_d)), and for
+    # T = {1..m} minus u its I term is the surplus of {T, {u}} bit for bit.
+    kind, model = case
+    with mpmath.workdps(60):
+        if kind == "pin":
+            oracle, band = PinOracle(model), 0
+        elif kind == "mpf":
+            oracle, band = ExtendedPrecisionOracle(model), mpmath.mpf(10) ** -30
+        else:
+            oracle, band = TabularOracle(model), 1e-12
+        m = oracle.m
+        full = subsets.full_mask(m)
+        for speakers in range(1, full + 1):
+            got = restricted_capacity(oracle, speakers)
+            by_lp = oracle.entropy(speakers) - min_sum_rate(build_rate_region(oracle, speakers)).min_sum
+            if oracle.exact:
+                assert isinstance(got, Fraction)
+                assert got == by_lp
+            else:
+                assert abs(got - by_lp) <= band
+            view = _SpeakerView(oracle, speakers)
+            want = view.entropy(1) if view.m == 1 else sk_capacity(view).value
+            for d in subsets.members(full & ~speakers):
+                if view.m == m - 1:
+                    pair = Partition.from_cells([speakers, 1 << (d - 1)], m)
+                    shared = partition_surplus(oracle, pair)
+                else:
+                    shared = mutual_information(oracle, speakers, 1 << (d - 1))
+                want = min(want, shared)
+            assert got == want
+            if not oracle.exact:
+                assert type(got) is type(want)
