@@ -14,10 +14,11 @@ inside a cell cancels and every crossing edge contributes once, so
     surplus(P) = crossing(P) / (|P| - 1),
 
 the quotient familiar from graph strength.  ``pin_capacity`` minimizes
-that quotient directly over crossing counts; ``PinOracle`` exposes the
-same model through the generic entropy interface so that every
-entropy-based analysis can be cross-checked against the combinatorial
-route.
+that quotient by Newton steps of m integer minimum cuts each, after
+Cunningham ("Optimal attack and reinforcement of a network", J. ACM,
+1985), and reads no entropies.  ``PinOracle`` exposes
+the same model through the generic entropy interface, so every
+entropy-based analysis can be cross-checked against the graph route.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Any, Optional
 from . import subsets
 from .capacity import CapacityReport
 from .errors import InputError, SizeLimitError
-from .partitions import Partition, enumerate_partitions
+from .partitions import Partition, singleton_partition
 from .sources import read_json
 
 
@@ -102,6 +103,14 @@ def complete_graph(m: int, mult: int = 1) -> PinGraph:
     return PinGraph(m, edges)
 
 
+def _adjacency(graph: PinGraph) -> list[list[int]]:
+    """Edge multiplicities as a symmetric m x m matrix over 0-indexed terminals."""
+    adj = [[0] * graph.m for _ in range(graph.m)]
+    for u, v, mult in graph.edges:
+        adj[u - 1][v - 1] = adj[v - 1][u - 1] = mult
+    return adj
+
+
 def incident_weight(graph: PinGraph, subset: int) -> int:
     """Total multiplicity of edges with at least one endpoint in subset.
 
@@ -132,8 +141,17 @@ class PinOracle:
         return (self._cache or self._fill())[subset]
 
     def _fill(self) -> list[int]:
-        self._cache = [incident_weight(self.graph, s) for s in range(self._full + 1)]
-        return self._cache
+        # Terminal t joins each subset s of the terminals below it with the
+        # edges at t that s does not meet: deg(t) - w(t, s) more bits.
+        table = [0]
+        for t, row in enumerate(_adjacency(self.graph)):
+            toward = [0]  # toward[s] = w(t, s)
+            for mult in row[:t]:
+                toward += [w + mult for w in toward]
+            degree = sum(row)
+            table += [h + degree - w for h, w in zip(table, toward)]
+        self._cache = table
+        return table
 
 
 def partition_crossing(graph: PinGraph, partition: Partition) -> int:
@@ -152,24 +170,124 @@ def strength_quotient(graph: PinGraph, partition: Partition) -> Fraction:
     return Fraction(partition_crossing(graph, partition), partition.n_cells - 1)
 
 
-def pin_capacity(graph: PinGraph) -> CapacityReport:
-    """Exact secret-key capacity of a PIN source (equals the strength of
-    the multigraph): minimize the crossing quotient over all partitions.
+def _max_flow(cap: list[list[int]], source: int, sink: int) -> tuple[int, list[int]]:
+    """Maximum source-sink flow by shortest augmenting paths on the capacity
+    matrix ``cap``, which is left as the residual graph.
 
-    Works purely on crossing counts, never on entropies, so it serves as
-    an independent route against ``sk_capacity`` over a ``PinOracle``.
+    Returns the flow value and the nodes still reachable from the source:
+    the source side of the minimum cut with the fewest nodes.
     """
-    best: Fraction | None = None
-    ties: list[Partition] = []
-    examined = 0
-    for p in enumerate_partitions(graph.m, min_cells=2):
+    n = len(cap)
+    flow = 0
+    while True:
+        parent = [-1] * n
+        parent[source] = source
+        reached = [source]
+        for u in reached:
+            row = cap[u]
+            for v in range(n):
+                if row[v] > 0 and parent[v] < 0:
+                    parent[v] = u
+                    reached.append(v)
+            if parent[sink] >= 0:
+                break
+        else:
+            return flow, reached
+        push = None
+        v = sink
+        while v != source:
+            u = parent[v]
+            if push is None or cap[u][v] < push:
+                push = cap[u][v]
+            v = u
+        v = sink
+        while v != source:
+            u = parent[v]
+            cap[u][v] -= push
+            cap[v][u] += push
+            v = u
+        flow += push
+
+
+def _greedy_cells(adj: list[list[int]], p: int, q: int) -> list[int]:
+    """Cells of the greedy Dilworth-truncation partition of
+    f(A) = q w(delta(A)) - 2p, for lambda = p/q.
+
+    w(delta(A)) is the weight of the edges with one end in A, and
+    sum over cells of f is 2q (crossing(P) - lambda |P|).  Terminal j
+    takes x_j = min over B with j in B inside {1..j} of f(B) - x(B - j),
+    one minimum cut: j is the source, the sink stands for the terminals
+    above j, each i < j has a sink arc of q w(i, above j) - x_i (a source
+    arc of its absolute value, plus a constant, when that is negative) and
+    each edge inside {1..j} is an arc of q w both ways.  j then merges
+    with every cell that meets the minimal B, the source side of that cut,
+    so the cells form the finest minimizing partition.
+    """
+    m = len(adj)
+    qadj = [[q * w for w in row] for row in adj]
+    above = [sum(row) for row in qadj]  # q w(i, terminals above j)
+    x: list[int] = []
+    cells: list[int] = []
+    for j in range(m):
+        for i, w in enumerate(qadj[j]):
+            above[i] -= w
+        sink = j + 1
+        cap = [row[: j + 1] + [0] for row in qadj[: j + 1]]
+        cap.append([0] * (j + 2))
+        constant = above[j] - 2 * p
+        for i in range(j):
+            arc = above[i] - x[i]
+            if arc >= 0:
+                cap[i][sink] = arc
+            else:
+                cap[j][i] -= arc
+                constant += arc
+        flow, reached = _max_flow(cap, j, sink)
+        x.append(constant + flow)
+        chosen = 0
+        for i in reached:
+            chosen |= 1 << i
+        merged = chosen
+        kept = []
+        for cell in cells:
+            if cell & chosen:
+                merged |= cell
+            else:
+                kept.append(cell)
+        cells = kept + [merged]
+    return cells
+
+
+def pin_capacity(graph: PinGraph) -> CapacityReport:
+    """Exact secret-key capacity of a PIN source: the strength of the
+    multigraph, the least crossing(P) / (|P| - 1).
+
+    Newton steps on lambda start at the singleton quotient W / (m - 1).
+    A greedy pass at lambda (``_greedy_cells``, m minimum cuts) returns
+    the finest partition minimizing crossing(P) - lambda |P|.  It beats
+    the trivial partition exactly when its quotient is below lambda, and
+    lambda then moves there.  Otherwise lambda is the capacity: the
+    current partition ties the trivial one, so the pass returns the
+    finest partition reaching lambda, which becomes ``argmin``.  The cell
+    count falls at every step, so at most m partitions are evaluated.
+
+    All flows are in ints and no entropy is read, so this route is
+    independent of ``sk_capacity`` over a ``PinOracle``.
+    """
+    adj = _adjacency(graph)
+    best = singleton_partition(graph.m)
+    value = strength_quotient(graph, best)
+    examined = 1
+    while True:
+        candidate = Partition.from_cells(
+            _greedy_cells(adj, value.numerator, value.denominator), graph.m
+        )
+        if candidate == best:
+            break
         examined += 1
-        value = strength_quotient(graph, p)
-        if best is None or value < best:
-            best = value
-            ties = [p]
-        elif value == best:
-            ties.append(p)
-    if best is None:
-        raise SizeLimitError("capacity needs at least 2 terminals")
-    return CapacityReport(best, tuple(ties), examined, True)
+        quotient = strength_quotient(graph, candidate)
+        best = candidate
+        if not quotient < value:
+            break
+        value = quotient
+    return CapacityReport(value, (best,), examined, True)

@@ -12,17 +12,18 @@ from collections.abc import Iterable, Iterator
 
 from .errors import InputError, InvalidSubsetError, SizeLimitError
 
-# The package's size caps.  Every analysis reads a table of all 2^m subset
-# entropies; the searches on top of it cost more, so each has a lower cap.
+# The package's size caps.  Every entropy analysis reads a table of all 2^m
+# subset entropies; the searches on top of it cost more, so each has a lower
+# cap.  The PIN capacity reads no table and is bound by MAX_TERMINALS only.
 
 #: Terminals any mask-based structure may use: the entropy table holds
 #: 2^m entries, 16.8 million at m = 24.
 MAX_TERMINALS = 24
 
-#: Terminals for ``pin_capacity``, which enumerates all Bell(m) - 1
-#: partitions (4.2 million at m = 12), and for capacity, the minimizer
-#: check, the LP route and the hunt, whose entropy table fill costs 3^m
-#: cell sums (under 1 s for a binary source at m = 12).
+#: Terminals for capacity, the minimizer check, the LP route and the hunt,
+#: whose entropy table fill costs 3^m cell sums (under 1 s for a binary
+#: source at m = 12), and for ``partitions.enumerate_partitions``, which
+#: yields Bell(m) partitions (4.2 million at m = 12).
 MAX_ENUMERATION_M = 12
 
 #: Terminals for ``silent``: the restricted capacity and the rate region

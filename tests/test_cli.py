@@ -88,6 +88,22 @@ def test_capacity_pin_exact_rendering(files, capsys):
     assert "C = 3/2 bits; argmin: 1|2|3" in out
 
 
+def test_pin_capacity_runs_past_the_enumeration_cap(tmp_path, capsys):
+    # The PIN capacity is polynomial in m; the entropy-table analyses still
+    # stop at m = 12.
+    m = 13
+    edges = [{"u": u, "v": v} for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+    path = tmp_path / "k13.json"
+    path.write_text(json.dumps({"m": m, "edges": edges}))
+    code, out, _ = run(capsys, ["capacity", str(path)])
+    assert code == 0
+    assert "C = 13/2 bits; argmin: " + "|".join(map(str, range(1, m + 1))) in out
+    assert "partitions examined: 1" in out
+    code, _, err = run(capsys, ["omnivocality", str(path)])
+    assert code == 3
+    assert "m <= 12" in err
+
+
 def test_capacity_rejects_bad_pmf(files, capsys):
     code, _, err = run(capsys, ["capacity", files["bad_sum"]])
     assert code == 2

@@ -5,7 +5,12 @@ from fractions import Fraction
 import pytest
 
 from skomni import subsets
-from skomni.capacity import partition_surplus, singleton_minimizer_check, MinimizerStatus
+from skomni.capacity import (
+    MinimizerStatus,
+    partition_surplus,
+    singleton_minimizer_check,
+    sk_capacity,
+)
 from skomni.errors import InputError, InvalidSubsetError, SizeLimitError
 from skomni.partitions import (
     Partition,
@@ -158,18 +163,86 @@ def test_pin_capacity_single_edge():
 
 
 def test_pin_capacity_path_tie():
+    # 1,2|3, 1|2,3 and 1|2|3 all reach C = 1; the argmin is the finest.
     report = pin_capacity(make_path3_graph())
     assert report.value == Fraction(1)
-    assert report.argmin == (
-        Partition.from_rgs((0, 0, 1)),
-        Partition.from_rgs((0, 1, 1)),
-        Partition.from_rgs((0, 1, 2)),
-    )
+    assert report.argmin == (Partition.from_rgs((0, 1, 2)),)
 
 
 def test_pin_capacity_size_limit():
-    with pytest.raises(SizeLimitError):
-        pin_capacity(complete_graph(13))
+    # Polynomial in m, so the capacity answers past the enumeration cap; the
+    # only limit left is the one every model has.
+    assert subsets.MAX_ENUMERATION_M < 13
+    assert pin_capacity(complete_graph(13)).value == Fraction(13, 2)
+    with pytest.raises(SizeLimitError, match="m=25"):
+        complete_graph(subsets.MAX_TERMINALS + 1)
+
+
+def _drawn_graphs():
+    # Sparse graphs are often disconnected (capacity 0) and dense ones have
+    # many ties, so both sides of the Newton steps get exercised.
+    out = []
+    for m in range(2, 9):
+        for k, density in enumerate((0.25, 0.5, 0.9)):
+            rng = random.Random(100 * m + k)
+            edges = [
+                (u, v, rng.randint(1, 4))
+                for u in range(1, m + 1)
+                for v in range(u + 1, m + 1)
+                if rng.random() < density
+            ]
+            out.append(pytest.param(PinGraph(m, tuple(edges)), id=f"m{m}-d{density}"))
+    return out
+
+
+@pytest.mark.parametrize("graph", _drawn_graphs())
+def test_pin_capacity_matches_brute_force(graph):
+    report = pin_capacity(graph)
+    quotients = {p: strength_quotient(graph, p) for p in enumerate_partitions(graph.m)}
+    value = min(quotients.values())
+    assert report.value == value
+    cells = [subsets.full_mask(graph.m)]
+    for p, q in quotients.items():
+        if q == value:
+            cells = [a & b for a in cells for b in p.cells if a & b]
+    assert report.argmin == (Partition.from_cells(cells, graph.m),)
+    assert 1 <= report.partitions_examined <= graph.m
+
+
+@pytest.mark.parametrize("graph", _drawn_graphs())
+def test_pin_capacity_matches_the_entropy_route(graph):
+    report = pin_capacity(graph)
+    by_entropy = sk_capacity(PinOracle(graph))
+    assert report.value == by_entropy.value
+    assert report.argmin == by_entropy.argmin
+
+
+@pytest.mark.parametrize("graph, components", [
+    (PinGraph(4, ()), "1|2|3|4"),
+    (PinGraph(5, ((1, 2, 2), (2, 3, 1), (4, 5, 3))), "1,2,3|4,5"),
+], ids=["edgeless", "disconnected"])
+def test_pin_capacity_is_zero_without_connectivity(graph, components):
+    report = pin_capacity(graph)
+    assert report.value == 0
+    assert [str(p) for p in report.argmin] == [components]
+
+
+def test_pin_capacity_complete_graphs_past_the_enumeration_cap():
+    for m in range(13, subsets.MAX_TERMINALS + 1):
+        report = pin_capacity(complete_graph(m))
+        assert report.value == Fraction(m, 2)
+        assert report.argmin == (singleton_partition(m),)
+        assert report.partitions_examined == 1
+
+
+def test_oracle_table_equals_incident_weights():
+    for g in [complete_graph(5), make_path3_graph(), PinGraph(4, ())] + [
+        random_graph(m, seed) for m, seed in ((2, 1), (6, 7), (8, 3))
+    ]:
+        oracle = PinOracle(g)
+        assert [oracle.entropy(s) for s in range(1 << g.m)] == [
+            incident_weight(g, s) for s in range(1 << g.m)
+        ]
 
 
 def test_multiplicity_scales_everything():
