@@ -41,6 +41,12 @@ its constraint on T is max over d of H(X_T | X_d).  For one silent
 terminal u, I(X_T; X_u) is the surplus of {T, {u}}, never below C, so u
 may stay silent iff C(X_T) >= C.
 
+The greedy x over T's subsets at gamma = C_T is an optimal rate vector
+of that program (``speaker_rates``): x(S) <= h(S) - gamma for nonempty S
+inside T, and x(T) = h(T) - gamma since gamma <= C(X_T).  So r = x has
+r(B) = x(T) - x(T - B) >= H(X_B | X_{T - B}) for proper B, and
+r(T) = H(X_T) - C_T >= H(X_T | X_d) since C_T <= I(X_T; X_d).
+
 The minimizer check uses the reduction to isolating partitions: the
 singleton partition minimizes the surplus iff
 
@@ -98,15 +104,17 @@ class CapacityReport:
     exact: bool
 
 
-def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> list[int]:
-    """Cells of the greedy Dilworth-truncation partition of h - gamma.
+def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> tuple[list[int], list]:
+    """Cells of the greedy Dilworth-truncation partition of h - gamma, and the x_j.
 
     Terminal j takes x_j = min over B with j in B inside {1..j} of
     h(B) - gamma - x(B - j), then merges with the cells that meet the B of
     fewest members (lowest mask first) among those within ``band`` of the
-    minimum.  Cells come back in canonical order, by smallest member.
+    minimum.  Cells come back in canonical order, by smallest member; the
+    x_j in terminal order.
     """
     x = [0]  # x[s] = x(s) for the subsets s of the terminals placed so far
+    xs = []
     cells: list[int] = []
     for j in range(m):
         bit = 1 << j
@@ -123,8 +131,9 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> list[int]:
             merged |= cell
         cells.append(merged)
         x_j = low - gamma
+        xs.append(x_j)
         x += [v + x_j for v in x]
-    return sorted(cells, key=lambda c: c & -c)
+    return sorted(cells, key=lambda c: c & -c), xs
 
 
 def _cells_surplus(h: list, cells: list[int], exact: bool) -> Any:
@@ -137,7 +146,7 @@ def _newton_search(h: list, m: int, exact: bool) -> tuple[Any, list[int], int]:
     value = _cells_surplus(h, best, exact)
     examined = 1
     while True:
-        cells = _greedy_cells(h, m, value, 0)
+        cells = _greedy_cells(h, m, value, 0)[0]
         if len(cells) < 2 or cells == best:
             break
         examined += 1
@@ -169,10 +178,15 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     exact = oracle.exact
     band = 0 if exact else tie_tol
     value, best, examined = _newton_search(h, m, exact)
-    finest = _greedy_cells(h, m, value, band)
+    finest = _greedy_cells(h, m, value, band)[0]
     if len(finest) >= 2 and abs(_cells_surplus(h, finest, exact) - value) <= band:
         best = finest
     return CapacityReport(value, (Partition.from_cells(best, m),), examined, exact)
+
+
+def _speaker_table(oracle: EntropyOracle, speakers: int) -> list:
+    # Ascending submasks of T: entry s is the subset picked by the bits of s.
+    return [oracle.entropy(b) for b in (0, *subsets.iter_submasks(speakers))]
 
 
 def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
@@ -188,13 +202,24 @@ def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
         raise SizeLimitError(f"restricted capacity supports m <= {subsets.MAX_REGION_M}")
     subsets.check_subset(speakers, m)
     exact = oracle.exact
-    # Ascending submasks of T: entry s is the subset picked by the bits of s.
-    table = [oracle.entropy(b) for b in (0, *subsets.iter_submasks(speakers))]
+    table = _speaker_table(oracle, speakers)
     k = subsets.size(speakers)
     value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact)[0]
     for d in subsets.members(subsets.full_mask(m) & ~speakers):
         value = min(value, _ratio(mutual_information(oracle, speakers, 1 << (d - 1)), 1, exact))
     return value
+
+
+def speaker_rates(oracle: EntropyOracle, speakers: int, gamma: Any) -> dict[int, Any]:
+    """The greedy x_j of h - ``gamma`` over the speakers' own subsets, by terminal.
+
+    At gamma = ``restricted_capacity`` they are an optimal rate vector of
+    the covering program in ``silent_rate`` (see the module docstring).
+    """
+    subsets.check_subset(speakers, oracle.m)
+    terminals = subsets.members(speakers)
+    _, xs = _greedy_cells(_speaker_table(oracle, speakers), len(terminals), gamma, 0)
+    return dict(zip(terminals, xs))
 
 
 class MinimizerStatus(str, enum.Enum):

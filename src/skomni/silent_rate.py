@@ -1,4 +1,4 @@
-"""Rate regions for a speaker set, and the covering LP over them.
+"""Rate regions for a speaker set, and the least total rate over them.
 
 With speaker set T, the secret-key capacity equals H(X_T) minus the least
 total communication rate that lets every terminal reconstruct X_T.  That
@@ -16,8 +16,13 @@ admissible A.  ``reduced_rate_region`` builds the same region for the
 one-silent-terminal case T = {1..m} minus u directly from the closed form
 (bound H(X_B | X_{T minus B}) for proper B, and H(X_T | X_u) for B = T);
 the two routes must agree constraint for constraint, which the test suite
-checks.  The optimum comes from the in-repo covering simplex; its closed
-form ``capacity.restricted_capacity`` is what ``silent_capacity`` reports.
+checks.
+
+``silent_capacity`` solves no linear program: the optimum is H(X_T) -
+C_T with C_T = ``capacity.restricted_capacity``, and
+``capacity.speaker_rates`` at C_T is an optimal rate vector (the
+``capacity`` module docstring says why).  ``min_sum_rate`` solves the
+program by the covering simplex, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -27,13 +32,10 @@ from fractions import Fraction
 from typing import Any
 
 from . import subsets
-from .capacity import restricted_capacity
+from .capacity import DEFAULT_TIE_TOL, restricted_capacity, speaker_rates
 from .errors import InvalidSubsetError, SizeLimitError
 from .simplex import CoverSolution, solve_min_cover
 from .sources import EntropyOracle
-
-#: Float slack below which a constraint counts as binding at the optimum.
-DEFAULT_BINDING_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -112,31 +114,36 @@ class RateSolution:
 
 def min_sum_rate(
     region: RateRegion,
-    binding_tol: float = DEFAULT_BINDING_TOL,
+    binding_tol: float = DEFAULT_TIE_TOL,
 ) -> RateSolution:
-    """Least total rate in the region; also reports an optimal rate vector
-    (a vertex) and which constraints it makes tight."""
+    """Least total rate in the region by the covering simplex; also reports
+    an optimal rate vector (a vertex) and which constraints it makes tight.
+
+    No production path calls it; the tests keep it as the LP reference for
+    ``silent_capacity``.
+    """
     terminals = subsets.members(region.speakers)
     index = {t: i for i, t in enumerate(terminals)}
-    members = []
-    bounds = []
-    for c in region.constraints:
-        members.append(tuple(index[t] for t in subsets.members(c.speakers_subset)))
-        bounds.append(Fraction(c.lower_bound) if region.exact else c.lower_bound)
+    members = [tuple(index[t] for t in subsets.members(c.speakers_subset)) for c in region.constraints]
+    bounds = [c.lower_bound for c in region.constraints]
     if region.exact:
-        one: Any = Fraction(1)
-        eps: Any = Fraction(0)
+        one, eps = Fraction(1), Fraction(0)
     else:
         one = bounds[0] * 0 + 1
         eps = 1e-12 if isinstance(one, float) else one * 1e-30
     sol = solve_min_cover(len(terminals), members, bounds, one=one, eps=eps)
     rates = {t: sol.x[index[t]] for t in terminals}
-    binding = []
-    for c, cols, bound in zip(region.constraints, members, bounds):
-        slack = sum(sol.x[i] for i in cols) - bound
-        if (slack == 0) if region.exact else (slack <= one * binding_tol):
-            binding.append(c)
-    return RateSolution(sol.objective, rates, tuple(binding), sol)
+    return RateSolution(sol.objective, rates, _binding(region, rates, binding_tol), sol)
+
+
+def _binding(region: RateRegion, rates: dict[int, Any], tie_tol: float) -> tuple[RateConstraint, ...]:
+    """Constraints whose slack at ``rates`` is at most ``tie_tol`` (0 when exact)."""
+    band = 0 if region.exact else tie_tol
+    return tuple(
+        c
+        for c in region.constraints
+        if sum(rates[t] for t in subsets.members(c.speakers_subset)) - c.lower_bound <= band
+    )
 
 
 @dataclass(frozen=True)
@@ -152,18 +159,22 @@ class SilentCapacityReport:
 def silent_capacity(
     oracle: EntropyOracle,
     speakers: int,
-    binding_tol: float = DEFAULT_BINDING_TOL,
+    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> SilentCapacityReport:
-    """``restricted_capacity`` of ``speakers``, R_min = H(X_T) minus it, and
-    the covering LP's optimal rates with the constraints they make tight."""
+    """``restricted_capacity`` C_T of ``speakers``, R_min = H(X_T) - C_T,
+    the greedy rates at C_T, and the region's constraints they make tight.
+
+    A float rate that rounds below 0 reads 0 (r - r, a zero of its type).
+    """
     capacity = restricted_capacity(oracle, speakers)
-    solution = min_sum_rate(build_rate_region(oracle, speakers), binding_tol)
+    rates = {t: r if r >= 0 else r - r for t, r in speaker_rates(oracle, speakers, capacity).items()}
+    binding = _binding(build_rate_region(oracle, speakers), rates, tie_tol)
     h_t = oracle.entropy(speakers)
     return SilentCapacityReport(
         speakers_entropy=h_t,
         min_sum_rate=h_t - capacity,
         capacity=capacity,
-        rates=solution.rates,
-        binding=solution.binding,
+        rates=rates,
+        binding=binding,
         exact=oracle.exact,
     )

@@ -26,8 +26,9 @@ MAX_TERMINALS = 24
 #: yields Bell(m) partitions (4.2 million at m = 12).
 MAX_ENUMERATION_M = 12
 
-#: Terminals for ``silent``: the restricted capacity and the rate region
-#: read 2^m subsets and the covering LP has 2^(m-1) constraints.
+#: Terminals for ``silent``: the restricted capacity, its greedy rate
+#: vector and the rate region each read the 2^m subset entropies and solve
+#: no linear program (about 1.4 s for K_16, Python 3.11, x86-64).
 MAX_REGION_M = 16
 
 #: Outcomes in a hunt source's alphabet grid: ``random_source`` builds

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import mpmath
@@ -12,6 +13,7 @@ from skomni.capacity import (
     restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
+    speaker_rates,
 )
 from skomni.errors import InvalidSubsetError
 from skomni.partitions import Partition
@@ -148,6 +150,84 @@ def test_silent_capacity_pin_exact():
     assert report.min_sum_rate == Fraction(2)
     assert report.capacity == Fraction(1)
     assert isinstance(report.rates[1], Fraction)
+
+
+def _check_silent_rates(oracle, tol):
+    """On every speaker set: feasible rates summing to R_min, the LP's optimum.
+
+    Exact oracles are held to equality.  There the LP's positive duals
+    also mark constraints the rates make tight, as complementary
+    slackness requires of any optimal vector.
+    """
+    full = subsets.full_mask(oracle.m)
+    for speakers in range(1, full + 1):
+        report = silent_capacity(oracle, speakers)
+        region = build_rate_region(oracle, speakers)
+        rates = report.rates
+        assert list(rates) == subsets.members(speakers)
+        for c in region.constraints:
+            covered = sum(rates[t] for t in subsets.members(c.speakers_subset))
+            assert covered >= c.lower_bound - tol
+        total = sum(rates.values())
+        lp = min_sum_rate(region)
+        if oracle.exact:
+            assert all(isinstance(r, Fraction) for r in rates.values())
+            assert total == report.min_sum_rate == lp.min_sum
+            binding = set(report.binding)
+            for y, c in zip(lp.lp.duals, region.constraints):
+                if y > 0:
+                    assert c in binding
+        else:
+            assert all(r >= 0 for r in rates.values())
+            assert abs(total - report.min_sum_rate) <= tol
+            assert abs(total - lp.min_sum) <= tol
+
+
+def _random_pin_graphs(m, count):
+    rng = random.Random(m)
+    pairs = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+    graphs = [complete_graph(m)]
+    for _ in range(count):
+        edges = [(u, v, rng.randint(1, 3)) for u, v in pairs if rng.random() < 0.5]
+        graphs.append(PinGraph(m, tuple(edges or [(1, 2, 1)])))
+    return graphs
+
+
+@pytest.mark.parametrize("m", [3, 4, 5, 6])
+def test_silent_rates_are_optimal_on_pin_graphs(m):
+    for graph in _random_pin_graphs(m, 4):
+        _check_silent_rates(PinOracle(graph), 0)
+
+
+def _sparse_sources(count, seed):
+    """Sparse binary pmfs at m = 3..5; small supports tie many partitions."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        m = rng.randint(3, 5)
+        grid = [tuple((x >> i) & 1 for i in range(m)) for x in range(1 << m)]
+        support = rng.sample(grid, rng.randint(1, 6))
+        weights = [rng.randint(1, 4) for _ in support]
+        total = sum(weights)
+        out.append(JointSource(m, (2,) * m, {x: w / total for x, w in zip(support, weights)}))
+    return out
+
+
+def test_silent_rates_are_optimal_on_float_sources():
+    for source in tabular_test_sources((3, 4, 5)) + _sparse_sources(30, seed=1):
+        _check_silent_rates(TabularOracle(source), 1e-12)
+
+
+def test_silent_clamps_a_rate_that_rounds_below_zero():
+    # Terminal 4's greedy rate is 0 in the reals and rounds to -1.1e-16.
+    support = [(0, 0, 0, 0, 1), (1, 0, 1, 0, 1), (0, 0, 1, 0, 0), (1, 1, 1, 1, 1), (1, 1, 0, 0, 1)]
+    weights = [4, 4, 4, 1, 2]
+    oracle = TabularOracle(JointSource(5, (2,) * 5, {x: w / 15 for x, w in zip(support, weights)}))
+    raw = speaker_rates(oracle, 0b11111, restricted_capacity(oracle, 0b11111))
+    assert -1e-15 < raw[4] < 0
+    report = silent_capacity(oracle, 0b11111)
+    assert report.rates == {**raw, 4: 0.0}
+    assert str(report.rates[4]) == "0.0"
 
 
 def test_capacity_chain_against_restricted_surplus():

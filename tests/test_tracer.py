@@ -6,10 +6,12 @@ so a traced name that leaves the package breaks ``perfbench/run.py
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
 import skomni.cli  # noqa: F401  (imports every module the tracer wraps)
+from skomni.pin import complete_graph
 from skomni.sources import TabularOracle
 
 from conftest import make_xor_source
@@ -42,3 +44,25 @@ def test_tracer_installs_over_the_package():
         tracer.uninstall()
     for (mod, attr), original in originals.items():
         assert getattr(sys.modules[mod], attr) is original, f"{mod}.{attr} not restored"
+
+
+def test_silent_solves_no_linear_program(tmp_path, capsys):
+    # The simplex and min_sum_rate stay in the package only as test
+    # references; a production call would show up in the benchmark's trace.
+    models = {"xor": make_xor_source().to_json_dict(), "k4": complete_graph(4).to_json_dict()}
+    tracing = _load_tracer()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name, payload in models.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(payload))
+            for speakers in ("1,2", "1,2,3"):
+                assert sys.modules["skomni.cli"].main(["silent", str(path), "--speakers", speakers]) == 0
+    finally:
+        tracer.uninstall()
+    assert "rates: R1 = " in capsys.readouterr().out
+    assert tracer.calls["cli.main"] == 4
+    assert tracer.calls["silent_rate.region"] == 4
+    assert tracer.calls["silent_rate.min_sum"] == 0
+    assert tracer.calls["simplex.solve"] == 0
