@@ -53,7 +53,6 @@ from .silent_rate import (
     SilentCapacityReport,
     build_rate_region,
     min_sum_rate,
-    reduced_rate_region,
     silent_capacity,
 )
 from .sources import (

@@ -1,9 +1,9 @@
 """Rate regions for a speaker set, and the least total rate over them.
 
-With speaker set T, the secret-key capacity equals H(X_T) minus the least
-total communication rate that lets every terminal reconstruct X_T.  That
-least rate is the optimum of a covering program over rate vectors
-(R_i : i in T):
+With speaker set T and silent set S = {1..m} minus T, the secret-key
+capacity equals H(X_T) minus the least total communication rate that lets
+every terminal reconstruct X_T.  That least rate is the optimum of a
+covering program over rate vectors (R_i : i in T):
 
     sum_{i in A cap T} R_i >= H(X_{A cap T} | X_{complement of A})
 
@@ -11,12 +11,17 @@ for every proper subset A of {1..m} that meets T.  Constraints sharing the
 same B = A cap T differ only in their right-hand side, so the region keeps
 one constraint per distinct B with the maximal bound.
 
-``build_rate_region`` constructs the region by enumerating every
-admissible A.  ``reduced_rate_region`` builds the same region for the
-one-silent-terminal case T = {1..m} minus u directly from the closed form
-(bound H(X_B | X_{T minus B}) for proper B, and H(X_T | X_u) for B = T);
-the two routes must agree constraint for constraint, which the test suite
-checks.
+``build_rate_region`` writes that maximum in closed form.  The complement
+of A is T minus B together with the silent terminals outside A, and
+conditioning never raises entropy, so the bound is largest when the
+complement holds as few silent terminals as it can:
+
+- for proper B, none: H(X_B | X_{T minus B}) = H(X_T) - H(X_{T minus B});
+- for B = T, which has a constraint only when S is nonempty (A must stay
+  proper), one: the maximum over d in S of H(X_T | X_d).
+
+So a region reads 2^|T| - 1 + 2|S| subset entropies.  The tests compare
+it with the maximum over every A, which reads all 2^m.
 
 ``silent_capacity`` solves no linear program: the optimum is H(X_T) -
 C_T with C_T = ``capacity.restricted_capacity``, and
@@ -33,7 +38,7 @@ from typing import Any
 
 from . import subsets
 from .capacity import DEFAULT_TIE_TOL, restricted_capacity, speaker_rates
-from .errors import InvalidSubsetError, SizeLimitError
+from .errors import SizeLimitError
 from .simplex import CoverSolution, solve_min_cover
 from .sources import EntropyOracle
 
@@ -57,50 +62,24 @@ class RateRegion:
 
 
 def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
-    """Constraint region for the given speaker set, by full enumeration."""
+    """Constraint region for the given speaker set, in closed form."""
     m = oracle.m
     if m > subsets.MAX_REGION_M:
         raise SizeLimitError(f"rate region construction supports m <= {subsets.MAX_REGION_M}")
     subsets.check_subset(speakers, m)
-    full = subsets.full_mask(m)
-    best: dict[int, Any] = {}
-    for a in range(1, full):
-        b = a & speakers
-        if b == 0:
-            continue
-        given = full & ~a
-        bound = oracle.entropy(b | given) - oracle.entropy(given)
-        if b not in best or bound > best[b]:
-            best[b] = bound
-    constraints = tuple(
-        RateConstraint(b, best[b]) for b in sorted(best)
-    )
-    return RateRegion(m, speakers, constraints, oracle.exact)
-
-
-def reduced_rate_region(oracle: EntropyOracle, silent_terminal: int) -> RateRegion:
-    """Closed-form region for all speakers except one silent terminal.
-
-    Dropping silent-terminal subsets from the conditioning can only raise
-    the conditional entropy, so the per-B maximum is attained at
-    H(X_B | X_{T minus B}) for proper B, and for B = T at the single
-    admissible conditioning H(X_T | X_u).
-    """
-    m = oracle.m
-    if m < 2:
-        raise SizeLimitError("reduced region needs m >= 2")
-    if m > subsets.MAX_REGION_M:
-        raise SizeLimitError(f"rate region construction supports m <= {subsets.MAX_REGION_M}")
-    if not isinstance(silent_terminal, int) or not 1 <= silent_terminal <= m:
-        raise InvalidSubsetError(f"silent terminal {silent_terminal!r} outside 1..{m}")
-    u = 1 << (silent_terminal - 1)
-    speakers = subsets.full_mask(m) & ~u
-    constraints = []
-    for b in subsets.iter_submasks(speakers):
-        given = u if b == speakers else speakers & ~b
-        bound = oracle.entropy(b | given) - oracle.entropy(given)
-        constraints.append(RateConstraint(b, bound))
-    constraints.sort(key=lambda c: c.speakers_subset)
+    h_t = oracle.entropy(speakers)
+    constraints = [
+        RateConstraint(b, h_t - oracle.entropy(speakers & ~b))
+        for b in subsets.iter_submasks(speakers)
+        if b != speakers
+    ]
+    silent = subsets.full_mask(m) & ~speakers
+    if silent:
+        bound = max(
+            oracle.entropy(speakers | d) - oracle.entropy(d)
+            for d in map(subsets.bit, subsets.members(silent))
+        )
+        constraints.append(RateConstraint(speakers, bound))
     return RateRegion(m, speakers, tuple(constraints), oracle.exact)
 
 

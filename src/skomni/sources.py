@@ -207,7 +207,7 @@ def _entropy_table(
 
 def _float_entropy(masses: list[int], k: int) -> float:
     probs = [mass / (1 << k) for mass in masses if mass]
-    return -math.fsum([p * math.log2(p) for p in probs])
+    return 0.0 - math.fsum([p * math.log2(p) for p in probs])
 
 
 class TabularOracle:

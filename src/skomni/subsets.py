@@ -27,8 +27,11 @@ MAX_TERMINALS = 24
 MAX_ENUMERATION_M = 12
 
 #: Terminals for ``silent``: the restricted capacity, its greedy rate
-#: vector and the rate region each read the 2^m subset entropies and solve
-#: no linear program (about 1.4 s for K_16, Python 3.11, x86-64).
+#: vector and the rate region read the 2^|T| subset entropies of the
+#: speakers T and two per silent terminal, and solve no linear program.
+#: Most of the time goes to summing the rates over each of the region's
+#: 2^|T| - 1 constraints for the binding list: K_16 takes about 1.2 s
+#: with 15 speakers and 2.2 s with all 16 (Python 3.11, x86-64).
 MAX_REGION_M = 16
 
 #: Outcomes in a hunt source's alphabet grid: ``random_source`` builds

@@ -25,6 +25,7 @@ from skomni.errors import SizeLimitError
 from skomni.generators import random_source
 from skomni.partitions import Partition, enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
+from skomni.silent_rate import RateConstraint, RateRegion
 from skomni.sources import JointSource, TabularOracle
 
 
@@ -221,6 +222,24 @@ def brute_minimizer_check(oracle, tie_tol=DEFAULT_TIE_TOL):
     s = singleton_partition(oracle.m)
     others = (p for p in enumerate_partitions(oracle.m, min_cells=2) if p != s)
     return reference_minimizer_check(oracle, others, tie_tol)
+
+
+def brute_rate_region(oracle, speakers):
+    """Brute-force oracle for ``build_rate_region``: per B, the largest
+    H(X_B | X_{complement of A}) over every proper A with A cap T = B."""
+    m = oracle.m
+    full = subsets.full_mask(m)
+    best = {}
+    for a in range(1, full):
+        b = a & speakers
+        if b == 0:
+            continue
+        given = full & ~a
+        bound = oracle.entropy(b | given) - oracle.entropy(given)
+        if b not in best or bound > best[b]:
+            best[b] = bound
+    constraints = tuple(RateConstraint(b, best[b]) for b in sorted(best))
+    return RateRegion(m, speakers, constraints, oracle.exact)
 
 
 @pytest.fixture

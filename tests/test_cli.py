@@ -254,6 +254,23 @@ def test_silent_json(files, capsys):
     assert payload["capacity"] == "1"
 
 
+def test_silent_prints_no_negative_zero(tmp_path, capsys):
+    # Terminal 3 is a constant: one cell of mass 1, whose entropy is 0.0.
+    path = tmp_path / "constant.json"
+    atoms = [{"x": [0, 0, 0], "p": 0.5}, {"x": [1, 1, 0], "p": 0.5}]
+    path.write_text(json.dumps({"m": 3, "alphabet_sizes": [2, 2, 1], "atoms": atoms}))
+    code, out, _ = run(capsys, ["silent", str(path), "--speakers", "3"])
+    assert code == 0
+    assert "H(speakers) = 0.000000\n" in out
+    assert "C_restricted = 0.000000\n" in out
+    assert "-0" not in out
+    code, out, _ = run(capsys, ["silent", str(path), "--speakers", "3", "--json"])
+    assert code == 0
+    assert "-0" not in out
+    payload = json.loads(out)
+    assert payload["speakers_entropy"] == payload["capacity"] == 0.0
+
+
 def test_omnivocality_xor_all_methods(files, capsys):
     code, out, _ = run(capsys, ["omnivocality", files["xor"]])
     assert code == 0

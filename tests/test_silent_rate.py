@@ -18,12 +18,7 @@ from skomni.capacity import (
 from skomni.errors import InvalidSubsetError
 from skomni.partitions import Partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
-from skomni.silent_rate import (
-    build_rate_region,
-    min_sum_rate,
-    reduced_rate_region,
-    silent_capacity,
-)
+from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
 from skomni.generators import random_source
 from skomni.sources import (
     ExtendedPrecisionOracle,
@@ -33,7 +28,12 @@ from skomni.sources import (
     mutual_information,
 )
 
-from conftest import binary_entropy, restricted_singleton_surplus, tabular_test_sources
+from conftest import (
+    binary_entropy,
+    brute_rate_region,
+    restricted_singleton_surplus,
+    tabular_test_sources,
+)
 
 
 def _bounds(region):
@@ -73,33 +73,31 @@ def test_region_rejects_empty_speakers(xor_oracle):
 
 
 def test_reduced_region_examples(identical_oracle, iid_oracle):
-    got = _bounds(reduced_rate_region(identical_oracle, 1))
+    got = _bounds(build_rate_region(identical_oracle, 0b110))
     assert {b: round(v, 9) for b, v in got.items()} == {0b010: 0, 0b100: 0, 0b110: 0}
-    got = _bounds(reduced_rate_region(iid_oracle, 2))
+    got = _bounds(build_rate_region(iid_oracle, 0b101))
     assert got[0b001] == pytest.approx(1.0)
     assert got[0b100] == pytest.approx(1.0)
     assert got[0b101] == pytest.approx(2.0)
 
 
-def test_reduced_region_rejects_bad_terminal(xor_oracle):
-    with pytest.raises(InvalidSubsetError):
-        reduced_rate_region(xor_oracle, 0)
-    with pytest.raises(InvalidSubsetError):
-        reduced_rate_region(xor_oracle, 4)
-
-
 def test_reduced_equals_built_everywhere():
-    for source in tabular_test_sources((3, 4, 5)):
-        oracle = TabularOracle(source)
-        full = subsets.full_mask(oracle.m)
-        for u in range(1, oracle.m + 1):
-            built = build_rate_region(oracle, full & ~(1 << (u - 1)))
-            reduced = reduced_rate_region(oracle, u)
-            assert built.speakers == reduced.speakers
-            assert len(built.constraints) == len(reduced.constraints)
-            for a, b in zip(built.constraints, reduced.constraints):
-                assert a.speakers_subset == b.speakers_subset
-                assert a.lower_bound == pytest.approx(b.lower_bound, abs=1e-9)
+    # The closed form against the maximum over every set A, on every
+    # speaker set: bit for bit on PIN graphs, within rounding on floats,
+    # where a true tie lets the enumeration keep a higher rounding.
+    oracles = [TabularOracle(s) for s in tabular_test_sources((3, 4, 5)) + _sparse_sources(30, seed=2)]
+    oracles += [PinOracle(g) for m in range(2, 7) for g in _random_pin_graphs(m, 4)]
+    for oracle in oracles:
+        for speakers in range(1, subsets.full_mask(oracle.m) + 1):
+            built = build_rate_region(oracle, speakers)
+            brute = brute_rate_region(oracle, speakers)
+            if oracle.exact:
+                assert built == brute
+                continue
+            assert (built.m, built.speakers, built.exact) == (brute.m, brute.speakers, brute.exact)
+            assert list(_bounds(built)) == list(_bounds(brute))
+            for a, b in zip(built.constraints, brute.constraints):
+                assert abs(a.lower_bound - b.lower_bound) <= 1e-12
 
 
 def test_min_sum_rate_xor(xor_oracle):
@@ -363,11 +361,10 @@ def test_region_bounds_are_conditional_entropies_without_revalidation(monkeypatc
 
     monkeypatch.setattr(subsets, "check_subset", counting_check)
     built = _bounds(build_rate_region(oracle, speakers))
-    reduced = _bounds(reduced_rate_region(oracle, 3))
     # Only the caller's speaker set is validated; the bounds keep the bits
     # of conditional_entropy exactly.
     assert calls == [(speakers, m)]
-    assert built == reduced == expected
+    assert built == expected
 
 
 class _SpeakerView:

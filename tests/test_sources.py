@@ -206,9 +206,10 @@ def test_pmf_oracles_reject_non_subsets(make, bad):
 
 
 def _fsum_entropy(source, subset):
-    """Entropy of one subset straight from its ``marginal``."""
+    """Entropy of one subset straight from its ``marginal``; +0.0, not
+    -0.0, for a subset with a single cell."""
     masses = marginal(source, subset).values()
-    return -math.fsum(p * math.log2(p) for p in masses if p > 0.0)
+    return 0.0 - math.fsum(p * math.log2(p) for p in masses if p > 0.0)
 
 
 @st.composite

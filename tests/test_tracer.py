@@ -14,7 +14,7 @@ import skomni.cli  # noqa: F401  (imports every module the tracer wraps)
 from skomni.pin import complete_graph
 from skomni.sources import TabularOracle
 
-from conftest import make_xor_source
+from conftest import make_xor4_source, make_xor_source
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -66,3 +66,23 @@ def test_silent_solves_no_linear_program(tmp_path, capsys):
     assert tracer.calls["silent_rate.region"] == 4
     assert tracer.calls["silent_rate.min_sum"] == 0
     assert tracer.calls["simplex.solve"] == 0
+
+
+def test_silent_reads_only_the_speakers_entropies(tmp_path):
+    # The restricted capacity, the greedy rates and the closed-form region
+    # read the 2^|T| - 1 subsets of T and, per silent d, X_d and X_{T+d};
+    # a region that enumerated every set A would read all 2^m - 1.
+    models = {"k5": complete_graph(5).to_json_dict(), "xor4": make_xor4_source().to_json_dict()}
+    tracing = _load_tracer()
+    for name, payload in models.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            assert sys.modules["skomni.cli"].main(["silent", str(path), "--speakers", "1,2"]) == 0
+        finally:
+            tracer.uninstall()
+        m, t = payload["m"], 2
+        assert tracer.calls["silent_rate.region"] == 1
+        assert tracer.counts["sources.entropy_evals"] <= 2**t - 1 + 2 * (m - t), name
