@@ -15,6 +15,7 @@ import time
 from skomni.omnivocality import verdict_by_condition, verdict_by_lp
 from skomni.partitions import format_partition
 from skomni.pin import PinOracle, complete_graph, pin_capacity
+from skomni.subsets import MAX_TABLE_M
 
 
 def main() -> int:
@@ -22,6 +23,10 @@ def main() -> int:
     parser.add_argument("--max-m", type=int, default=8, help="largest clique size")
     parser.add_argument("--mult", type=int, default=1, help="edge multiplicity")
     args = parser.parse_args()
+    if args.max_m > MAX_TABLE_M:
+        parser.error(f"--max-m must be at most {MAX_TABLE_M}, the entropy-table cap")
+    if args.mult < 1:
+        parser.error(f"--mult must be at least 1, got {args.mult}")
 
     print(f"{'m':>2}  {'capacity':>9}  {'argmin':<16} {'condition':<10} {'lp':<10} "
           f"{'partitions':>10}  {'seconds':>7}")

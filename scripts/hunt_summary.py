@@ -24,8 +24,11 @@ def main() -> int:
                         help="write the most marginal candidate's source here")
     args = parser.parse_args()
 
-    with open(args.log) as fh:
-        records = [json.loads(line) for line in fh if line.strip()]
+    try:
+        with open(args.log) as fh:
+            records = [json.loads(line) for line in fh if line.strip()]
+    except OSError as exc:
+        parser.error(f"cannot read {args.log}: {exc.strerror}")
     if not records:
         print("empty log")
         return 1

@@ -96,6 +96,17 @@ def partition_surplus(oracle: EntropyOracle, partition: Partition) -> Any:
     return _ratio(num, partition.n_cells - 1, oracle.exact)
 
 
+def speaker_table(oracle: EntropyOracle, speakers: int) -> list:
+    """Entropies of the submasks of ``speakers`` in ascending order.
+
+    Entry s is the subset picked by the bits of s, so with every terminal
+    speaking entry s is subset s.  This is the only route from an oracle to
+    a table, and it refuses m > ``subsets.MAX_TABLE_M`` before any query.
+    """
+    subsets.check_table_m(oracle.m)
+    return [oracle.entropy(b) for b in (0, *subsets.iter_submasks(speakers))]
+
+
 @dataclass(frozen=True)
 class CapacityReport:
     value: Any
@@ -172,9 +183,7 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     m = oracle.m
     if m < 2:
         raise SizeLimitError("capacity needs at least 2 terminals")
-    if m > subsets.MAX_ENUMERATION_M:
-        raise SizeLimitError(f"capacity supports m <= {subsets.MAX_ENUMERATION_M}")
-    h = [oracle.entropy(subset) for subset in range(1 << m)]
+    h = speaker_table(oracle, subsets.full_mask(m))
     exact = oracle.exact
     band = 0 if exact else tie_tol
     value, best, examined = _newton_search(h, m, exact)
@@ -182,11 +191,6 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     if len(finest) >= 2 and abs(_cells_surplus(h, finest, exact) - value) <= band:
         best = finest
     return CapacityReport(value, (Partition.from_cells(best, m),), examined, exact)
-
-
-def _speaker_table(oracle: EntropyOracle, speakers: int) -> list:
-    # Ascending submasks of T: entry s is the subset picked by the bits of s.
-    return [oracle.entropy(b) for b in (0, *subsets.iter_submasks(speakers))]
 
 
 def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
@@ -198,11 +202,9 @@ def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
     bitwise ``partition_surplus`` of {T, {u}}.
     """
     m = oracle.m
-    if m > subsets.MAX_REGION_M:
-        raise SizeLimitError(f"restricted capacity supports m <= {subsets.MAX_REGION_M}")
     subsets.check_subset(speakers, m)
     exact = oracle.exact
-    table = _speaker_table(oracle, speakers)
+    table = speaker_table(oracle, speakers)
     k = subsets.size(speakers)
     value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact)[0]
     for d in subsets.members(subsets.full_mask(m) & ~speakers):
@@ -218,7 +220,7 @@ def speaker_rates(oracle: EntropyOracle, speakers: int, gamma: Any) -> dict[int,
     """
     subsets.check_subset(speakers, oracle.m)
     terminals = subsets.members(speakers)
-    _, xs = _greedy_cells(_speaker_table(oracle, speakers), len(terminals), gamma, 0)
+    _, xs = _greedy_cells(speaker_table(oracle, speakers), len(terminals), gamma, 0)
     return dict(zip(terminals, xs))
 
 
@@ -265,9 +267,7 @@ def singleton_minimizer_check(
     m = oracle.m
     if m < 3:
         raise SizeLimitError("minimizer check needs m >= 3")
-    if m > subsets.MAX_ENUMERATION_M:
-        raise SizeLimitError(f"minimizer check supports m <= {subsets.MAX_ENUMERATION_M}")
-    h = [oracle.entropy(subset) for subset in range(1 << m)]
+    h = speaker_table(oracle, subsets.full_mask(m))
     full = len(h) - 1
     exact = oracle.exact
     band = 0 if exact else tie_tol

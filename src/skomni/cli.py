@@ -265,11 +265,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise InputError(f"jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
     if args.m < 4:
         raise SizeLimitError("hunt targets m >= 4 (smaller m is decided exactly)")
-    if args.m > subsets.MAX_ENUMERATION_M:
-        raise SizeLimitError(
-            f"hunt supports m <= {subsets.MAX_ENUMERATION_M} "
-            "(each trial fills a 3^m entropy table)"
-        )
+    subsets.check_table_m(args.m)  # before the log is created
     alphabet = _parse_alphabet(args.alphabet, args.m)
     jobs = [(args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials)]
     try:

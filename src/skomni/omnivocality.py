@@ -170,8 +170,6 @@ def verdict_by_lp(
 ) -> OmnivocalityVerdict:
     """Compare capacity against every leave-one-out ``restricted_capacity``."""
     m = _require_m(oracle, "LP comparison")
-    if m > subsets.MAX_ENUMERATION_M:
-        raise SizeLimitError(f"LP comparison supports m <= {subsets.MAX_ENUMERATION_M}")
     c = sk_capacity(oracle, tie_tol).value
     band = 0 if oracle.exact else tie_tol
     rows = []

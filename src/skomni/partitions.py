@@ -113,8 +113,6 @@ def enumerate_partitions(m: int, min_cells: int = 2) -> Iterator[Partition]:
     """
     if not isinstance(m, int) or m < 1:
         raise SizeLimitError(f"m={m!r} is not a positive integer")
-    if m > subsets.MAX_ENUMERATION_M:
-        raise SizeLimitError(f"partition enumeration supports m <= {subsets.MAX_ENUMERATION_M}")
     if min_cells > m:
         return
     rgs = [0] * m

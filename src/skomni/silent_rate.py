@@ -37,8 +37,7 @@ from fractions import Fraction
 from typing import Any
 
 from . import subsets
-from .capacity import DEFAULT_TIE_TOL, restricted_capacity, speaker_rates
-from .errors import SizeLimitError
+from .capacity import DEFAULT_TIE_TOL, restricted_capacity, speaker_rates, speaker_table
 from .simplex import CoverSolution, solve_min_cover
 from .sources import EntropyOracle
 
@@ -64,14 +63,13 @@ class RateRegion:
 def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
     """Constraint region for the given speaker set, in closed form."""
     m = oracle.m
-    if m > subsets.MAX_REGION_M:
-        raise SizeLimitError(f"rate region construction supports m <= {subsets.MAX_REGION_M}")
     subsets.check_subset(speakers, m)
-    h_t = oracle.entropy(speakers)
+    table = speaker_table(oracle, speakers)
+    full = len(table) - 1  # the compressed index of T; full ^ s is T minus the s-th B
     constraints = [
-        RateConstraint(b, h_t - oracle.entropy(speakers & ~b))
-        for b in subsets.iter_submasks(speakers)
-        if b != speakers
+        RateConstraint(b, table[full] - table[full ^ s])
+        for s, b in enumerate(subsets.iter_submasks(speakers), 1)
+        if s != full
     ]
     silent = subsets.full_mask(m) & ~speakers
     if silent:
@@ -116,13 +114,18 @@ def min_sum_rate(
 
 
 def _binding(region: RateRegion, rates: dict[int, Any], tie_tol: float) -> tuple[RateConstraint, ...]:
-    """Constraints whose slack at ``rates`` is at most ``tie_tol`` (0 when exact)."""
+    """Constraints whose slack at ``rates`` is at most ``tie_tol`` (0 when exact).
+
+    One pass sums the rates over every submask B of the speakers: B's sum is
+    that of B minus its highest terminal plus that terminal's rate, the
+    order in which ``sum`` would add them.
+    """
     band = 0 if region.exact else tie_tol
-    return tuple(
-        c
-        for c in region.constraints
-        if sum(rates[t] for t in subsets.members(c.speakers_subset)) - c.lower_bound <= band
-    )
+    sums = {0: 0}
+    for b in subsets.iter_submasks(region.speakers):
+        top = b.bit_length()
+        sums[b] = sums[b ^ (1 << (top - 1))] + rates[top]
+    return tuple(c for c in region.constraints if sums[c.speakers_subset] - c.lower_bound <= band)
 
 
 @dataclass(frozen=True)

@@ -12,27 +12,22 @@ from collections.abc import Iterable, Iterator
 
 from .errors import InputError, InvalidSubsetError, SizeLimitError
 
-# The package's size caps.  Every entropy analysis reads a table of all 2^m
-# subset entropies; the searches on top of it cost more, so each has a lower
-# cap.  The PIN capacity reads no table and is bound by MAX_TERMINALS only.
+# The package's size caps.  The PIN capacity reads no table and is bound by
+# MAX_TERMINALS only; every other analysis reads the table of subset
+# entropies through ``capacity.speaker_table``, which checks MAX_TABLE_M.
 
 #: Terminals any mask-based structure may use: the entropy table holds
 #: 2^m entries, 16.8 million at m = 24.
 MAX_TERMINALS = 24
 
-#: Terminals for capacity, the minimizer check, the LP route and the hunt,
-#: whose entropy table fill costs 3^m cell sums (under 1 s for a binary
-#: source at m = 12), and for ``partitions.enumerate_partitions``, which
-#: yields Bell(m) partitions (4.2 million at m = 12).
-MAX_ENUMERATION_M = 12
-
-#: Terminals for ``silent``: the restricted capacity, its greedy rate
-#: vector and the rate region read the 2^|T| subset entropies of the
-#: speakers T and two per silent terminal, and solve no linear program.
-#: Most of the time goes to summing the rates over each of the region's
-#: 2^|T| - 1 constraints for the binding list: K_16 takes about 1.2 s
-#: with 15 speakers and 2.2 s with all 16 (Python 3.11, x86-64).
-MAX_REGION_M = 16
+#: Terminals for every analysis that reads the entropy table: capacity,
+#: the minimizer check, the restricted capacity, the rate region and the
+#: hunt.  A dense source fills its table at 3^m cell sums, close to 3x the
+#: time per added terminal: ``capacity`` on a full-support binary source
+#: takes 0.56 s at m = 12, 3.7 s at 14 and 42 s at 16.  At m = 16,
+#: ``omnivocality`` takes 0.5 s on a 2-atom source and 2.7 s on K_16
+#: (Python 3.11, x86-64).
+MAX_TABLE_M = 16
 
 #: Outcomes in a hunt source's alphabet grid: ``random_source`` builds
 #: every cell.  At 32^4 = 2^20 cells one m = 4 trial peaks about 560 MB
@@ -46,6 +41,12 @@ def check_terminal_count(m: object) -> None:
         raise InputError(f"m={m!r} outside 2..{MAX_TERMINALS}")
     if m > MAX_TERMINALS:
         raise SizeLimitError(f"m={m} outside 2..{MAX_TERMINALS}")
+
+
+def check_table_m(m: int) -> None:
+    """Raise SizeLimitError unless an entropy table over m terminals is within MAX_TABLE_M."""
+    if m > MAX_TABLE_M:
+        raise SizeLimitError(f"entropy-table analyses support m <= {MAX_TABLE_M}")
 
 
 def full_mask(m: int) -> int:

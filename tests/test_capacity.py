@@ -14,6 +14,7 @@ from skomni.capacity import (
     restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
+    speaker_rates,
 )
 from skomni.errors import SizeLimitError
 from skomni.generators import random_source
@@ -25,6 +26,7 @@ from skomni.partitions import (
     singleton_partition,
 )
 from skomni.pin import PinGraph, PinOracle, complete_graph
+from skomni.silent_rate import build_rate_region
 from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle, mutual_information
 
 from conftest import (
@@ -454,24 +456,29 @@ def test_capacity_search_matches_brute_force_on_drawn_sources(case):
 
 
 class _Untouchable:
-    m = subsets.MAX_ENUMERATION_M + 1
+    m = subsets.MAX_TABLE_M + 1
     exact = False
 
     def entropy(self, subset):
         raise AssertionError("entropy queried before the size check")
 
 
+_TABLE_CAP = r"^entropy-table analyses support m <= 16$"
+
+
 def test_capacity_size_limit_precedes_entropy_queries():
-    with pytest.raises(SizeLimitError, match="m <= 12"):
+    with pytest.raises(SizeLimitError, match=_TABLE_CAP):
         sk_capacity(_Untouchable())
-    with pytest.raises(SizeLimitError, match=r"^minimizer check supports m <= 12$"):
+    with pytest.raises(SizeLimitError, match=_TABLE_CAP):
         singleton_minimizer_check(_Untouchable())
-    beyond_regions = _Untouchable()
-    beyond_regions.m = subsets.MAX_REGION_M + 1
-    with pytest.raises(SizeLimitError, match=r"^restricted capacity supports m <= 16$"):
-        restricted_capacity(beyond_regions, 1)
+    with pytest.raises(SizeLimitError, match=_TABLE_CAP):
+        restricted_capacity(_Untouchable(), 1)
+    with pytest.raises(SizeLimitError, match=_TABLE_CAP):
+        speaker_rates(_Untouchable(), 1, 0)
+    with pytest.raises(SizeLimitError, match=_TABLE_CAP):
+        build_rate_region(_Untouchable(), 1)
 
 
 def test_enumeration_caps_share_one_limit():
-    with pytest.raises(SizeLimitError, match=r"^LP comparison supports m <= 12$"):
+    with pytest.raises(SizeLimitError, match=_TABLE_CAP):
         verdict_by_lp(_Untouchable())

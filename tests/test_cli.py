@@ -90,18 +90,43 @@ def test_capacity_pin_exact_rendering(files, capsys):
 
 def test_pin_capacity_runs_past_the_enumeration_cap(tmp_path, capsys):
     # The PIN capacity is polynomial in m; the entropy-table analyses still
-    # stop at m = 12.
-    m = 13
+    # stop at m = 16.
+    m = 17
     edges = [{"u": u, "v": v} for u in range(1, m + 1) for v in range(u + 1, m + 1)]
-    path = tmp_path / "k13.json"
+    path = tmp_path / "k17.json"
     path.write_text(json.dumps({"m": m, "edges": edges}))
     code, out, _ = run(capsys, ["capacity", str(path)])
     assert code == 0
-    assert "C = 13/2 bits; argmin: " + "|".join(map(str, range(1, m + 1))) in out
+    assert "C = 17/2 bits; argmin: " + "|".join(map(str, range(1, m + 1))) in out
     assert "partitions examined: 1" in out
     code, _, err = run(capsys, ["omnivocality", str(path)])
     assert code == 3
-    assert "m <= 12" in err
+    assert "entropy-table analyses support m <= 16" in err
+
+
+@pytest.mark.parametrize("kind", ["two-atom", "pin"])
+def test_table_analyses_answer_past_the_old_cap(tmp_path, capsys, kind):
+    # capacity and silent with every terminal speaking are the same Newton
+    # search, so they answer up to the same m and print the same C.
+    m = 14
+    if kind == "pin":
+        edges = [{"u": u, "v": v} for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+        payload = {"m": m, "edges": edges}
+    else:
+        atoms = [{"x": [0] * m, "p": 0.5}, {"x": [1] * m, "p": 0.5}]
+        payload = {"m": m, "alphabet_sizes": [2] * m, "atoms": atoms}
+    path = tmp_path / "m14.json"
+    path.write_text(json.dumps(payload))
+    code, out, _ = run(capsys, ["capacity", str(path)])
+    assert code == 0
+    capacity = out.split()[2]
+    speakers = ",".join(map(str, range(1, m + 1)))
+    code, out, _ = run(capsys, ["silent", str(path), "--speakers", speakers])
+    assert code == 0
+    assert f"C_restricted = {capacity}\n" in out
+    for command in ("singleton", "omnivocality"):
+        code, _, _ = run(capsys, [command, str(path)])
+        assert code == 0, command
 
 
 def test_capacity_rejects_bad_pmf(files, capsys):
@@ -465,20 +490,20 @@ def test_too_many_terminals_exits_3(tmp_path, capsys, payload):
     assert "m=25 outside 2..24" in err
 
 
-@pytest.mark.parametrize("argv, message", [
-    (["capacity"], "capacity supports m <= 12"),
-    (["singleton"], "minimizer check supports m <= 12"),
-    (["omnivocality"], "minimizer check supports m <= 12"),
-    (["silent", "--speakers", "1,2"], "restricted capacity supports m <= 16"),
+@pytest.mark.parametrize("argv", [
+    ["capacity"],
+    ["singleton"],
+    ["omnivocality"],
+    ["silent", "--speakers", "1,2"],
 ], ids=["capacity", "singleton", "omnivocality", "silent"])
-def test_analyses_beyond_their_size_cap_exit_3(tmp_path, capsys, argv, message):
-    m = 18
+def test_analyses_beyond_their_size_cap_exit_3(tmp_path, capsys, argv):
+    m = 17
     atoms = [{"x": [0] * m, "p": 0.5}, {"x": [1] * m, "p": 0.5}]
-    path = tmp_path / "m18.json"
+    path = tmp_path / "m17.json"
     path.write_text(json.dumps({"m": m, "alphabet_sizes": [2] * m, "atoms": atoms}))
     code, _, err = run(capsys, [argv[0], str(path)] + argv[1:])
     assert code == 3
-    assert message in err
+    assert "entropy-table analyses support m <= 16" in err
 
 
 def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
@@ -507,7 +532,7 @@ def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
     (["--jobs", "0"], "jobs must be between 1 and the CPU count"),
     (["--jobs", str((os.cpu_count() or 1) + 1)], "jobs must be between 1 and the CPU count"),
     (["--trials", "0"], "trial count must be >= 1"),
-    (["--m", "13"], "hunt supports m <= 12"),
+    (["--m", "17"], "entropy-table analyses support m <= 16"),
     (["--out", "{tmp}/missing/x.jsonl"], "cannot open log {tmp}/missing/x.jsonl"),
     (["--alphabet", "60"], "alphabet grid has 12960000 cells; hunt supports at most 1048576"),
 ])

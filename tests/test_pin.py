@@ -170,10 +170,11 @@ def test_pin_capacity_path_tie():
 
 
 def test_pin_capacity_size_limit():
-    # Polynomial in m, so the capacity answers past the enumeration cap; the
-    # only limit left is the one every model has.
-    assert subsets.MAX_ENUMERATION_M < 13
-    assert pin_capacity(complete_graph(13)).value == Fraction(13, 2)
+    # Polynomial in m, so the capacity answers past the entropy-table cap;
+    # the only limit left is the one every model has.
+    m = subsets.MAX_TABLE_M + 1
+    assert m <= subsets.MAX_TERMINALS
+    assert pin_capacity(complete_graph(m)).value == Fraction(m, 2)
     with pytest.raises(SizeLimitError, match="m=25"):
         complete_graph(subsets.MAX_TERMINALS + 1)
 

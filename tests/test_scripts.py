@@ -29,3 +29,22 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
         assert argmin == "|".join(str(t) for t in range(1, m + 1))
         assert (condition, lp) == ("Necessary", "Necessary")
         assert int(partitions) == 1
+
+
+@pytest.mark.parametrize("script, args, message", [
+    ("complete_graph_table.py", ["--max-m", "17"], "--max-m must be at most 16"),
+    ("complete_graph_table.py", ["--mult", "0"], "--mult must be at least 1, got 0"),
+    ("hunt_summary.py", ["missing.jsonl"], "cannot read missing.jsonl"),
+])
+def test_scripts_reject_bad_arguments_before_any_output(
+    tmp_path, monkeypatch, capsys, script, args, message
+):
+    monkeypatch.chdir(tmp_path)
+    path = ROOT / "scripts" / script
+    monkeypatch.setattr(sys, "argv", [path.name] + args)
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(path), run_name="__main__")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from skomni import subsets
 from skomni.capacity import (
+    DEFAULT_TIE_TOL,
     MinimizerStatus,
     partition_surplus,
     restricted_capacity,
@@ -226,6 +227,28 @@ def test_silent_clamps_a_rate_that_rounds_below_zero():
     report = silent_capacity(oracle, 0b11111)
     assert report.rates == {**raw, 4: 0.0}
     assert str(report.rates[4]) == "0.0"
+
+
+def test_binding_lists_match_a_per_constraint_sum():
+    # The one-pass subset sums add each B's rates in ascending terminal
+    # order, as a per-constraint sum does, so the binding lists are the same
+    # on every speaker set, float rounding included.
+    oracles = [
+        TabularOracle(random_source(m, (2,) * m, seed)) for m in range(3, 7) for seed in range(8)
+    ] + [PinOracle(graph) for m in range(3, 7) for graph in _random_pin_graphs(m, 6)]
+    assert len(oracles) == 60
+    for oracle in oracles:
+        band = 0 if oracle.exact else DEFAULT_TIE_TOL
+        for speakers in range(1, subsets.full_mask(oracle.m) + 1):
+            report = silent_capacity(oracle, speakers)
+            expected = tuple(
+                c
+                for c in build_rate_region(oracle, speakers).constraints
+                if sum(report.rates[t] for t in subsets.members(c.speakers_subset))
+                - c.lower_bound
+                <= band
+            )
+            assert report.binding == expected
 
 
 def test_capacity_chain_against_restricted_surplus():
