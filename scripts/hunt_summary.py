@@ -8,6 +8,10 @@ full source payload in the log, so ``--dump-worst`` can extract the
 single most marginal one into a model file for re-runs at higher
 precision, e.g. ``skomni omnivocality worst.json --dps 80``.
 
+A log that cannot be read, holds a line that is not JSON, or holds a
+record without ``classification`` is a usage error: exit 2 with a
+one-line message.
+
 Usage: python scripts/hunt_summary.py hunt.jsonl [--top 10] [--dump-worst worst.json]
 """
 
@@ -26,9 +30,18 @@ def main() -> int:
 
     try:
         with open(args.log) as fh:
-            records = [json.loads(line) for line in fh if line.strip()]
+            lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
     except OSError as exc:
         parser.error(f"cannot read {args.log}: {exc.strerror}")
+    records = []
+    for number, line in lines:
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            parser.error(f"{args.log}: line {number} is not JSON ({exc.msg})")
+        if not isinstance(record, dict) or "classification" not in record:
+            parser.error(f"{args.log}: line {number} has no 'classification'; not a hunt log")
+        records.append(record)
     if not records:
         print("empty log")
         return 1

@@ -55,8 +55,13 @@ singleton partition minimizes the surplus iff
 where P_B isolates the members of B (2^m - m - 2 comparisons instead of
 Bell(m)).  Uniqueness corresponds to all inequalities strict.
 
-Exact oracles (integer entropies) make every quantity here an exact
-``Fraction`` and verdicts never come back ambiguous; float oracles use a
+Exact oracles (integer or rational entropies) report every capacity,
+surplus and rate as an exact ``Fraction`` and never give an ambiguous
+verdict.  Their 2^m-step loops run on the table scaled to a common
+denominator instead: the greedy pass at gamma = p/q on q h and p, the
+minimizer check on every surplus times lcm(1..m-1).  For a PIN table
+those loops are all ints; only the m Newton values and the returned
+witness become ``Fraction``s.  Float oracles use a
 tie tolerance band, inside which only a bitwise-zero difference counts as
 a genuine tie.  Partitions that tie in the reals can round an ulp apart;
 the greedy cannot see such a gap, so a float capacity can then read an
@@ -66,6 +71,8 @@ ulp above the least rounded surplus over all partitions.
 from __future__ import annotations
 
 import enum
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
@@ -122,8 +129,15 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> tuple[list[int], li
     h(B) - gamma - x(B - j), then merges with the cells that meet the B of
     fewest members (lowest mask first) among those within ``band`` of the
     minimum.  Cells come back in canonical order, by smallest member; the
-    x_j in terminal order.
+    x_j in terminal order.  At an exact gamma = p/q (a ``Fraction``) the
+    pass runs on q h and p, so an integer table stays in ints, and returns
+    each x_j as a ``Fraction`` over q.
     """
+    exact = isinstance(gamma, Fraction)
+    if exact:
+        q, gamma = gamma.denominator, gamma.numerator
+        if q != 1:
+            h = [q * v for v in h]
     x = [0]  # x[s] = x(s) for the subsets s of the terminals placed so far
     xs = []
     cells: list[int] = []
@@ -144,6 +158,8 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> tuple[list[int], li
         x_j = low - gamma
         xs.append(x_j)
         x += [v + x_j for v in x]
+    if exact:
+        xs = [Fraction(v, q) for v in xs]
     return sorted(cells, key=lambda c: c & -c), xs
 
 
@@ -193,18 +209,22 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     return CapacityReport(value, (Partition.from_cells(best, m),), examined, exact)
 
 
-def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
+def restricted_capacity(
+    oracle: EntropyOracle, speakers: int, *, table: Optional[list] = None
+) -> Any:
     """Capacity min(C(X_T), min over silent d of I(X_T; X_d)) when only ``speakers`` talk.
 
     C(X_T) is the Newton search over the entropies of T's subsets: H(X_T)
     when |T| = 1, the capacity itself when T is every terminal.  Each I
     term sums like a 2-cell surplus, so for T = {1..m} minus u it is
-    bitwise ``partition_surplus`` of {T, {u}}.
+    bitwise ``partition_surplus`` of {T, {u}}.  ``table``, if given, is
+    ``speaker_table(oracle, speakers)`` as the caller read it.
     """
     m = oracle.m
     subsets.check_subset(speakers, m)
     exact = oracle.exact
-    table = speaker_table(oracle, speakers)
+    if table is None:
+        table = speaker_table(oracle, speakers)
     k = subsets.size(speakers)
     value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact)[0]
     for d in subsets.members(subsets.full_mask(m) & ~speakers):
@@ -212,16 +232,20 @@ def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
     return value
 
 
-def speaker_rates(oracle: EntropyOracle, speakers: int, gamma: Any) -> dict[int, Any]:
+def speaker_rates(
+    oracle: EntropyOracle, speakers: int, gamma: Any, *, table: Optional[list] = None
+) -> dict[int, Any]:
     """The greedy x_j of h - ``gamma`` over the speakers' own subsets, by terminal.
 
     At gamma = ``restricted_capacity`` they are an optimal rate vector of
     the covering program in ``silent_rate`` (see the module docstring).
+    ``table`` is as for ``restricted_capacity``.
     """
     subsets.check_subset(speakers, oracle.m)
+    if table is None:
+        table = speaker_table(oracle, speakers)
     terminals = subsets.members(speakers)
-    _, xs = _greedy_cells(speaker_table(oracle, speakers), len(terminals), gamma, 0)
-    return dict(zip(terminals, xs))
+    return dict(zip(terminals, _greedy_cells(table, len(terminals), gamma, 0)[1]))
 
 
 class MinimizerStatus(str, enum.Enum):
@@ -258,7 +282,9 @@ def singleton_minimizer_check(
     into a list once and each surplus sums its cells in canonical order
     (by smallest member), so it is bitwise
     ``partition_surplus(oracle, isolating_partition(m, B))``; only the
-    returned witness becomes a ``Partition``.
+    returned witness becomes a ``Partition``.  For an exact oracle the scan
+    compares the surpluses times L = lcm(1..m-1), sum(h) - h(M) times
+    L / (|P| - 1), and only the witness's two surpluses become ``Fraction``s.
 
     Float semantics: a difference below -tie_tol refutes minimizer-ness, a
     bitwise-zero difference is a genuine tie, and any other difference
@@ -271,8 +297,13 @@ def singleton_minimizer_check(
     full = len(h) - 1
     exact = oracle.exact
     band = 0 if exact else tie_tol
+    if exact:
+        unit = math.lcm(*range(1, m))
+        scale, factors = operator.mul, [0] + [unit // k for k in range(1, m)]
+    else:
+        scale, factors = operator.truediv, range(m)
     singletons = [1 << i for i in range(m)]
-    s_value = _cells_surplus(h, singletons, exact)
+    s_value = scale(sum(map(h.__getitem__, singletons)) - h[-1], factors[m - 1])
 
     comparisons = 0
     worst: Any = None
@@ -285,7 +316,7 @@ def singleton_minimizer_check(
         # Every terminal below the least member of the rest lies in the
         # block, so that many singletons precede the rest cell.
         cells.insert((rest & -rest).bit_length() - 1, rest)
-        value = _cells_surplus(h, cells, exact)
+        value = scale(sum(map(h.__getitem__, cells)) - h[-1], factors[len(cells) - 1])
         comparisons += 1
         d = value - s_value
         if worst is None or d < worst:
@@ -305,5 +336,7 @@ def singleton_minimizer_check(
         status, (block, value) = MinimizerStatus.NON_UNIQUE, zero_found
     else:
         return MinimizerVerdict(MinimizerStatus.UNIQUE, comparisons, None)
+    if exact:
+        value, s_value = Fraction(value, unit), Fraction(s_value, unit)
     witness = MinimizerWitness(isolating_partition(m, block), value, s_value)
     return MinimizerVerdict(status, comparisons, witness)

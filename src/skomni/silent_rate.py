@@ -26,15 +26,19 @@ it with the maximum over every A, which reads all 2^m.
 ``silent_capacity`` solves no linear program: the optimum is H(X_T) -
 C_T with C_T = ``capacity.restricted_capacity``, and
 ``capacity.speaker_rates`` at C_T is an optimal rate vector (the
-``capacity`` module docstring says why).  ``min_sum_rate`` solves the
-program by the covering simplex, as the tests' reference.
+``capacity`` module docstring says why).  It reads the speakers' table
+once and passes it to both and to the region.  For an exact oracle the
+capacity, R_min and rates are ``Fraction``s, and the binding check sums
+the rates in ints over their common denominator.  ``min_sum_rate``
+solves the program by the covering simplex, as the tests' reference.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, Optional
 
 from . import subsets
 from .capacity import DEFAULT_TIE_TOL, restricted_capacity, speaker_rates, speaker_table
@@ -60,11 +64,18 @@ class RateRegion:
     exact: bool
 
 
-def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
-    """Constraint region for the given speaker set, in closed form."""
+def build_rate_region(
+    oracle: EntropyOracle, speakers: int, *, table: Optional[list] = None
+) -> RateRegion:
+    """Constraint region for the given speaker set, in closed form.
+
+    ``table``, if given, is ``speaker_table(oracle, speakers)`` as the
+    caller read it.
+    """
     m = oracle.m
     subsets.check_subset(speakers, m)
-    table = speaker_table(oracle, speakers)
+    if table is None:
+        table = speaker_table(oracle, speakers)
     full = len(table) - 1  # the compressed index of T; full ^ s is T minus the s-th B
     constraints = [
         RateConstraint(b, table[full] - table[full ^ s])
@@ -118,14 +129,22 @@ def _binding(region: RateRegion, rates: dict[int, Any], tie_tol: float) -> tuple
 
     One pass sums the rates over every submask B of the speakers: B's sum is
     that of B minus its highest terminal plus that terminal's rate, the
-    order in which ``sum`` would add them.
+    order in which ``sum`` would add them.  Exact rates and bounds are first
+    scaled by the rates' common denominator, so the sums stay in ints.
     """
     band = 0 if region.exact else tie_tol
+    bounds = [c.lower_bound for c in region.constraints]
+    if region.exact:
+        unit = math.lcm(*(r.denominator for r in rates.values()))
+        rates = {t: r.numerator * (unit // r.denominator) for t, r in rates.items()}
+        bounds = [b * unit for b in bounds]
     sums = {0: 0}
     for b in subsets.iter_submasks(region.speakers):
         top = b.bit_length()
         sums[b] = sums[b ^ (1 << (top - 1))] + rates[top]
-    return tuple(c for c in region.constraints if sums[c.speakers_subset] - c.lower_bound <= band)
+    return tuple(
+        c for c, bound in zip(region.constraints, bounds) if sums[c.speakers_subset] - bound <= band
+    )
 
 
 @dataclass(frozen=True)
@@ -148,10 +167,13 @@ def silent_capacity(
 
     A float rate that rounds below 0 reads 0 (r - r, a zero of its type).
     """
-    capacity = restricted_capacity(oracle, speakers)
-    rates = {t: r if r >= 0 else r - r for t, r in speaker_rates(oracle, speakers, capacity).items()}
-    binding = _binding(build_rate_region(oracle, speakers), rates, tie_tol)
-    h_t = oracle.entropy(speakers)
+    subsets.check_subset(speakers, oracle.m)
+    table = speaker_table(oracle, speakers)
+    capacity = restricted_capacity(oracle, speakers, table=table)
+    greedy = speaker_rates(oracle, speakers, capacity, table=table)
+    rates = {t: r if r >= 0 else r - r for t, r in greedy.items()}
+    binding = _binding(build_rate_region(oracle, speakers, table=table), rates, tie_tol)
+    h_t = table[-1]
     return SilentCapacityReport(
         speakers_entropy=h_t,
         min_sum_rate=h_t - capacity,

@@ -35,11 +35,16 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
     ("complete_graph_table.py", ["--max-m", "17"], "--max-m must be at most 16"),
     ("complete_graph_table.py", ["--mult", "0"], "--mult must be at least 1, got 0"),
     ("hunt_summary.py", ["missing.jsonl"], "cannot read missing.jsonl"),
+    ("hunt_summary.py", ["truncated.jsonl"], "truncated.jsonl: line 2 is not JSON"),
+    ("hunt_summary.py", ["other.jsonl"], "other.jsonl: line 2 has no 'classification'"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message
 ):
     monkeypatch.chdir(tmp_path)
+    record = '{"classification": "ConsistentProven", "trial": 0}\n'
+    (tmp_path / "truncated.jsonl").write_text(record + record[:20] + "\n")
+    (tmp_path / "other.jsonl").write_text(record + '{"trial": 1}\n')
     path = ROOT / "scripts" / script
     monkeypatch.setattr(sys, "argv", [path.name] + args)
     with pytest.raises(SystemExit) as exit_info:

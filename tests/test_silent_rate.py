@@ -151,6 +151,32 @@ def test_silent_capacity_pin_exact():
     assert isinstance(report.rates[1], Fraction)
 
 
+class _CountingOracle:
+    def __init__(self, oracle):
+        self.m, self.exact, self._oracle, self.queries = oracle.m, oracle.exact, oracle, 0
+
+    def entropy(self, subset):
+        self.queries += 1
+        return self._oracle.entropy(subset)
+
+
+@pytest.mark.parametrize("oracle, speakers", [
+    (PinOracle(complete_graph(16)), 0xFFFF),
+    (PinOracle(complete_graph(8)), 0b01111111),
+    (PinOracle(complete_graph(8)), 0b00101101),
+    (TabularOracle(random_source(5, (2,) * 5, seed=7)), 0b10110),
+])
+def test_silent_reads_the_speakers_table_once(oracle, speakers):
+    # One table of 2^|T| entries for the restricted capacity, the rates and
+    # the region; per silent d, the I term reads 3 entropies and the
+    # region's bound on T reads 2.
+    counting = _CountingOracle(oracle)
+    report = silent_capacity(counting, speakers)
+    talking = subsets.size(speakers)
+    assert 2**talking <= counting.queries <= 2**talking + 5 * (oracle.m - talking)
+    assert report == silent_capacity(oracle, speakers)
+
+
 def _check_silent_rates(oracle, tol):
     """On every speaker set: feasible rates summing to R_min, the LP's optimum.
 
