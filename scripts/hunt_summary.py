@@ -8,9 +8,10 @@ full source payload in the log, so ``--dump-worst`` can extract the
 single most marginal one into a model file for re-runs at higher
 precision, e.g. ``skomni omnivocality worst.json --dps 80``.
 
-A log that cannot be read, holds a line that is not JSON, or holds a
-record without ``classification`` is a usage error: exit 2 with a
-one-line message.
+A log that cannot be read, holds a line that is not JSON, holds a record
+without ``classification``, or holds a candidate without a field the
+listing reads (or, with ``--dump-worst``, without its ``source``) is a
+usage error: exit 2 with a one-line message.
 
 Usage: python scripts/hunt_summary.py hunt.jsonl [--top 10] [--dump-worst worst.json]
 """
@@ -18,6 +19,11 @@ Usage: python scripts/hunt_summary.py hunt.jsonl [--top 10] [--dump-worst worst.
 import argparse
 import json
 from collections import Counter
+
+CANDIDATE = "CandidateCounterexample"
+
+#: Fields of a candidate record that the listing reads, in the order it reads them.
+CANDIDATE_FIELDS = ("gaps", "trial", "seed", "atoms_digest", "capacity")
 
 
 def main() -> int:
@@ -27,6 +33,7 @@ def main() -> int:
     parser.add_argument("--dump-worst", metavar="PATH",
                         help="write the most marginal candidate's source here")
     args = parser.parse_args()
+    listed = CANDIDATE_FIELDS + ("source",) if args.dump_worst else CANDIDATE_FIELDS
 
     try:
         with open(args.log) as fh:
@@ -41,6 +48,10 @@ def main() -> int:
             parser.error(f"{args.log}: line {number} is not JSON ({exc.msg})")
         if not isinstance(record, dict) or "classification" not in record:
             parser.error(f"{args.log}: line {number} has no 'classification'; not a hunt log")
+        if record["classification"] == CANDIDATE:
+            missing = [f for f in listed if f not in record]
+            if missing:
+                parser.error(f"{args.log}: line {number} is a candidate without {missing[0]!r}")
         records.append(record)
     if not records:
         print("empty log")
@@ -50,7 +61,7 @@ def main() -> int:
     for name, count in sorted(counts.items()):
         print(f"{name}: {count}")
 
-    candidates = [r for r in records if r["classification"] == "CandidateCounterexample"]
+    candidates = [r for r in records if r["classification"] == CANDIDATE]
     if not candidates:
         print("no candidates")
         return 0

@@ -14,10 +14,15 @@ What this module provides
 Entropies are in bits.  A pmf oracle fills a table of all 2^m subset
 entropies on its first query, summing each marginal from its parent's
 (the subset plus one terminal) in exact integers over a power-of-two
-denominator.  One correctly rounded division then gives each cell mass
+denominator.  One correctly rounded conversion then gives each cell mass
 bitwise as the ``math.fsum`` of its atoms, and the entropy is an ``fsum``
 over the cells, so equal sources built in different atom orders produce
-bitwise-identical entropy values.
+bitwise-identical entropy values.  A source whose atoms fill the whole
+alphabet grid (every hunt source does) keeps its marginals as dense lists
+and sums them slice by slice; any other source keeps only its nonempty
+cells, in a dict.  Both list the cells in the order they first appear in
+canonical atom order, so the mpmath sums, which depend on that order, are
+the same whichever kernel ran.
 
 Every analysis in the package consumes an object with the ``EntropyOracle``
 shape rather than a pmf, so exact integer-valued oracles (see ``pin``) and
@@ -31,9 +36,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from typing import Any, Optional, Protocol
 
 from . import subsets
@@ -172,42 +178,87 @@ def marginal(source: JointSource, subset: int) -> dict[tuple[int, ...], float]:
 
 
 def _entropy_table(
-    source: JointSource, zero: Any, entropy: Callable[[list[int], int], Any]
+    source: JointSource, zero: Any, entropy: Callable[[Iterable[int], int], Any]
 ) -> list[Any]:
     """All 2^m subset entropies, ``entropy(cell masses, k)`` for each nonempty one.
 
     Masses are exact integers in units of 2**-k, cells in order of first
-    appearance in canonical atom order, keyed by the mixed-radix code of the
-    outcome with dropped digits zeroed.  Depth first, each subset's cells
-    merge from its parent's: the subset plus the largest terminal it lacks.
+    appearance in canonical atom order.  Depth first, each subset's cells
+    merge from its parent's: the subset plus the largest terminal it lacks,
+    so every terminal after the one dropped is present.  Two kernels merge:
+
+    * A source whose atoms fill the whole alphabet grid keeps each subset's
+      cells as a dense list in mixed radix, terminal 1 the most significant
+      digit.  Canonical atom order is that order, and dropping a digit
+      keeps it, so the list order is the first-appearance order.  Dropping
+      terminal j sums its |X_j| slices at the stride of the terminals after
+      j, the same for every subset.
+    * Any other source keeps a dict keyed by the mixed-radix code of the
+      outcome with dropped digits zeroed, so it never holds an empty cell;
+      a dense grid for a 2-atom source would cost 3^m.
+
+    Both hand ``entropy`` the same masses in the same order.
     """
     ratios = [p.as_integer_ratio() for p in source.atoms.values()]
     k = max(d.bit_length() for _, d in ratios) - 1
-    radix = [math.prod(source.alphabet_sizes[:i]) for i in range(source.m + 1)]
-    root = {
-        sum(c * r for c, r in zip(x, radix)): n << (k + 1 - d.bit_length())
-        for x, (n, d) in zip(source.atoms, ratios)
-    }
+    masses = [n << (k + 1 - d.bit_length()) for n, d in ratios]
+    sizes = source.alphabet_sizes
     table = [zero] * (1 << source.m)
 
-    def walk(subset: int, start: int, cells: dict[int, int]) -> None:
-        table[subset] = entropy(list(cells.values()), k)
+    dense = len(masses) == math.prod(sizes)
+    if dense:
+        strides = [math.prod(sizes[j + 1 :]) for j in range(source.m)]
+
+        def merge(cells: list[int], j: int) -> list[int]:
+            a, s = sizes[j], strides[j]
+            step = a * s
+            if s <= len(cells) // step:  # loop over offsets or blocks, whichever is fewer
+                merged = [0] * (len(cells) // a)
+                for t in range(s):
+                    acc: Any = cells[t::step]
+                    for r in range(t + s, step, s):
+                        acc = map(operator.add, acc, cells[r::step])
+                    merged[t::s] = acc
+            else:
+                merged = []
+                for b in range(0, len(cells), step):
+                    acc = cells[b : b + s]
+                    for r in range(b + s, b + step, s):
+                        acc = map(operator.add, acc, cells[r : r + s])
+                    merged += acc
+            return merged
+
+        root: Any = masses
+    else:
+        radix = [math.prod(sizes[:i]) for i in range(source.m + 1)]
+
+        def merge(cells: dict[int, int], j: int) -> dict[int, int]:
+            low, high = radix[j], radix[j + 1]
+            merged: dict[int, int] = {}
+            for code, mass in cells.items():
+                code -= code % high - code % low
+                merged[code] = merged.get(code, 0) + mass
+            return merged
+
+        root = {sum(c * r for c, r in zip(x, radix)): n for x, n in zip(source.atoms, masses)}
+
+    def walk(subset: int, start: int, cells: Any) -> None:
+        table[subset] = entropy(cells if dense else cells.values(), k)
         for j in range(start, source.m):
             if subset != 1 << j:
-                low, high = radix[j], radix[j + 1]
-                merged: dict[int, int] = {}
-                for code, mass in cells.items():
-                    code -= code % high - code % low
-                    merged[code] = merged.get(code, 0) + mass
-                walk(subset & ~(1 << j), j + 1, merged)
+                walk(subset & ~(1 << j), j + 1, merge(cells, j))
 
     walk(subsets.full_mask(source.m), 0, root)
     return table
 
 
-def _float_entropy(masses: list[int], k: int) -> float:
-    probs = [mass / (1 << k) for mass in masses if mass]
-    return 0.0 - math.fsum([p * math.log2(p) for p in probs])
+def _float_entropy(masses: Iterable[int], k: int) -> float:
+    if k <= 1022:  # every p is normal, so scaling rounds as the division does
+        scale = 2.0**-k
+        probs = [float(mass) * scale for mass in masses if mass]
+    else:
+        probs = [mass / (1 << k) for mass in masses if mass]
+    return 0.0 - math.fsum(map(operator.mul, probs, map(math.log2, probs)))
 
 
 class TabularOracle:
@@ -248,7 +299,7 @@ class ExtendedPrecisionOracle(TabularOracle):
 
         ln2 = mp.log(2)
 
-        def entropy(masses: list[int], k: int) -> Any:
+        def entropy(masses: Iterable[int], k: int) -> Any:
             acc = mp.mpf(0)
             for mass in masses:
                 if mass:

@@ -24,9 +24,9 @@ MAX_TERMINALS = 24
 #: the minimizer check, the restricted capacity, the rate region and the
 #: hunt.  A dense source fills its table at 3^m cell sums, close to 3x the
 #: time per added terminal: ``capacity`` on a full-support binary source
-#: takes 0.56 s at m = 12, 3.7 s at 14 and 42 s at 16.  At m = 16,
-#: ``omnivocality`` takes 0.5 s on a 2-atom source and 2.7 s on K_16
-#: (Python 3.11, x86-64).
+#: takes 0.29 s at m = 12, 1.9 s at 14 and 16 s at 16.  At m = 16,
+#: ``omnivocality`` takes 0.7 s on a 2-atom source and 0.3 s on K_16
+#: (Python 3.11, 2-core x86-64).
 MAX_TABLE_M = 16
 
 #: Outcomes in a hunt source's alphabet grid: ``random_source`` builds

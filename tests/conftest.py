@@ -152,6 +152,17 @@ def exchangeable_mixture(m: int, alphabet_size: int, components: int, seed: int)
     return JointSource(m, (alphabet_size,) * m, atoms)
 
 
+class CountingOracle:
+    """Wraps an oracle and counts the entropy queries made through it."""
+
+    def __init__(self, oracle):
+        self.m, self.exact, self._oracle, self.queries = oracle.m, oracle.exact, oracle, 0
+
+    def entropy(self, subset):
+        self.queries += 1
+        return self._oracle.entropy(subset)
+
+
 def restricted_singleton_surplus(oracle, speakers):
     """Singleton surplus within a speaker set T of size m-1.
 

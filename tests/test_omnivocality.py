@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from skomni import subsets
-from skomni.capacity import MinimizerStatus, sk_capacity
+from skomni.capacity import MinimizerStatus, restricted_capacity, sk_capacity
 from skomni.errors import InternalInconsistencyError, SizeLimitError
 from skomni.generators import random_source
 from skomni.omnivocality import (
@@ -25,6 +25,7 @@ from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
 from skomni.sources import TabularOracle, mutual_information
 
 from conftest import (
+    CountingOracle,
     binary_entropy,
     make_broadcast_pair,
     make_iid_bits,
@@ -206,6 +207,25 @@ def test_lp_necessary_where_the_singleton_partition_is_beaten():
         assert isinstance(row.silent_capacity, Fraction)
         by_lp = min_sum_rate(build_rate_region(oracle, row.speakers)).min_sum
         assert row.silent_capacity == oracle.entropy(row.speakers) - by_lp
+
+
+@pytest.mark.parametrize("oracle", [
+    PinOracle(complete_graph(16)),
+    PinOracle(PinGraph(6, ((1, 2, 2), (2, 3, 1), (3, 4, 3), (4, 5, 1), (5, 6, 2), (1, 6, 1)))),
+    TabularOracle(random_source(6, (2, 3, 2, 2, 1, 2), seed=4)),
+])
+def test_lp_reads_the_table_once(oracle):
+    # One table of 2^m entries serves the capacity and every leave-one-out
+    # restricted capacity; per silent u, the I term reads 3 entropies.
+    counting = CountingOracle(oracle)
+    v = verdict_by_lp(counting)
+    m = oracle.m
+    assert 2**m <= counting.queries <= 2**m + 3 * m
+    if m <= 8:  # each row is the restricted capacity read on its own
+        c = sk_capacity(oracle).value
+        for row in v.evidence:
+            assert row.capacity == c
+            assert row.silent_capacity == restricted_capacity(oracle, row.speakers)
 
 
 def test_lp_two_speaker_equality_is_on_the_right_rows(two_speaker_oracle):

@@ -37,6 +37,9 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
     ("hunt_summary.py", ["missing.jsonl"], "cannot read missing.jsonl"),
     ("hunt_summary.py", ["truncated.jsonl"], "truncated.jsonl: line 2 is not JSON"),
     ("hunt_summary.py", ["other.jsonl"], "other.jsonl: line 2 has no 'classification'"),
+    ("hunt_summary.py", ["bare.jsonl"], "bare.jsonl: line 2 is a candidate without 'gaps'"),
+    ("hunt_summary.py", ["full.jsonl", "--dump-worst", "w.json"],
+     "full.jsonl: line 1 is a candidate without 'source'"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message
@@ -45,6 +48,10 @@ def test_scripts_reject_bad_arguments_before_any_output(
     record = '{"classification": "ConsistentProven", "trial": 0}\n'
     (tmp_path / "truncated.jsonl").write_text(record + record[:20] + "\n")
     (tmp_path / "other.jsonl").write_text(record + '{"trial": 1}\n')
+    candidate = '{"classification": "CandidateCounterexample", "trial": 3'
+    (tmp_path / "bare.jsonl").write_text(record + candidate + "}\n")
+    listed = ', "seed": 3, "atoms_digest": "0", "gaps": [0.1], "capacity": 1.0}\n'
+    (tmp_path / "full.jsonl").write_text(candidate + listed)
     path = ROOT / "scripts" / script
     monkeypatch.setattr(sys, "argv", [path.name] + args)
     with pytest.raises(SystemExit) as exit_info:

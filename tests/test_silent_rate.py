@@ -30,6 +30,7 @@ from skomni.sources import (
 )
 
 from conftest import (
+    CountingOracle,
     binary_entropy,
     brute_rate_region,
     restricted_singleton_surplus,
@@ -151,15 +152,6 @@ def test_silent_capacity_pin_exact():
     assert isinstance(report.rates[1], Fraction)
 
 
-class _CountingOracle:
-    def __init__(self, oracle):
-        self.m, self.exact, self._oracle, self.queries = oracle.m, oracle.exact, oracle, 0
-
-    def entropy(self, subset):
-        self.queries += 1
-        return self._oracle.entropy(subset)
-
-
 @pytest.mark.parametrize("oracle, speakers", [
     (PinOracle(complete_graph(16)), 0xFFFF),
     (PinOracle(complete_graph(8)), 0b01111111),
@@ -170,7 +162,7 @@ def test_silent_reads_the_speakers_table_once(oracle, speakers):
     # One table of 2^|T| entries for the restricted capacity, the rates and
     # the region; per silent d, the I term reads 3 entropies and the
     # region's bound on T reads 2.
-    counting = _CountingOracle(oracle)
+    counting = CountingOracle(oracle)
     report = silent_capacity(counting, speakers)
     talking = subsets.size(speakers)
     assert 2**talking <= counting.queries <= 2**talking + 5 * (oracle.m - talking)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -230,12 +231,48 @@ def _awkward_sources(draw):
     return JointSource(m, sizes, {x: w / total for x, w in zip(support, weights)})
 
 
-@settings(max_examples=150, deadline=None)
-@given(_awkward_sources())
+def _full_grid(sizes, weights):
+    """The source with one atom per grid cell, in grid order, of the normalized weights."""
+    grid = itertools.product(*(range(size) for size in sizes))
+    total = math.fsum(weights)
+    return JointSource(len(sizes), sizes, {x: w / total for x, w in zip(grid, weights)})
+
+
+@st.composite
+def _full_grid_sources(draw):
+    """Every cell of the grid an atom, some of zero or 1e-12 mass; some alphabets of size 1."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    cells = math.prod(sizes)
+    weights = draw(st.lists(
+        st.one_of(st.just(0.0), st.just(1e-12), st.floats(1e-3, 1.0)),
+        min_size=cells, max_size=cells,
+    ))
+    weights[draw(st.integers(0, cells - 1))] = draw(st.floats(0.1, 1.0))
+    return _full_grid(sizes, weights)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_awkward_sources(), _full_grid_sources()))
 def test_float_table_is_bitwise_the_fsum_over_marginals(source):
     oracle = TabularOracle(source)
     assert oracle.entropy(0).hex() == (0.0).hex()
     for subset in range(1, 1 << source.m):
+        assert oracle.entropy(subset).hex() == _fsum_entropy(source, subset).hex()
+
+
+@pytest.mark.parametrize("grid", [(2, 1, 2), (2, 2, 1)])
+@pytest.mark.parametrize("full", [True, False])
+def test_masses_below_the_normal_range_divide_exactly(grid, full):
+    # An atom of 2^-1060 puts the masses in units of 2^-1061, beyond the
+    # exponent range in which scaling by a float power of two is exact.
+    tiny = 2.0**-1060
+    cells = list(itertools.product(*(range(size) for size in grid)))
+    atoms = dict.fromkeys(cells if full else cells[:3], 0.0)
+    atoms[cells[0]], atoms[cells[1]], atoms[cells[2]] = tiny, 0.25, 0.75 - tiny
+    source = JointSource(3, grid, atoms)
+    oracle = TabularOracle(source)
+    for subset in range(1, 8):
         assert oracle.entropy(subset).hex() == _fsum_entropy(source, subset).hex()
 
 
@@ -265,6 +302,7 @@ def _mpf_entropy(source, subset):
             (2, 2, 3),
             {(0, 0, 0): 0.5 - 1e-12, (1, 1, 2): 0.5, (0, 1, 1): 1e-12, (1, 0, 0): 0.0},
         ),
+        _full_grid((2, 1, 3, 2), [0.3, 0.1, 0.0, 0.7, 0.2, 1e-12, 0.4, 0.9, 0.05, 0.6, 0.8, 0.15]),
     ],
 )
 def test_mpf_table_matches_per_subset_sums_at_60_digits(source):
