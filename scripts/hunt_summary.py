@@ -10,8 +10,9 @@ precision, e.g. ``skomni omnivocality worst.json --dps 80``.
 
 A log that cannot be read, holds a line that is not JSON, holds a record
 without ``classification``, or holds a candidate without a field the
-listing reads (or, with ``--dump-worst``, without its ``source``) is a
-usage error: exit 2 with a one-line message.
+listing reads (or, with ``--dump-worst``, without its ``source``), or with
+such a field of the wrong type, is a usage error: exit 2 with a one-line
+message.
 
 Usage: python scripts/hunt_summary.py hunt.jsonl [--top 10] [--dump-worst worst.json]
 """
@@ -22,8 +23,21 @@ from collections import Counter
 
 CANDIDATE = "CandidateCounterexample"
 
-#: Fields of a candidate record that the listing reads, in the order it reads them.
-CANDIDATE_FIELDS = ("gaps", "trial", "seed", "atoms_digest", "capacity")
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+#: Fields of a candidate record that the listing reads, in the order it reads
+#: them, with what each must hold and a check of that.
+CANDIDATE_FIELDS = {
+    "gaps": ("a nonempty list of numbers",
+             lambda v: isinstance(v, list) and v != [] and all(map(_is_number, v))),
+    "trial": ("an integer", lambda v: type(v) is int),
+    "seed": ("an integer", lambda v: type(v) is int),
+    "atoms_digest": ("a string", lambda v: isinstance(v, str)),
+    "capacity": ("a number", _is_number),
+}
 
 
 def main() -> int:
@@ -33,7 +47,7 @@ def main() -> int:
     parser.add_argument("--dump-worst", metavar="PATH",
                         help="write the most marginal candidate's source here")
     args = parser.parse_args()
-    listed = CANDIDATE_FIELDS + ("source",) if args.dump_worst else CANDIDATE_FIELDS
+    listed = [*CANDIDATE_FIELDS, "source"] if args.dump_worst else list(CANDIDATE_FIELDS)
 
     try:
         with open(args.log) as fh:
@@ -52,6 +66,9 @@ def main() -> int:
             missing = [f for f in listed if f not in record]
             if missing:
                 parser.error(f"{args.log}: line {number} is a candidate without {missing[0]!r}")
+            for field, (kind, valid) in CANDIDATE_FIELDS.items():
+                if not valid(record[field]):
+                    parser.error(f"{args.log}: line {number}: {field!r} must be {kind}")
         records.append(record)
     if not records:
         print("empty log")

@@ -9,9 +9,9 @@ cells, of the normalized entropy surplus
 This module evaluates that objective against any subset-entropy oracle,
 minimizes it without enumerating partitions, also when only some
 terminals talk, and decides whether the all-singletons partition is the
-minimizer.  The searches read the subset entropies into a list once and
-work on cell masks, summing cell entropies in cell order, so their values
-are bitwise the ones ``partition_surplus`` gives.
+minimizer.  The searches work on a table of subset entropies and on cell
+masks, summing cell entropies in cell order, so their values are bitwise
+the ones ``partition_surplus`` gives.
 
 The minimization is a Dinkelbach (Newton) iteration over the Dilworth
 truncation of h - gamma (Narayanan, "The principal lattice of partitions
@@ -75,6 +75,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Any, Optional
 
 from . import subsets
@@ -106,12 +107,19 @@ def partition_surplus(oracle: EntropyOracle, partition: Partition) -> Any:
 def speaker_table(oracle: EntropyOracle, speakers: int) -> list:
     """Entropies of the submasks of ``speakers`` in ascending order.
 
-    Entry s is the subset picked by the bits of s, so with every terminal
-    speaking entry s is subset s.  This is the only route from an oracle to
-    a table, and it refuses m > ``subsets.MAX_TABLE_M`` before any query.
+    Entry s is the subset picked by the bits of s.  The list is
+    ``oracle.table()`` cut down by dropping each silent terminal u, highest
+    first, keeping the runs h[b : b + w], w = 2^(u-1), b a multiple of 2w.
+    With every terminal speaking it is the oracle's shared list, which
+    callers must not modify.  Refuses m > ``subsets.MAX_TABLE_M`` before
+    the oracle fills.
     """
     subsets.check_table_m(oracle.m)
-    return [oracle.entropy(b) for b in (0, *subsets.iter_submasks(speakers))]
+    h = oracle.table()
+    for u in reversed(subsets.members(subsets.full_mask(oracle.m) & ~speakers)):
+        w = 1 << (u - 1)
+        h = list(chain.from_iterable(h[b : b + w] for b in range(0, len(h), 2 * w)))
+    return h
 
 
 @dataclass(frozen=True)
@@ -209,22 +217,18 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     return CapacityReport(value, (Partition.from_cells(best, m),), examined, exact)
 
 
-def restricted_capacity(
-    oracle: EntropyOracle, speakers: int, *, table: Optional[list] = None
-) -> Any:
+def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
     """Capacity min(C(X_T), min over silent d of I(X_T; X_d)) when only ``speakers`` talk.
 
     C(X_T) is the Newton search over the entropies of T's subsets: H(X_T)
     when |T| = 1, the capacity itself when T is every terminal.  Each I
     term sums like a 2-cell surplus, so for T = {1..m} minus u it is
-    bitwise ``partition_surplus`` of {T, {u}}.  ``table``, if given, is
-    ``speaker_table(oracle, speakers)`` as the caller read it.
+    bitwise ``partition_surplus`` of {T, {u}}.
     """
     m = oracle.m
     subsets.check_subset(speakers, m)
     exact = oracle.exact
-    if table is None:
-        table = speaker_table(oracle, speakers)
+    table = speaker_table(oracle, speakers)
     k = subsets.size(speakers)
     value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact)[0]
     for d in subsets.members(subsets.full_mask(m) & ~speakers):
@@ -232,18 +236,14 @@ def restricted_capacity(
     return value
 
 
-def speaker_rates(
-    oracle: EntropyOracle, speakers: int, gamma: Any, *, table: Optional[list] = None
-) -> dict[int, Any]:
+def speaker_rates(oracle: EntropyOracle, speakers: int, gamma: Any) -> dict[int, Any]:
     """The greedy x_j of h - ``gamma`` over the speakers' own subsets, by terminal.
 
     At gamma = ``restricted_capacity`` they are an optimal rate vector of
     the covering program in ``silent_rate`` (see the module docstring).
-    ``table`` is as for ``restricted_capacity``.
     """
     subsets.check_subset(speakers, oracle.m)
-    if table is None:
-        table = speaker_table(oracle, speakers)
+    table = speaker_table(oracle, speakers)
     terminals = subsets.members(speakers)
     return dict(zip(terminals, _greedy_cells(table, len(terminals), gamma, 0)[1]))
 
@@ -278,8 +278,8 @@ def singleton_minimizer_check(
 
     Compares against the 2^m - m - 2 partitions P_B isolating a block B
     with 1 <= |B| <= m-2, scanned in increasing mask order, all of them so
-    the comparison count is deterministic.  The subset entropies are read
-    into a list once and each surplus sums its cells in canonical order
+    the comparison count is deterministic.  Each surplus reads the
+    oracle's table and sums its cells in canonical order
     (by smallest member), so it is bitwise
     ``partition_surplus(oracle, isolating_partition(m, B))``; only the
     returned witness becomes a ``Partition``.  For an exact oracle the scan

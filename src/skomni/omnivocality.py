@@ -37,7 +37,6 @@ import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Optional, Union
 
 from . import subsets
@@ -48,7 +47,6 @@ from .capacity import (
     partition_surplus,
     restricted_capacity,
     singleton_minimizer_check,
-    speaker_table,
 )
 from .errors import InputError, InternalInconsistencyError, SizeLimitError
 from .generators import random_source
@@ -169,25 +167,17 @@ def verdict_for_three_terminals(
 def verdict_by_lp(
     oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL
 ) -> OmnivocalityVerdict:
-    """Compare capacity against every leave-one-out ``restricted_capacity``.
-
-    The table is read once.  Terminal u's speakers table holds the entries
-    at the masks without u, ascending: with w = 2^(u-1), the runs
-    h[b : b + w] for b a multiple of 2w.
-    """
+    """Compare capacity against every leave-one-out ``restricted_capacity``."""
     m = _require_m(oracle, "LP comparison")
     full = subsets.full_mask(m)
-    h = speaker_table(oracle, full)
-    c = restricted_capacity(oracle, full, table=h)
+    c = restricted_capacity(oracle, full)
     band = 0 if oracle.exact else tie_tol
     rows = []
     equality: Optional[int] = None
     ambiguous = False
     for u in range(1, m + 1):
-        w = 1 << (u - 1)
-        speakers = full & ~w
-        table = list(chain.from_iterable(h[b : b + w] for b in range(0, len(h), 2 * w)))
-        restricted = restricted_capacity(oracle, speakers, table=table)
+        speakers = full & ~(1 << (u - 1))
+        restricted = restricted_capacity(oracle, speakers)
         gap = c - restricted
         rows.append(EvidenceRow(speakers, restricted, c, gap))
         if gap < -band:

@@ -138,7 +138,11 @@ class PinOracle:
     def entropy(self, subset: int) -> int:
         if type(subset) is not int or not 0 <= subset <= self._full:
             subsets.check_subset(subset, self.m, allow_empty=True)
-        return (self._cache or self._fill())[subset]
+        return self.table()[subset]
+
+    def table(self) -> list[int]:
+        """The 2^m subset entropies by mask, filled on the first call; do not modify."""
+        return self._cache or self._fill()
 
     def _fill(self) -> list[int]:
         # Terminal t joins each subset s of the terminals below it with the

@@ -26,11 +26,12 @@ it with the maximum over every A, which reads all 2^m.
 ``silent_capacity`` solves no linear program: the optimum is H(X_T) -
 C_T with C_T = ``capacity.restricted_capacity``, and
 ``capacity.speaker_rates`` at C_T is an optimal rate vector (the
-``capacity`` module docstring says why).  It reads the speakers' table
-once and passes it to both and to the region.  For an exact oracle the
+``capacity`` module docstring says why); each cuts the speakers' table
+from the oracle's one table, as does the region.  For an exact oracle the
 capacity, R_min and rates are ``Fraction``s, and the binding check sums
-the rates in ints over their common denominator.  ``min_sum_rate``
-solves the program by the covering simplex, as the tests' reference.
+the rates in ints over their common denominator; float rates sum to R_min
+only within rounding.  ``min_sum_rate`` solves the program by the
+covering simplex, as the tests' reference.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any
 
 from . import subsets
 from .capacity import DEFAULT_TIE_TOL, restricted_capacity, speaker_rates, speaker_table
@@ -64,18 +65,11 @@ class RateRegion:
     exact: bool
 
 
-def build_rate_region(
-    oracle: EntropyOracle, speakers: int, *, table: Optional[list] = None
-) -> RateRegion:
-    """Constraint region for the given speaker set, in closed form.
-
-    ``table``, if given, is ``speaker_table(oracle, speakers)`` as the
-    caller read it.
-    """
+def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
+    """Constraint region for the given speaker set, in closed form."""
     m = oracle.m
     subsets.check_subset(speakers, m)
-    if table is None:
-        table = speaker_table(oracle, speakers)
+    table = speaker_table(oracle, speakers)
     full = len(table) - 1  # the compressed index of T; full ^ s is T minus the s-th B
     constraints = [
         RateConstraint(b, table[full] - table[full ^ s])
@@ -166,14 +160,14 @@ def silent_capacity(
     the greedy rates at C_T, and the region's constraints they make tight.
 
     A float rate that rounds below 0 reads 0 (r - r, a zero of its type).
+    Exact rates sum to R_min exactly, float rates only within rounding.
     """
     subsets.check_subset(speakers, oracle.m)
-    table = speaker_table(oracle, speakers)
-    capacity = restricted_capacity(oracle, speakers, table=table)
-    greedy = speaker_rates(oracle, speakers, capacity, table=table)
+    capacity = restricted_capacity(oracle, speakers)
+    greedy = speaker_rates(oracle, speakers, capacity)
     rates = {t: r if r >= 0 else r - r for t, r in greedy.items()}
-    binding = _binding(build_rate_region(oracle, speakers, table=table), rates, tie_tol)
-    h_t = table[-1]
+    binding = _binding(build_rate_region(oracle, speakers), rates, tie_tol)
+    h_t = oracle.entropy(speakers)
     return SilentCapacityReport(
         speakers_entropy=h_t,
         min_sum_rate=h_t - capacity,

@@ -26,8 +26,10 @@ the same whichever kernel ran.
 
 Every analysis in the package consumes an object with the ``EntropyOracle``
 shape rather than a pmf, so exact integer-valued oracles (see ``pin``) and
-high-precision oracles plug into the same code paths.  Oracles answer the
-empty subset with zero and reject anything else that is not a subset of
+high-precision oracles plug into the same code paths.  ``table()`` is
+the list of all 2^m entropies by mask, filled once and shared, so callers
+must not modify it; ``entropy(subset)`` indexes it, answering the empty
+subset with zero and rejecting anything else that is not a subset of
 1..m.  Oracles are safe to share between threads: a table is stored only
 once complete, and racing fills store equal tables.
 """
@@ -61,6 +63,8 @@ class EntropyOracle(Protocol):
     exact: bool
 
     def entropy(self, subset: int) -> Any: ...
+
+    def table(self) -> list[Any]: ...
 
 
 @dataclass(frozen=True)
@@ -275,7 +279,11 @@ class TabularOracle:
     def entropy(self, subset: int) -> Any:
         if type(subset) is not int or not 0 <= subset <= self._full:
             subsets.check_subset(subset, self.m, allow_empty=True)
-        return (self._cache or self._fill())[subset]
+        return self.table()[subset]
+
+    def table(self) -> list[Any]:
+        """The 2^m subset entropies by mask, filled on the first call; do not modify."""
+        return self._cache or self._fill()
 
     def _fill(self) -> list[Any]:
         self._cache = _entropy_table(self.source, 0.0, _float_entropy)
@@ -285,7 +293,7 @@ class TabularOracle:
 class ExtendedPrecisionOracle(TabularOracle):
     """The same table, evaluated in mpmath arithmetic.
 
-    The table is filled at the ``mpmath.mp`` precision of the first query,
+    The table is filled at the ``mpmath.mp`` precision of the first read,
     so wrap the whole computation that consumes this oracle in
     ``mpmath.workdps``.  Exact cell masses are rounded once to it; that
     equals summing the atoms in mpmath whenever it holds the sums exactly.

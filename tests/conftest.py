@@ -153,7 +153,10 @@ def exchangeable_mixture(m: int, alphabet_size: int, components: int, seed: int)
 
 
 class CountingOracle:
-    """Wraps an oracle and counts the entropy queries made through it."""
+    """Wraps an oracle and counts the point queries made through ``entropy``.
+
+    ``table()`` passes the wrapped oracle's table through uncounted.
+    """
 
     def __init__(self, oracle):
         self.m, self.exact, self._oracle, self.queries = oracle.m, oracle.exact, oracle, 0
@@ -161,6 +164,41 @@ class CountingOracle:
     def entropy(self, subset):
         self.queries += 1
         return self._oracle.entropy(subset)
+
+    def table(self):
+        return self._oracle.table()
+
+
+def count_fills(monkeypatch, oracle):
+    """A list that grows by one each time the unfilled pmf or PIN ``oracle``
+    fills its table."""
+    assert oracle._cache is None
+    fills = []
+    fill = oracle._fill
+    monkeypatch.setattr(oracle, "_fill", lambda: fills.append(1) or fill())
+    return fills
+
+
+class ThirdsOracle:
+    """Exact oracle whose entropies are a PIN graph's divided by 3: rational, not integral."""
+
+    exact = True
+
+    def __init__(self, graph):
+        self.m = graph.m
+        self._table = [Fraction(h, 3) for h in PinOracle(graph).table()]
+
+    def entropy(self, subset):
+        return self._table[subset]
+
+    def table(self):
+        return self._table
+
+
+def gathered_table(oracle, speakers):
+    """The speakers' table read one ``entropy`` query at a time: the
+    reference for ``capacity.speaker_table``, which cuts it from ``table()``."""
+    return [oracle.entropy(b) for b in (0, *subsets.iter_submasks(speakers))]
 
 
 def restricted_singleton_surplus(oracle, speakers):

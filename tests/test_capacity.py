@@ -15,10 +15,11 @@ from skomni.capacity import (
     singleton_minimizer_check,
     sk_capacity,
     speaker_rates,
+    speaker_table,
 )
 from skomni.errors import SizeLimitError
 from skomni.generators import random_source
-from skomni.omnivocality import verdict_by_lp
+from skomni.omnivocality import run_routes, verdict_by_lp
 from skomni.partitions import (
     Partition,
     enumerate_partitions,
@@ -26,13 +27,15 @@ from skomni.partitions import (
     singleton_partition,
 )
 from skomni.pin import PinGraph, PinOracle, complete_graph
-from skomni.silent_rate import build_rate_region
+from skomni.silent_rate import build_rate_region, silent_capacity
 from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle, mutual_information
 
 from conftest import (
+    ThirdsOracle,
     binary_entropy,
     brute_minimizer_check,
     exchangeable_mixture,
+    gathered_table,
     make_identical_bits,
     make_path3_graph,
     make_two_speaker_bsc,
@@ -262,12 +265,15 @@ class _TableOracle:
 
     exact = False
 
-    def __init__(self, m, table):
+    def __init__(self, m, values):
         self.m = m
-        self.table = table
+        self.values = values
 
     def entropy(self, subset):
-        return self.table[subset]
+        return self.values[subset]
+
+    def table(self):
+        return self.values
 
 
 @settings(max_examples=120, deadline=None)
@@ -462,6 +468,9 @@ class _Untouchable:
     def entropy(self, subset):
         raise AssertionError("entropy queried before the size check")
 
+    def table(self):
+        raise AssertionError("table read before the size check")
+
 
 _TABLE_CAP = r"^entropy-table analyses support m <= 16$"
 
@@ -482,3 +491,60 @@ def test_capacity_size_limit_precedes_entropy_queries():
 def test_enumeration_caps_share_one_limit():
     with pytest.raises(SizeLimitError, match=_TABLE_CAP):
         verdict_by_lp(_Untouchable())
+
+
+_TABLE_KINDS = ("float-grid", "float-sparse", "mpf-grid", "mpf-sparse", "pin", "thirds")
+
+
+def _table_oracle(kind, m):
+    """A fresh oracle of the given kind at m terminals, the same on every call.
+
+    The singleton partition is the unique minimizer of some and not of others.
+    """
+    rng = random.Random(1500 + m)
+    if kind in ("pin", "thirds"):
+        pairs = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+        edges = [(u, v, rng.randint(1, 3)) for u, v in pairs if rng.random() < 0.8]
+        graph = PinGraph(m, tuple(edges or [(1, 2, 1)]))
+        return PinOracle(graph) if kind == "pin" else ThirdsOracle(graph)
+    if kind.endswith("grid"):
+        source = random_source(m, (2, 3, 2, 2, 2, 2)[:m], seed=m)
+    else:
+        grid = [tuple((x >> i) & 1 for i in range(m)) for x in range(1 << m)]
+        support = rng.sample(grid, min(5, len(grid)))
+        weights = [rng.randint(1, 4) for _ in support]
+        source = JointSource(m, (2,) * m, {x: w / sum(weights) for x, w in zip(support, weights)})
+    return ExtendedPrecisionOracle(source) if kind.startswith("mpf") else TabularOracle(source)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("kind", _TABLE_KINDS)
+def test_speaker_table_cut_is_the_gathered_table(kind, m):
+    # The cut from table() against the same entries read one query at a
+    # time, bit for bit, on every speaker set.
+    with mpmath.workdps(60):
+        oracle = _table_oracle(kind, m)
+        full = subsets.full_mask(m)
+        for speakers in range(1, full + 1):
+            got = speaker_table(oracle, speakers)
+            want = gathered_table(oracle, speakers)
+            assert len(got) == len(want) == 1 << subsets.size(speakers)
+            assert all(_same_bits(a, b) for a, b in zip(got, want)), speakers
+        assert speaker_table(oracle, full) is oracle.table()
+
+
+@pytest.mark.parametrize("m", range(3, 7))
+@pytest.mark.parametrize("kind", _TABLE_KINDS)
+def test_analyses_leave_the_shared_table_unchanged(kind, m):
+    with mpmath.workdps(60):
+        oracle = _table_oracle(kind, m)
+        table = oracle.table()
+        sk_capacity(oracle)
+        singleton_minimizer_check(oracle)
+        run_routes(oracle, ("condition", "lp"))
+        for speakers in range(1, subsets.full_mask(m) + 1):
+            silent_capacity(oracle, speakers)
+        fresh = _table_oracle(kind, m).table()
+    assert oracle.table() is table
+    assert all(_same_bits(a, b) for a, b in zip(table, fresh))
+    assert len(table) == len(fresh) == 1 << m

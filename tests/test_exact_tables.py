@@ -26,20 +26,7 @@ from skomni.partitions import enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph, pin_capacity
 from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
 
-from conftest import brute_minimizer_check
-
-
-class ThirdsOracle:
-    """Exact oracle whose entropies are a PIN graph's divided by 3: rational, not integral."""
-
-    exact = True
-
-    def __init__(self, graph):
-        self.m = graph.m
-        self._pin = PinOracle(graph)
-
-    def entropy(self, subset):
-        return Fraction(self._pin.entropy(subset), 3)
+from conftest import ThirdsOracle, brute_minimizer_check
 
 
 def _drawn_graphs():

@@ -15,6 +15,7 @@ from skomni.omnivocality import (
     atoms_digest,
     hunt_record,
     probe_conjecture,
+    run_routes,
     verdict_by_condition,
     verdict_by_lp,
     verdict_for_three_terminals,
@@ -27,6 +28,7 @@ from skomni.sources import TabularOracle, mutual_information
 from conftest import (
     CountingOracle,
     binary_entropy,
+    count_fills,
     make_broadcast_pair,
     make_iid_bits,
     make_two_speaker_bsc,
@@ -214,18 +216,33 @@ def test_lp_necessary_where_the_singleton_partition_is_beaten():
     PinOracle(PinGraph(6, ((1, 2, 2), (2, 3, 1), (3, 4, 3), (4, 5, 1), (5, 6, 2), (1, 6, 1)))),
     TabularOracle(random_source(6, (2, 3, 2, 2, 1, 2), seed=4)),
 ])
-def test_lp_reads_the_table_once(oracle):
-    # One table of 2^m entries serves the capacity and every leave-one-out
-    # restricted capacity; per silent u, the I term reads 3 entropies.
+def test_lp_reads_the_table_once(oracle, monkeypatch):
+    # The capacity and every leave-one-out restricted capacity cut their
+    # tables from the oracle's one fill; the point queries are the I terms,
+    # 3 per silent u.
+    fills = count_fills(monkeypatch, oracle)
     counting = CountingOracle(oracle)
     v = verdict_by_lp(counting)
     m = oracle.m
-    assert 2**m <= counting.queries <= 2**m + 3 * m
+    assert len(fills) == 1
+    assert counting.queries <= 3 * m
     if m <= 8:  # each row is the restricted capacity read on its own
         c = sk_capacity(oracle).value
         for row in v.evidence:
             assert row.capacity == c
             assert row.silent_capacity == restricted_capacity(oracle, row.speakers)
+
+
+def test_condition_and_lp_share_one_fill(monkeypatch):
+    # Both routes read the one table of K_16; only the lp route's I terms
+    # are point queries.
+    oracle = PinOracle(complete_graph(16))
+    fills = count_fills(monkeypatch, oracle)
+    counting = CountingOracle(oracle)
+    status, _ = run_routes(counting, ("condition", "lp"))
+    assert status is OmniStatus.NECESSARY
+    assert len(fills) == 1
+    assert counting.queries <= 3 * 16
 
 
 def test_lp_two_speaker_equality_is_on_the_right_rows(two_speaker_oracle):

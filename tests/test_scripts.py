@@ -40,6 +40,9 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
     ("hunt_summary.py", ["bare.jsonl"], "bare.jsonl: line 2 is a candidate without 'gaps'"),
     ("hunt_summary.py", ["full.jsonl", "--dump-worst", "w.json"],
      "full.jsonl: line 1 is a candidate without 'source'"),
+    ("hunt_summary.py", ["no_gaps.jsonl"], "no_gaps.jsonl: line 1: 'gaps' must be a nonempty list"),
+    ("hunt_summary.py", ["int_gaps.jsonl"], "int_gaps.jsonl: line 1: 'gaps' must be a nonempty list"),
+    ("hunt_summary.py", ["str_capacity.jsonl"], "str_capacity.jsonl: line 1: 'capacity' must be a number"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message
@@ -52,6 +55,12 @@ def test_scripts_reject_bad_arguments_before_any_output(
     (tmp_path / "bare.jsonl").write_text(record + candidate + "}\n")
     listed = ', "seed": 3, "atoms_digest": "0", "gaps": [0.1], "capacity": 1.0}\n'
     (tmp_path / "full.jsonl").write_text(candidate + listed)
+    for name, good, bad in [
+        ("no_gaps", '"gaps": [0.1]', '"gaps": []'),
+        ("int_gaps", '"gaps": [0.1]', '"gaps": 5'),
+        ("str_capacity", '"capacity": 1.0', '"capacity": "x"'),
+    ]:
+        (tmp_path / f"{name}.jsonl").write_text(candidate + listed.replace(good, bad))
     path = ROOT / "scripts" / script
     monkeypatch.setattr(sys, "argv", [path.name] + args)
     with pytest.raises(SystemExit) as exit_info:

@@ -33,6 +33,7 @@ from conftest import (
     CountingOracle,
     binary_entropy,
     brute_rate_region,
+    count_fills,
     restricted_singleton_surplus,
     tabular_test_sources,
 )
@@ -158,14 +159,16 @@ def test_silent_capacity_pin_exact():
     (PinOracle(complete_graph(8)), 0b00101101),
     (TabularOracle(random_source(5, (2,) * 5, seed=7)), 0b10110),
 ])
-def test_silent_reads_the_speakers_table_once(oracle, speakers):
-    # One table of 2^|T| entries for the restricted capacity, the rates and
-    # the region; per silent d, the I term reads 3 entropies and the
-    # region's bound on T reads 2.
+def test_silent_reads_the_speakers_table_once(oracle, speakers, monkeypatch):
+    # The restricted capacity, the rates and the region cut the speakers'
+    # table from the oracle's one fill.  The point queries are H(X_T) and,
+    # per silent d, 3 for the I term and 2 for the region's bound on T.
+    fills = count_fills(monkeypatch, oracle)
     counting = CountingOracle(oracle)
     report = silent_capacity(counting, speakers)
     talking = subsets.size(speakers)
-    assert 2**talking <= counting.queries <= 2**talking + 5 * (oracle.m - talking)
+    assert len(fills) == 1
+    assert counting.queries <= 5 * (oracle.m - talking) + 1
     assert report == silent_capacity(oracle, speakers)
 
 
@@ -420,6 +423,9 @@ class _SpeakerView:
     def entropy(self, subset):
         mask = sum(1 << (t - 1) for i, t in enumerate(self.members) if subset >> i & 1)
         return self.oracle.entropy(mask)
+
+    def table(self):
+        return [self.entropy(s) for s in range(1 << self.m)]
 
 
 @st.composite

@@ -70,8 +70,10 @@ def test_silent_solves_no_linear_program(tmp_path, capsys):
 
 def test_silent_reads_only_the_speakers_entropies(tmp_path):
     # The restricted capacity, the greedy rates and the closed-form region
-    # read the 2^|T| - 1 subsets of T and, per silent d, X_d and X_{T+d};
-    # a region that enumerated every set A would read all 2^m - 1.
+    # cut T's table from the oracle's table(), which the tracer does not
+    # wrap; the point queries read X_T and, per silent d, X_d and X_{T+d}.
+    # A region that enumerated every set A through entropy would read all
+    # 2^m - 1.
     models = {"k5": complete_graph(5).to_json_dict(), "xor4": make_xor4_source().to_json_dict()}
     tracing = _load_tracer()
     for name, payload in models.items():
@@ -85,4 +87,4 @@ def test_silent_reads_only_the_speakers_entropies(tmp_path):
             tracer.uninstall()
         m, t = payload["m"], 2
         assert tracer.calls["silent_rate.region"] == 1
-        assert tracer.counts["sources.entropy_evals"] <= 2**t - 1 + 2 * (m - t), name
+        assert tracer.counts["sources.entropy_evals"] == 1 + 2 * (m - t), name
