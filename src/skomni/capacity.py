@@ -75,13 +75,12 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from typing import Any, Optional
 
 from . import subsets
 from .errors import SizeLimitError
 from .partitions import Partition, isolating_partition
-from .sources import EntropyOracle, mutual_information
+from .sources import EntropyOracle
 
 #: Default half-width of the band inside which float comparisons are ties.
 DEFAULT_TIE_TOL = 1e-9
@@ -109,16 +108,26 @@ def speaker_table(oracle: EntropyOracle, speakers: int) -> list:
 
     Entry s is the subset picked by the bits of s.  The list is
     ``oracle.table()`` cut down by dropping each silent terminal u, highest
-    first, keeping the runs h[b : b + w], w = 2^(u-1), b a multiple of 2w.
-    With every terminal speaking it is the oracle's shared list, which
-    callers must not modify.  Refuses m > ``subsets.MAX_TABLE_M`` before
-    the oracle fills.
+    first: with w = 2^(u-1), the entries at the masks without u are the
+    runs h[b : b + w], b a multiple of 2w.  The cut copies them with
+    stepped slices, ``cut[r::w] = h[r::2w]`` for each offset r < w, or run
+    by run, whichever takes fewer slices.  With every terminal speaking it
+    is the oracle's shared list, which callers must not modify.  Refuses
+    m > ``subsets.MAX_TABLE_M`` before the oracle fills.
     """
     subsets.check_table_m(oracle.m)
     h = oracle.table()
     for u in reversed(subsets.members(subsets.full_mask(oracle.m) & ~speakers)):
         w = 1 << (u - 1)
-        h = list(chain.from_iterable(h[b : b + w] for b in range(0, len(h), 2 * w)))
+        if w <= len(h) // (2 * w):  # loop over offsets or runs, whichever is fewer
+            cut = [0] * (len(h) >> 1)
+            for r in range(w):
+                cut[r::w] = h[r :: 2 * w]
+        else:
+            cut = []
+            for b in range(0, len(h), 2 * w):
+                cut += h[b : b + w]
+        h = cut
     return h
 
 
@@ -222,8 +231,9 @@ def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
 
     C(X_T) is the Newton search over the entropies of T's subsets: H(X_T)
     when |T| = 1, the capacity itself when T is every terminal.  Each I
-    term sums like a 2-cell surplus, so for T = {1..m} minus u it is
-    bitwise ``partition_surplus`` of {T, {u}}.
+    term is h(T) + h(d) - h(T + d) read from ``oracle.table()``, in
+    ``mutual_information``'s order; it sums like a 2-cell surplus, so for
+    T = {1..m} minus u it is bitwise ``partition_surplus`` of {T, {u}}.
     """
     m = oracle.m
     subsets.check_subset(speakers, m)
@@ -231,8 +241,9 @@ def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
     table = speaker_table(oracle, speakers)
     k = subsets.size(speakers)
     value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact)[0]
-    for d in subsets.members(subsets.full_mask(m) & ~speakers):
-        value = min(value, _ratio(mutual_information(oracle, speakers, 1 << (d - 1)), 1, exact))
+    h = oracle.table()
+    for d in map(subsets.bit, subsets.members(subsets.full_mask(m) & ~speakers)):
+        value = min(value, _ratio(h[speakers] + h[d] - h[speakers | d], 1, exact))
     return value
 
 

@@ -60,11 +60,22 @@ def _load_model(path: str, renormalize: bool = False) -> Model:
     raise InputError(f"{path} has neither 'atoms' (source) nor 'edges' (PIN graph)")
 
 
+#: Narrowest ``--tol``.  Float entropies of a few bits round a few ulps
+#: (about 1e-15) apart, so a narrower band reads the rounding of a real
+#: tie as a strict gap, and two routes can then disagree (exit 4).
+MIN_TOL = 1e-12
+
+
 def tolerance(text: str) -> float:
-    """``--tol`` value: a positive finite float."""
+    """``--tol`` value: a finite float of at least ``MIN_TOL``."""
     value = float(text)
     if not 0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"tolerance must be positive and finite, got {value}")
+    if value < MIN_TOL:
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be at least {MIN_TOL:g}, got {value}: "
+            "a narrower band reads float rounding as a gap"
+        )
     return value
 
 

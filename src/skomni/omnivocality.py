@@ -44,13 +44,11 @@ from .capacity import (
     DEFAULT_TIE_TOL,
     MinimizerStatus,
     MinimizerVerdict,
-    partition_surplus,
     restricted_capacity,
     singleton_minimizer_check,
 )
 from .errors import InputError, InternalInconsistencyError, SizeLimitError
 from .generators import random_source
-from .partitions import isolating_partition, singleton_partition
 from .pin import PinGraph, PinOracle
 from .sources import EntropyOracle, ExtendedPrecisionOracle, JointSource, TabularOracle
 
@@ -141,13 +139,15 @@ def verdict_for_three_terminals(
     if mv.status is MinimizerStatus.AMBIGUOUS:
         return OmnivocalityVerdict(OmniStatus.AMBIGUOUS, "three-terminal", None, (), mv)
 
+    # The check has a witness here.  The surplus of cutting k off is
+    # h(k) + h(M - k) - h(M), bitwise ``partition_surplus`` of that cut.
     band = 0 if oracle.exact else tie_tol
-    s_value = partition_surplus(oracle, singleton_partition(3))
+    h = oracle.table()
+    s = mv.witness.singleton_surplus
     w_mask = 0
-    for k in (1, 2, 3):
-        cut = partition_surplus(oracle, isolating_partition(3, 1 << (k - 1)))
-        if cut - s_value <= band:
-            w_mask |= 1 << (k - 1)
+    for k in (1, 2, 4):
+        if h[k] + h[7 ^ k] - h[7] - s <= band:
+            w_mask |= k
     w_members = subsets.members(w_mask)
     if len(w_members) >= 2:
         silent = (1 << (w_members[-1] - 1)) | (1 << (w_members[-2] - 1))

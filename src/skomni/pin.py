@@ -26,13 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 from . import subsets
 from .capacity import CapacityReport
 from .errors import InputError, SizeLimitError
 from .partitions import Partition, singleton_partition
-from .sources import read_json
+from .sources import TableOracle, read_json
 
 
 @dataclass(frozen=True)
@@ -124,25 +124,15 @@ def incident_weight(graph: PinGraph, subset: int) -> int:
     return total
 
 
-class PinOracle:
+class PinOracle(TableOracle):
     """Exact integer subset-entropy oracle for a PIN source, table-backed."""
 
     exact = True
+    entropy = TableOracle.entropy
 
     def __init__(self, graph: PinGraph):
+        super().__init__(graph.m)
         self.graph = graph
-        self.m = graph.m
-        self._full = subsets.full_mask(graph.m)
-        self._cache: Optional[list[int]] = None
-
-    def entropy(self, subset: int) -> int:
-        if type(subset) is not int or not 0 <= subset <= self._full:
-            subsets.check_subset(subset, self.m, allow_empty=True)
-        return self.table()[subset]
-
-    def table(self) -> list[int]:
-        """The 2^m subset entropies by mask, filled on the first call; do not modify."""
-        return self._cache or self._fill()
 
     def _fill(self) -> list[int]:
         # Terminal t joins each subset s of the terminals below it with the
@@ -154,7 +144,6 @@ class PinOracle:
                 toward += [w + mult for w in toward]
             degree = sum(row)
             table += [h + degree - w for h, w in zip(table, toward)]
-        self._cache = table
         return table
 
 

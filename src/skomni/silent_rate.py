@@ -20,14 +20,16 @@ complement holds as few silent terminals as it can:
 - for B = T, which has a constraint only when S is nonempty (A must stay
   proper), one: the maximum over d in S of H(X_T | X_d).
 
-So a region reads 2^|T| - 1 + 2|S| subset entropies.  The tests compare
-it with the maximum over every A, which reads all 2^m.
+So a region reads 2^|T| - 1 + 2|S| subset entropies: the speakers'
+table cut from ``oracle.table()``, and the bound on T from that table
+itself.  The tests compare it with the maximum over every A, which reads
+all 2^m.
 
 ``silent_capacity`` solves no linear program: the optimum is H(X_T) -
 C_T with C_T = ``capacity.restricted_capacity``, and
 ``capacity.speaker_rates`` at C_T is an optimal rate vector (the
-``capacity`` module docstring says why); each cuts the speakers' table
-from the oracle's one table, as does the region.  For an exact oracle the
+``capacity`` module docstring says why).  Like the region, both read
+only the oracle's one table, as does H(X_T).  For an exact oracle the
 capacity, R_min and rates are ``Fraction``s, and the binding check sums
 the rates in ints over their common denominator; float rates sum to R_min
 only within rounding.  ``min_sum_rate`` solves the program by the
@@ -78,10 +80,8 @@ def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
     ]
     silent = subsets.full_mask(m) & ~speakers
     if silent:
-        bound = max(
-            oracle.entropy(speakers | d) - oracle.entropy(d)
-            for d in map(subsets.bit, subsets.members(silent))
-        )
+        h = oracle.table()
+        bound = max(h[speakers | d] - h[d] for d in map(subsets.bit, subsets.members(silent)))
         constraints.append(RateConstraint(speakers, bound))
     return RateRegion(m, speakers, tuple(constraints), oracle.exact)
 
@@ -167,7 +167,7 @@ def silent_capacity(
     greedy = speaker_rates(oracle, speakers, capacity)
     rates = {t: r if r >= 0 else r - r for t, r in greedy.items()}
     binding = _binding(build_rate_region(oracle, speakers), rates, tie_tol)
-    h_t = oracle.entropy(speakers)
+    h_t = oracle.table()[speakers]
     return SilentCapacityReport(
         speakers_entropy=h_t,
         min_sum_rate=h_t - capacity,

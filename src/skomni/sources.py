@@ -6,6 +6,8 @@ What this module provides
   as explicit atoms (probability mass points).  Cells not listed carry zero
   mass, so sparse supports stay sparse.
 * ``marginal``: projection of the pmf onto a subset of terminals.
+* ``TableOracle``: the base of every table-backed oracle; a subclass
+  supplies only the fill.
 * ``TabularOracle``: the standard float-valued subset-entropy oracle.
 * ``ExtendedPrecisionOracle``: the same entropies in mpmath arithmetic;
   the caller controls precision with ``mpmath.workdps``.
@@ -26,12 +28,13 @@ the same whichever kernel ran.
 
 Every analysis in the package consumes an object with the ``EntropyOracle``
 shape rather than a pmf, so exact integer-valued oracles (see ``pin``) and
-high-precision oracles plug into the same code paths.  ``table()`` is
-the list of all 2^m entropies by mask, filled once and shared, so callers
-must not modify it; ``entropy(subset)`` indexes it, answering the empty
-subset with zero and rejecting anything else that is not a subset of
-1..m.  Oracles are safe to share between threads: a table is stored only
-once complete, and racing fills store equal tables.
+high-precision oracles plug into the same code paths.  The analyses read
+only ``table()``, the list of all 2^m entropies by mask, filled once and
+shared, so callers must not modify it.  ``entropy(subset)`` is for point
+reads: it indexes the table, answering the empty subset with zero and
+rejecting anything else that is not a subset of 1..m.  Oracles are safe
+to share between threads: a table is stored only once complete, and
+racing fills store equal tables.
 """
 
 from __future__ import annotations
@@ -54,9 +57,11 @@ PMF_TOLERANCE = 1e-9
 class EntropyOracle(Protocol):
     """Anything that can answer subset-entropy queries for m terminals.
 
-    ``exact`` declares whether returned values support exact comparison
-    (integer or rational arithmetic); float- and mpf-valued oracles set it
-    to False and downstream verdicts use tolerance bands instead.
+    Analyses read only ``table()``; ``entropy(subset)`` is for point
+    reads.  ``exact`` declares whether returned values support exact
+    comparison (integer or rational arithmetic); float- and mpf-valued
+    oracles set it to False and downstream verdicts use tolerance bands
+    instead.
     """
 
     m: int
@@ -265,15 +270,16 @@ def _float_entropy(masses: Iterable[int], k: int) -> float:
     return 0.0 - math.fsum(map(operator.mul, probs, map(math.log2, probs)))
 
 
-class TabularOracle:
-    """Subset-entropy oracle backed by an explicit joint pmf (float bits)."""
+class TableOracle:
+    """Base of the table-backed oracles: a subclass supplies ``_fill()``,
+    the list of all 2^m subset entropies by mask, which ``table()`` stores
+    on the first call.  Each subclass binds ``entropy = TableOracle.entropy``
+    in its own namespace, so every oracle class can be wrapped on its own.
+    """
 
-    exact = False
-
-    def __init__(self, source: JointSource):
-        self.source = source
-        self.m = source.m
-        self._full = subsets.full_mask(source.m)
+    def __init__(self, m: int):
+        self.m = m
+        self._full = subsets.full_mask(m)
         self._cache: Optional[list[Any]] = None
 
     def entropy(self, subset: int) -> Any:
@@ -283,11 +289,26 @@ class TabularOracle:
 
     def table(self) -> list[Any]:
         """The 2^m subset entropies by mask, filled on the first call; do not modify."""
-        return self._cache or self._fill()
+        if self._cache is None:
+            self._cache = self._fill()
+        return self._cache
 
     def _fill(self) -> list[Any]:
-        self._cache = _entropy_table(self.source, 0.0, _float_entropy)
-        return self._cache
+        raise NotImplementedError
+
+
+class TabularOracle(TableOracle):
+    """Subset-entropy oracle backed by an explicit joint pmf (float bits)."""
+
+    exact = False
+    entropy = TableOracle.entropy
+
+    def __init__(self, source: JointSource):
+        super().__init__(source.m)
+        self.source = source
+
+    def _fill(self) -> list[Any]:
+        return _entropy_table(self.source, 0.0, _float_entropy)
 
 
 class ExtendedPrecisionOracle(TabularOracle):
@@ -299,8 +320,7 @@ class ExtendedPrecisionOracle(TabularOracle):
     equals summing the atoms in mpmath whenever it holds the sums exactly.
     """
 
-    # A class attribute of its own, so each oracle class can be wrapped apart.
-    entropy = TabularOracle.entropy
+    entropy = TableOracle.entropy
 
     def _fill(self) -> list[Any]:
         import mpmath as mp
@@ -315,8 +335,7 @@ class ExtendedPrecisionOracle(TabularOracle):
                     acc -= p * mp.log(p) / ln2
             return acc
 
-        self._cache = _entropy_table(self.source, mp.mpf(0), entropy)
-        return self._cache
+        return _entropy_table(self.source, mp.mpf(0), entropy)
 
 
 def conditional_entropy(oracle: EntropyOracle, a: int, b: int) -> Any:

@@ -175,6 +175,7 @@ def test_bad_tolerance(files, capsys):
     (["omnivocality", "xor", "--dps", "-5"], "dps must be >= 0"),
     (["omnivocality", "xor", "--dps", "1"], "more than a float's 15 digits"),
     (["omnivocality", "xor", "--dps", "15"], "more than a float's 15 digits"),
+    (["omnivocality", "xor", "--tol", "1e-16"], "tolerance must be at least 1e-12"),
 ])
 def test_bad_numeric_flags(files, capsys, argv, message):
     code, out, err = run(capsys, [argv[0], files[argv[1]]] + argv[2:])

@@ -31,6 +31,7 @@ from conftest import (
     count_fills,
     make_broadcast_pair,
     make_iid_bits,
+    make_path3_graph,
     make_two_speaker_bsc,
     make_xor4_source,
     make_xor_source,
@@ -217,15 +218,14 @@ def test_lp_necessary_where_the_singleton_partition_is_beaten():
     TabularOracle(random_source(6, (2, 3, 2, 2, 1, 2), seed=4)),
 ])
 def test_lp_reads_the_table_once(oracle, monkeypatch):
-    # The capacity and every leave-one-out restricted capacity cut their
-    # tables from the oracle's one fill; the point queries are the I terms,
-    # 3 per silent u.
+    # The capacity and every leave-one-out restricted capacity, I terms
+    # included, read the oracle's one fill and make no point query.
     fills = count_fills(monkeypatch, oracle)
     counting = CountingOracle(oracle)
     v = verdict_by_lp(counting)
     m = oracle.m
     assert len(fills) == 1
-    assert counting.queries <= 3 * m
+    assert counting.queries == 0
     if m <= 8:  # each row is the restricted capacity read on its own
         c = sk_capacity(oracle).value
         for row in v.evidence:
@@ -234,15 +234,24 @@ def test_lp_reads_the_table_once(oracle, monkeypatch):
 
 
 def test_condition_and_lp_share_one_fill(monkeypatch):
-    # Both routes read the one table of K_16; only the lp route's I terms
-    # are point queries.
-    oracle = PinOracle(complete_graph(16))
-    fills = count_fills(monkeypatch, oracle)
-    counting = CountingOracle(oracle)
-    status, _ = run_routes(counting, ("condition", "lp"))
-    assert status is OmniStatus.NECESSARY
-    assert len(fills) == 1
-    assert counting.queries <= 3 * 16
+    # Every route reads the graph's one table and makes no point query:
+    # condition and lp on K_16, all three routes on K_3 and on the path
+    # 1-2-3, where the check finds a tie, so the three-terminal route reads
+    # its W set.
+    cases = [
+        (complete_graph(16), ("condition", "lp"), OmniStatus.NECESSARY),
+        (complete_graph(3), ("condition", "lp", "three"), OmniStatus.NECESSARY),
+        (make_path3_graph(), ("condition", "lp", "three"), OmniStatus.NOT_NECESSARY),
+    ]
+    for graph, routes, expected in cases:
+        oracle = PinOracle(graph)
+        fills = count_fills(monkeypatch, oracle)
+        counting = CountingOracle(oracle)
+        status, verdicts = run_routes(counting, routes)
+        assert status is expected
+        assert verdicts[-1].status is expected
+        assert len(fills) == 1
+        assert counting.queries == 0
 
 
 def test_lp_two_speaker_equality_is_on_the_right_rows(two_speaker_oracle):

@@ -160,15 +160,13 @@ def test_silent_capacity_pin_exact():
     (TabularOracle(random_source(5, (2,) * 5, seed=7)), 0b10110),
 ])
 def test_silent_reads_the_speakers_table_once(oracle, speakers, monkeypatch):
-    # The restricted capacity, the rates and the region cut the speakers'
-    # table from the oracle's one fill.  The point queries are H(X_T) and,
-    # per silent d, 3 for the I term and 2 for the region's bound on T.
+    # The restricted capacity, the rates, the region and H(X_T) all read
+    # the oracle's one fill; none makes a point query.
     fills = count_fills(monkeypatch, oracle)
     counting = CountingOracle(oracle)
     report = silent_capacity(counting, speakers)
-    talking = subsets.size(speakers)
     assert len(fills) == 1
-    assert counting.queries <= 5 * (oracle.m - talking) + 1
+    assert counting.queries == 0
     assert report == silent_capacity(oracle, speakers)
 
 
