@@ -11,6 +11,10 @@ and rationals as p/q; --json emits a single JSON object instead.
 ``--dps`` re-run and the disagreement check, and the hunt's candidate
 re-check is the same call at 60 digits.
 
+The argument parser is built on the first ``main`` call and reused by
+every later call in the process; each call looks up its ``cmd_<command>``
+function afresh.
+
 Exit codes: 0 success, 2 malformed input (argparse errors included),
 3 domain/size errors, 4 internal inconsistency (two routes to the same
 quantity disagreed).
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -303,6 +308,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     return _emit(args, payload, lines)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="skomni",
@@ -326,16 +332,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("capacity", help="secret-key capacity and finest minimizing partition")
     common(p)
-    p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("singleton", help="is the all-singletons partition the surplus minimizer?")
     common(p)
-    p.set_defaults(func=cmd_singleton)
 
     p = sub.add_parser("silent", help="capacity when only the given terminals speak")
     common(p)
     p.add_argument("--speakers", required=True, help="speaker subset, e.g. 1,2")
-    p.set_defaults(func=cmd_silent)
 
     p = sub.add_parser("omnivocality", help="must all terminals speak to reach capacity?")
     common(p)
@@ -352,7 +355,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="re-run tabular sources at this many decimal digits of precision "
         f"(0 keeps floats; otherwise more than {FLOAT_DPS})",
     )
-    p.set_defaults(func=cmd_omnivocality)
 
     p = sub.add_parser("hunt", help="search random sources for conjecture counterexamples")
     common(p, model=False)
@@ -362,19 +364,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alphabet", default="2", help="alphabet sizes, single int or m comma-separated")
     p.add_argument("--out", default="hunt.jsonl", help="JSONL log path")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
-    p.set_defaults(func=cmd_hunt)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -94,8 +94,12 @@ class JointSource:
             raise InputError(f"alphabet_sizes {self.alphabet_sizes!r} invalid for m={self.m}")
         if not self.atoms:
             raise InputError("source has no atoms")
+        try:
+            items = sorted(self.atoms.items())
+        except TypeError:  # a non-int coordinate; the loop below names its atom
+            items = self.atoms.items()
         clean: dict[tuple[int, ...], float] = {}
-        for x, p in sorted(self.atoms.items()):
+        for x, p in items:
             x = tuple(x)
             if len(x) != self.m or any(
                 type(c) is not int or not 0 <= c < sizes[i] for i, c in enumerate(x)

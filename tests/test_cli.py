@@ -1,8 +1,11 @@
+import importlib
 import json
 import os
+import sys
 
 import pytest
 
+import skomni
 from skomni.capacity import MinimizerStatus
 from skomni.cli import _hunt_worker, main
 from skomni.generators import random_source
@@ -529,6 +532,22 @@ def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
         assert message in err, atom
 
 
+def test_malformed_coordinate_beside_other_atoms_exits_2(tmp_path, capsys):
+    # Sorting the atoms would compare a string or null coordinate with an
+    # int; such an atom must be named like any other atom off the grid.
+    cases = [
+        (["a", 0], "atom ('a', 0) outside the alphabet grid"),
+        ([None, 0], "atom (None, 0) outside the alphabet grid"),
+        ("ab", "atom ('a', 'b') outside the alphabet grid"),
+    ]
+    path = tmp_path / "bad.json"
+    for x, message in cases:
+        bad, good = {"x": x, "p": 0.5}, {"x": [0, 1], "p": 0.5}
+        for atoms in ([bad, good], [good, bad]):
+            path.write_text(json.dumps({"m": 2, "alphabet_sizes": [2, 2], "atoms": atoms}))
+            assert run(capsys, ["capacity", str(path)]) == (2, "", f"error: {message}\n"), atoms
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--jobs", "0"], "jobs must be between 1 and the CPU count"),
     (["--jobs", str((os.cpu_count() or 1) + 1)], "jobs must be between 1 and the CPU count"),
@@ -552,3 +571,45 @@ def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, 
     assert code == expected_code
     assert message.format(tmp=tmp_path) in err
     assert not out.exists()
+
+
+def test_in_process_calls_share_one_parser_and_leak_nothing(files, capsys, monkeypatch):
+    # A fresh import of the module, so that its parser cache starts empty.
+    monkeypatch.setattr(skomni, "cli", sys.modules["skomni.cli"])
+    monkeypatch.delitem(sys.modules, "skomni.cli")
+    cli = importlib.import_module("skomni.cli")
+    assert cli._build_parser.cache_info().currsize == 0
+
+    def call(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    capacity = call(["capacity", files["xor"]])
+    assert capacity[0] == 0
+    assert call(["capacity", files["xor"]]) == capacity
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+    # A default left over from an earlier call would drop routes.
+    every_route = call(["omnivocality", files["xor"]])
+    assert "condition: Necessary" in every_route[1]
+    assert "verdict: Necessary (methods agree)" in every_route[1]
+    lp_only = call(["omnivocality", files["xor"], "--method", "lp"])
+    assert "condition:" not in lp_only[1]
+    assert call(["omnivocality", files["xor"]]) == every_route
+
+    # An argparse failure leaves no state behind for the next call.
+    assert call(["capacity"])[0] == 2
+    assert call(["capacity", files["xor"], "--tol", "nan"])[0] == 2
+    assert call(["capacity", files["xor"]]) == capacity
+
+    help_text = call(["--help"])
+    assert help_text[0] == 0
+    assert help_text[1].startswith("usage: skomni")
+    assert call(["--help"]) == help_text
+
+    # Dispatch is looked up per call, so a patched command takes effect.
+    monkeypatch.setattr(cli, "cmd_capacity", lambda args: 7)
+    assert call(["capacity", files["xor"]]) == (7, "", "")
+    assert cli._build_parser.cache_info().misses == 1
