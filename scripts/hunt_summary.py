@@ -8,11 +8,11 @@ full source payload in the log, so ``--dump-worst`` can extract the
 single most marginal one into a model file for re-runs at higher
 precision, e.g. ``skomni omnivocality worst.json --dps 80``.
 
-A log that cannot be read, holds a line that is not JSON, holds a record
-without ``classification``, or holds a candidate without a field the
-listing reads (or, with ``--dump-worst``, without its ``source``), or with
-such a field of the wrong type, is a usage error: exit 2 with a one-line
-message.
+A log that cannot be read or is not UTF-8, holds a line that is not JSON,
+holds a record without ``classification``, or holds a candidate without a
+field the listing reads (or, with ``--dump-worst``, without its
+``source``), or with such a field of the wrong type, is a usage error:
+exit 2 with a one-line message.
 
 Usage: python scripts/hunt_summary.py hunt.jsonl [--top 10] [--dump-worst worst.json]
 """
@@ -50,10 +50,12 @@ def main() -> int:
     listed = [*CANDIDATE_FIELDS, "source"] if args.dump_worst else list(CANDIDATE_FIELDS)
 
     try:
-        with open(args.log) as fh:
+        with open(args.log, encoding="utf-8") as fh:
             lines = [(number, line) for number, line in enumerate(fh, 1) if line.strip()]
     except OSError as exc:
         parser.error(f"cannot read {args.log}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        parser.error(f"{args.log} is not UTF-8 text ({exc.reason})")
     records = []
     for number, line in lines:
         try:

@@ -73,9 +73,8 @@ from __future__ import annotations
 import enum
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 from . import subsets
 from .errors import SizeLimitError
@@ -131,8 +130,7 @@ def speaker_table(oracle: EntropyOracle, speakers: int) -> list:
     return h
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(NamedTuple):
     value: Any
     argmin: tuple[Partition, ...]
     partitions_examined: int
@@ -266,8 +264,7 @@ class MinimizerStatus(str, enum.Enum):
     AMBIGUOUS = "NumericallyAmbiguous"
 
 
-@dataclass(frozen=True)
-class MinimizerWitness:
+class MinimizerWitness(NamedTuple):
     """The comparison that decided a non-unique/not-minimizer verdict."""
 
     partition: Partition
@@ -275,8 +272,7 @@ class MinimizerWitness:
     singleton_surplus: Any
 
 
-@dataclass(frozen=True)
-class MinimizerVerdict:
+class MinimizerVerdict(NamedTuple):
     status: MinimizerStatus
     comparisons: int
     witness: Optional[MinimizerWitness]

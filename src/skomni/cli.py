@@ -283,7 +283,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise SizeLimitError("hunt targets m >= 4 (smaller m is decided exactly)")
     subsets.check_table_m(args.m)  # before the log is created
     alphabet = _parse_alphabet(args.alphabet, args.m)
-    jobs = [(args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials)]
+    jobs = ((args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials))
     try:
         # Line buffered, so the log holds every trial finished so far.
         fh = open(args.out, "w", buffering=1)

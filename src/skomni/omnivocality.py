@@ -36,8 +36,7 @@ import enum
 import hashlib
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from . import subsets
 from .capacity import (
@@ -75,22 +74,19 @@ class Construction(str, enum.Enum):
     LP_EQUALITY = "lp-equality"  # a leave-one-out LP matched the capacity
 
 
-@dataclass(frozen=True)
-class SilentWitness:
+class SilentWitness(NamedTuple):
     silent: int
     construction: Construction
 
 
-@dataclass(frozen=True)
-class EvidenceRow:
+class EvidenceRow(NamedTuple):
     speakers: int
     silent_capacity: Any
     capacity: Any
     gap: Any
 
 
-@dataclass(frozen=True)
-class OmnivocalityVerdict:
+class OmnivocalityVerdict(NamedTuple):
     status: OmniStatus
     method: str
     silent_witness: Optional[SilentWitness]
@@ -206,8 +202,7 @@ class Classification(str, enum.Enum):
     INCONCLUSIVE = "Inconclusive"
 
 
-@dataclass(frozen=True)
-class ConjectureProbe:
+class ConjectureProbe(NamedTuple):
     condition: MinimizerStatus
     lp: OmniStatus
     classification: Classification

@@ -39,9 +39,8 @@ covering simplex, as the tests' reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any
+from typing import Any, NamedTuple
 
 from . import subsets
 from .capacity import DEFAULT_TIE_TOL, restricted_capacity, speaker_rates, speaker_table
@@ -49,16 +48,14 @@ from .simplex import CoverSolution, solve_min_cover
 from .sources import EntropyOracle
 
 
-@dataclass(frozen=True)
-class RateConstraint:
+class RateConstraint(NamedTuple):
     """sum of rates over ``speakers_subset`` must be >= ``lower_bound``."""
 
     speakers_subset: int
     lower_bound: Any
 
 
-@dataclass(frozen=True)
-class RateRegion:
+class RateRegion(NamedTuple):
     """Reduced constraint family for one speaker set, sorted by subset mask."""
 
     m: int
@@ -86,8 +83,7 @@ def build_rate_region(oracle: EntropyOracle, speakers: int) -> RateRegion:
     return RateRegion(m, speakers, tuple(constraints), oracle.exact)
 
 
-@dataclass(frozen=True)
-class RateSolution:
+class RateSolution(NamedTuple):
     min_sum: Any
     rates: dict[int, Any]
     binding: tuple[RateConstraint, ...]
@@ -141,8 +137,7 @@ def _binding(region: RateRegion, rates: dict[int, Any], tie_tol: float) -> tuple
     )
 
 
-@dataclass(frozen=True)
-class SilentCapacityReport:
+class SilentCapacityReport(NamedTuple):
     speakers_entropy: Any
     min_sum_rate: Any
     capacity: Any

@@ -37,16 +37,14 @@ nonpositive.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import InternalInconsistencyError
 
 _MAX_PIVOTS = 200_000
 
 
-@dataclass(frozen=True)
-class CoverSolution:
+class CoverSolution(NamedTuple):
     """Optimal point of a min-sum covering program.
 
     ``x`` is a vertex of the feasible region; ``duals`` are the optimal

@@ -105,7 +105,7 @@ class JointSource:
                 type(c) is not int or not 0 <= c < sizes[i] for i, c in enumerate(x)
             ):
                 raise InputError(f"atom {x!r} outside the alphabet grid")
-            p = float(p)
+            p = _probability(x, p)
             if p < 0.0 or not math.isfinite(p):
                 raise InputError(f"atom {x!r} has probability {p!r}")
             clean[x] = p
@@ -141,10 +141,11 @@ class JointSource:
                 raise InputError(f"atom {list(x)!r} listed twice")
             atoms[x] = p
         if renormalize:
-            total = math.fsum(float(p) for p in atoms.values())
+            atoms = {x: _probability(x, p) for x, p in atoms.items()}
+            total = math.fsum(atoms.values())
             if total <= 0.0 or not math.isfinite(total):
                 raise InputError(f"cannot renormalize: atoms sum to {total!r}")
-            atoms = {x: float(p) / total for x, p in atoms.items()}
+            atoms = {x: p / total for x, p in atoms.items()}
         try:
             sizes = tuple(data["alphabet_sizes"])
         except TypeError:
@@ -159,13 +160,21 @@ class JointSource:
         }
 
 
-def read_json(path: str | Path) -> Any:
-    """Parse a model file.  Raises InputError with a diagnostic on failure."""
+def _probability(x: Any, p: Any) -> float:
+    """``float(p)`` of atom ``x``; an int past the float range is bad input."""
     try:
-        return json.loads(Path(path).read_text())
+        return float(p)
+    except OverflowError:
+        raise InputError(f"atom {x!r} has a probability too large for a float") from None
+
+
+def read_json(path: str | Path) -> Any:
+    """Parse a UTF-8 model file.  Raises InputError with a diagnostic on failure."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past int_max_str_digits
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 

@@ -2,6 +2,7 @@ import importlib
 import json
 import os
 import sys
+import tracemalloc
 
 import pytest
 
@@ -460,6 +461,25 @@ def test_hunt_log_keeps_the_trials_finished_before_a_failure(tmp_path, monkeypat
     assert trials == list(range(16))
 
 
+def _constant_record(packed):
+    return {"classification": "ConsistentProven"}
+
+
+def test_hunt_holds_one_job_at_a_time(capsys, monkeypatch):
+    # A list of all 10^5 job tuples alone would hold about 11 MB.
+    monkeypatch.setattr("skomni.cli._hunt_worker", _constant_record)
+    argv = ["hunt", "--m", "4", "--trials", "100000", "--jobs", "1", "--out", os.devnull]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "ConsistentProven: 100000" in capsys.readouterr().out
+    assert peak < 2_000_000
+
+
 def test_hunt_json_summary(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -522,6 +542,8 @@ def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
         ({"x": [0, 0], "p": True}, [], "atom entry {'x': [0, 0], 'p': True}: " + bad_p),
         ({"x": 5, "p": 0.5}, [], "atom entry {'x': 5, 'p': 0.5}: " + bad_x),
         ({"x": [[0], [0]], "p": 0.5}, [], "atom entry {'x': [[0], [0]], 'p': 0.5}: " + bad_x),
+        ({"x": [0, 0], "p": 10**400}, [], "atom (0, 0) has a probability too large for a float"),
+        ({"x": [0, 0], "p": 10**400}, ["--renormalize"], "atom (0, 0) has a probability too large"),
     ]
     path = tmp_path / "bad.json"
     for atom, flags, message in cases:
@@ -530,6 +552,19 @@ def test_bool_outcome_in_model_file_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, ["capacity", str(path)] + flags)
         assert code == 2, atom
         assert message in err, atom
+
+
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    (b'{"m": 2, "alphabet_sizes": [2, 2], "atoms": [{"x": [0, 0], "p": 1' + b"0" * 5000 + b"}]}", ""),
+], ids=["not-utf8", "5001-digit-int"])
+def test_unparseable_model_text_exits_2(tmp_path, capsys, content, reason):
+    path = tmp_path / "m.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, ["capacity", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_malformed_coordinate_beside_other_atoms_exits_2(tmp_path, capsys):
