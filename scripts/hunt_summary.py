@@ -8,11 +8,11 @@ full source payload in the log, so ``--dump-worst`` can extract the
 single most marginal one into a model file for re-runs at higher
 precision, e.g. ``skomni omnivocality worst.json --dps 80``.
 
-A log that cannot be read or is not UTF-8, holds a line that is not JSON,
-holds a record without ``classification``, or holds a candidate without a
-field the listing reads (or, with ``--dump-worst``, without its
-``source``), or with such a field of the wrong type, is a usage error:
-exit 2 with a one-line message.
+A log that cannot be read or is not UTF-8, holds a line that is not JSON
+or holds an integer too long for Python to parse, holds a record without
+``classification``, or holds a candidate without a field the listing
+reads (or, with ``--dump-worst``, without its ``source``), or with such a
+field of the wrong type, is a usage error: exit 2 with a one-line message.
 
 Usage: python scripts/hunt_summary.py hunt.jsonl [--top 10] [--dump-worst worst.json]
 """
@@ -60,8 +60,9 @@ def main() -> int:
     for number, line in lines:
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            parser.error(f"{args.log}: line {number} is not JSON ({exc.msg})")
+        except ValueError as exc:  # not JSON, or an int past int_max_str_digits
+            reason = exc.msg if isinstance(exc, json.JSONDecodeError) else exc
+            parser.error(f"{args.log}: line {number} is not JSON ({reason})")
         if not isinstance(record, dict) or "classification" not in record:
             parser.error(f"{args.log}: line {number} has no 'classification'; not a hunt log")
         if record["classification"] == CANDIDATE:

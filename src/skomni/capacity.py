@@ -10,8 +10,10 @@ This module evaluates that objective against any subset-entropy oracle,
 minimizes it without enumerating partitions, also when only some
 terminals talk, and decides whether the all-singletons partition is the
 minimizer.  The searches work on a table of subset entropies and on cell
-masks, summing cell entropies in cell order, so their values are bitwise
-the ones ``partition_surplus`` gives.
+masks, folding cell entropies left to right in cell order from int 0, so
+their values are bitwise the ones ``partition_surplus`` gives.  The fold
+is ``reduce(operator.add, ..., 0)``, not ``sum``: since Python 3.12,
+``sum`` compensates float rounding, and on 3.10/3.11 the two agree.
 
 The minimization is a Dinkelbach (Newton) iteration over the Dilworth
 truncation of h - gamma (Narayanan, "The principal lattice of partitions
@@ -53,19 +55,27 @@ singleton partition minimizes the surplus iff
     surplus(S) <= surplus(P_B)   for every B with 1 <= |B| <= m-2,
 
 where P_B isolates the members of B (2^m - m - 2 comparisons instead of
-Bell(m)).  Uniqueness corresponds to all inequalities strict.
+Bell(m)).  Uniqueness corresponds to all inequalities strict.  With r
+the least member of the rest, P_B's fold in canonical cell order is the
+singletons below r, then h(rest), then B's singletons above r.  The check
+builds that fold for every mask at once in whole-table passes: the
+prefixes h{1} + ... + h{r-1}, laid out with one stepped slice per r, plus
+h(rest), which is the table reversed; then h{i} for i = 2..m in turn,
+added to the masks holding i above a clear bit by stepped slice or by
+contiguous run, whichever takes fewer slices.  Only when some difference
+lies inside the tie band does a Python loop look for ties.
 
 Exact oracles (integer or rational entropies) report every capacity,
 surplus and rate as an exact ``Fraction`` and never give an ambiguous
 verdict.  Their 2^m-step loops run on the table scaled to a common
 denominator instead: the greedy pass at gamma = p/q on q h and p, the
 minimizer check on every surplus times lcm(1..m-1).  For a PIN table
-those loops are all ints; only the m Newton values and the returned
-witness become ``Fraction``s.  Float oracles use a
-tie tolerance band, inside which only a bitwise-zero difference counts as
-a genuine tie.  Partitions that tie in the reals can round an ulp apart;
-the greedy cannot see such a gap, so a float capacity can then read an
-ulp above the least rounded surplus over all partitions.
+those loops are all ints; only the m Newton values, the rates
+``speaker_rates`` returns and the returned witness become ``Fraction``s.
+Float oracles use a tie tolerance band, inside which only a bitwise-zero
+difference counts as a genuine tie.  Partitions that tie in the reals can
+round an ulp apart; the greedy cannot see such a gap, so a float capacity
+can then read an ulp above the least rounded surplus over all partitions.
 """
 
 from __future__ import annotations
@@ -74,6 +84,8 @@ import enum
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
+from itertools import compress, repeat
 from typing import Any, NamedTuple, Optional
 
 from . import subsets
@@ -97,7 +109,7 @@ def partition_surplus(oracle: EntropyOracle, partition: Partition) -> Any:
         raise SizeLimitError(f"partition is over m={partition.m}, oracle has m={oracle.m}")
     if partition.n_cells < 2:
         raise SizeLimitError("surplus needs a partition with at least 2 cells")
-    total = sum(oracle.entropy(cell) for cell in partition.cells)
+    total = reduce(operator.add, map(oracle.entropy, partition.cells), 0)
     num = total - oracle.entropy(subsets.full_mask(oracle.m))
     return _ratio(num, partition.n_cells - 1, oracle.exact)
 
@@ -145,11 +157,10 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> tuple[list[int], li
     fewest members (lowest mask first) among those within ``band`` of the
     minimum.  Cells come back in canonical order, by smallest member; the
     x_j in terminal order.  At an exact gamma = p/q (a ``Fraction``) the
-    pass runs on q h and p, so an integer table stays in ints, and returns
-    each x_j as a ``Fraction`` over q.
+    pass runs on q h and p, so an integer table stays in ints, and the
+    x_j come back as q x_j; ``speaker_rates`` divides them by q.
     """
-    exact = isinstance(gamma, Fraction)
-    if exact:
+    if isinstance(gamma, Fraction):
         q, gamma = gamma.denominator, gamma.numerator
         if q != 1:
             h = [q * v for v in h]
@@ -158,13 +169,14 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> tuple[list[int], li
     cells: list[int] = []
     for j in range(m):
         bit = 1 << j
-        gains = [a - b for a, b in zip(h[bit : bit << 1], x)]
+        gains = list(map(operator.sub, h[bit : bit << 1], x))
         low = min(gains)
         cutoff = low + band
         if gains[0] <= cutoff:  # B = {j} has the fewest members
             chosen = bit
         else:
-            chosen = bit | min((s for s, g in enumerate(gains) if g <= cutoff), key=int.bit_count)
+            near = compress(range(bit), map(operator.le, gains, repeat(cutoff)))
+            chosen = bit | min(near, key=int.bit_count)
         merged = chosen
         for cell in [c for c in cells if c & chosen]:
             cells.remove(cell)
@@ -173,13 +185,12 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> tuple[list[int], li
         x_j = low - gamma
         xs.append(x_j)
         x += [v + x_j for v in x]
-    if exact:
-        xs = [Fraction(v, q) for v in xs]
     return sorted(cells, key=lambda c: c & -c), xs
 
 
 def _cells_surplus(h: list, cells: list[int], exact: bool) -> Any:
-    return _ratio(sum(map(h.__getitem__, cells)) - h[-1], len(cells) - 1, exact)
+    total = reduce(operator.add, map(h.__getitem__, cells), 0)
+    return _ratio(total - h[-1], len(cells) - 1, exact)
 
 
 def _newton_search(h: list, m: int, exact: bool) -> tuple[Any, list[int], int]:
@@ -254,7 +265,10 @@ def speaker_rates(oracle: EntropyOracle, speakers: int, gamma: Any) -> dict[int,
     subsets.check_subset(speakers, oracle.m)
     table = speaker_table(oracle, speakers)
     terminals = subsets.members(speakers)
-    return dict(zip(terminals, _greedy_cells(table, len(terminals), gamma, 0)[1]))
+    xs = _greedy_cells(table, len(terminals), gamma, 0)[1]
+    if isinstance(gamma, Fraction):
+        xs = [Fraction(v, gamma.denominator) for v in xs]
+    return dict(zip(terminals, xs))
 
 
 class MinimizerStatus(str, enum.Enum):
@@ -284,10 +298,11 @@ def singleton_minimizer_check(
     """Decide whether the singleton partition minimizes the surplus.
 
     Compares against the 2^m - m - 2 partitions P_B isolating a block B
-    with 1 <= |B| <= m-2, scanned in increasing mask order, all of them so
-    the comparison count is deterministic.  Each surplus reads the
-    oracle's table and sums its cells in canonical order
-    (by smallest member), so it is bitwise
+    with 1 <= |B| <= m-2, in increasing mask order, all of them so the
+    comparison count is deterministic; the first block in mask order
+    decides among equals.  Each surplus folds its cells' table entries in
+    canonical order (by smallest member), in the whole-table passes the
+    module docstring describes, so it is bitwise
     ``partition_surplus(oracle, isolating_partition(m, B))``; only the
     returned witness becomes a ``Partition``.  For an exact oracle the scan
     compares the surpluses times L = lcm(1..m-1), sum(h) - h(M) times
@@ -301,7 +316,7 @@ def singleton_minimizer_check(
     if m < 3:
         raise SizeLimitError("minimizer check needs m >= 3")
     h = speaker_table(oracle, subsets.full_mask(m))
-    full = len(h) - 1
+    n = len(h)
     exact = oracle.exact
     band = 0 if exact else tie_tol
     if exact:
@@ -309,41 +324,43 @@ def singleton_minimizer_check(
         scale, factors = operator.mul, [0] + [unit // k for k in range(1, m)]
     else:
         scale, factors = operator.truediv, range(m)
-    singletons = [1 << i for i in range(m)]
-    s_value = scale(sum(map(h.__getitem__, singletons)) - h[-1], factors[m - 1])
+    prefix = [0] * n  # h{1} + ... + h{r-1}, r the least terminal outside b
+    total = 0
+    for t in range(m):  # the masks whose lowest clear bit is bit t
+        prefix[(1 << t) - 1 :: 2 << t] = repeat(total, n >> (t + 1))
+        total = total + h[1 << t]
+    s_value = scale(total - h[-1], factors[m - 1])
+    acc = list(map(operator.add, prefix, reversed(h)))  # h(rest) = h[~b] = reversed(h)[b]
+    for t in range(1, m):
+        # Add h{t+1} where bit t is set above a clear bit: offsets w .. 2w - 2
+        # of each run of 2w masks, by offset or by run, whichever is fewer.
+        w, v = 1 << t, h[1 << t]
+        if w - 1 <= n // (2 * w):
+            for r in range(w, 2 * w - 1):
+                acc[r :: 2 * w] = [a + v for a in acc[r :: 2 * w]]
+        else:
+            for b in range(w, n, 2 * w):
+                acc[b : b + w - 1] = [a + v for a in acc[b : b + w - 1]]
+    is_block = [False] + [True] * (m - 2) + [False, False]  # by |B|
+    blocks = list(compress(range(n), map(is_block.__getitem__, map(int.bit_count, range(n)))))
+    sizes = map(int.bit_count, blocks)
+    ds = [scale(acc[b] - h[-1], factors[k]) - s_value for b, k in zip(blocks, sizes)]
 
-    comparisons = 0
-    worst: Any = None
-    worst_found = zero_found = near_found = None
-    for block in range(1, full):
-        cells = [cell for cell in singletons if cell & block]
-        if len(cells) > m - 2:
-            continue
-        rest = full ^ block
-        # Every terminal below the least member of the rest lies in the
-        # block, so that many singletons precede the rest cell.
-        cells.insert((rest & -rest).bit_length() - 1, rest)
-        value = scale(sum(map(h.__getitem__, cells)) - h[-1], factors[len(cells) - 1])
-        comparisons += 1
-        d = value - s_value
-        if worst is None or d < worst:
-            worst, worst_found = d, (block, value)
-        if -band <= d <= band:
-            if d == 0:
-                if zero_found is None:
-                    zero_found = (block, value)
-            elif near_found is None:
-                near_found = (block, value)
-
+    worst = min(ds)
     if worst < -band:
-        status, (block, value) = MinimizerStatus.NOT_MINIMIZER, worst_found
-    elif near_found is not None:
-        status, (block, value) = MinimizerStatus.AMBIGUOUS, near_found
-    elif zero_found is not None:
-        status, (block, value) = MinimizerStatus.NON_UNIQUE, zero_found
-    else:
-        return MinimizerVerdict(MinimizerStatus.UNIQUE, comparisons, None)
+        status, i = MinimizerStatus.NOT_MINIMIZER, ds.index(worst)
+    elif worst > band:
+        return MinimizerVerdict(MinimizerStatus.UNIQUE, len(ds), None)
+    else:  # some difference lies inside the band: the first nonzero one, else the first tie
+        inside = [i for i, d in enumerate(ds) if -band <= d <= band]
+        near = [i for i in inside if ds[i] != 0]
+        if near:
+            status, i = MinimizerStatus.AMBIGUOUS, near[0]
+        else:
+            status, i = MinimizerStatus.NON_UNIQUE, inside[0]
+    block = blocks[i]
+    value = scale(acc[block] - h[-1], factors[block.bit_count()])
     if exact:
         value, s_value = Fraction(value, unit), Fraction(s_value, unit)
     witness = MinimizerWitness(isolating_partition(m, block), value, s_value)
-    return MinimizerVerdict(status, comparisons, witness)
+    return MinimizerVerdict(status, len(ds), witness)

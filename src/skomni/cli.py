@@ -23,8 +23,10 @@ quantity disagreed).
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -256,6 +258,31 @@ def _hunt_worker(packed: tuple[int, tuple[int, ...], int, int, float]) -> dict[s
     return hunt_record(m, alphabet_sizes, seed, trial, tol)
 
 
+def _run_chunk(worker: Any, jobs: list) -> list:
+    return [worker(job) for job in jobs]
+
+
+def _windowed_map(pool: ProcessPoolExecutor, worker: Any, jobs: Any, chunksize: int, window: int):
+    """``pool.map(worker, jobs, chunksize=chunksize)`` holding at most ``window`` chunks.
+
+    ``Executor.map`` submits every chunk before it yields the first result;
+    this submits the next chunk only once the oldest of ``window`` has been
+    read, so memory stays bounded for any job count.  Results come in job
+    order.
+    """
+    pending: collections.deque = collections.deque()
+    try:
+        while chunk := list(itertools.islice(jobs, chunksize)):
+            pending.append(pool.submit(_run_chunk, worker, chunk))
+            if len(pending) == window:
+                yield from pending.popleft().result()
+        while pending:
+            yield from pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
+
+
 def _parse_alphabet(text: str, m: int) -> tuple[int, ...]:
     try:
         parts = [int(p) for p in text.split(",")]
@@ -291,7 +318,10 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise InputError(f"cannot open log {args.out}: {exc.strerror}") from None
     counts: dict[str, int] = {}
     with fh, ProcessPoolExecutor(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
-        records = pool.map(_hunt_worker, jobs, chunksize=8) if pool else map(_hunt_worker, jobs)
+        if pool:
+            records = _windowed_map(pool, _hunt_worker, jobs, 8, 2 * args.jobs)
+        else:
+            records = map(_hunt_worker, jobs)
         for record in records:
             fh.write(json.dumps(record) + "\n")
             counts[record["classification"]] = counts.get(record["classification"], 0) + 1

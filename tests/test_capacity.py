@@ -247,10 +247,15 @@ def test_minimizer_check_is_bitwise_the_partition_reference(case):
             oracle = TabularOracle(model)
         got = singleton_minimizer_check(oracle, tie_tol)
         want = _isolating_reference(oracle, tie_tol)
-    assert got.status is want.status
-    assert got.comparisons == want.comparisons == (1 << oracle.m) - oracle.m - 2
+    _assert_same_verdict(got, want, oracle.m)
     # At most one Partition is built per verdict: the returned witness.
     assert built.call_count == (want.witness is not None)
+
+
+def _assert_same_verdict(got, want, m):
+    """Status, comparison count, witness partition and both surpluses, bit for bit."""
+    assert got.status is want.status
+    assert got.comparisons == want.comparisons == (1 << m) - m - 2
     if want.witness is None:
         assert got.witness is None
     else:
@@ -303,6 +308,44 @@ def test_every_isolating_surplus_is_bitwise_the_reference(m, seed, mpf, data):
     assert got.witness.partition == want.witness.partition == isolating_partition(m, block)
     assert _same_bits(got.witness.surplus, want.witness.surplus)
     assert _same_bits(got.witness.singleton_surplus, want.witness.singleton_surplus)
+
+
+def _lowered(oracle, block, by):
+    """``oracle``'s table with H(complement of ``block``) lowered by ``by``.
+
+    That pulls P_B, and no other candidate, below the singleton surplus.
+    """
+    values = list(oracle.table())
+    values[subsets.full_mask(oracle.m) & ~block] -= by
+    lowered = _TableOracle(oracle.m, values)
+    lowered.exact = oracle.exact
+    return lowered
+
+
+_LARGE_SCANS = {
+    # name: (a builder of the oracle, the blocks to lower one at a time)
+    "K16": (lambda: PinOracle(complete_graph(16)), [0b1011_0000_0000_0001]),
+    "float-m12": (
+        lambda: TabularOracle(random_source(12, (2,) * 12, seed=12)),
+        [0b1, 0b1000_0000_0000, 0b0110_1001_0110, 0b1111_1111_1100],
+    ),
+    "m3": (lambda: TabularOracle(random_source(3, (2, 3, 2), seed=3)), [0b001, 0b010, 0b100]),
+}
+
+
+@pytest.mark.parametrize("name", _LARGE_SCANS)
+def test_isolating_scan_is_bitwise_the_reference_at_the_size_extremes(name):
+    # The scan against the check written out over every isolating
+    # partition, on the table as it is and with one chosen block forced to
+    # be the witness: first, last and middle blocks in mask order, the
+    # singletons and the largest blocks (|B| = m - 2).
+    make, blocks = _LARGE_SCANS[name]
+    oracle = make()
+    for case in [oracle] + [_lowered(oracle, b, 100 * oracle.m) for b in blocks]:
+        got = singleton_minimizer_check(case)
+        want = _isolating_reference(case, DEFAULT_TIE_TOL)
+        _assert_same_verdict(got, want, oracle.m)
+    assert got.witness.partition == isolating_partition(oracle.m, blocks[-1])
 
 
 def test_isolating_partition_identity():

@@ -480,6 +480,61 @@ def test_hunt_holds_one_job_at_a_time(capsys, monkeypatch):
     assert peak < 2_000_000
 
 
+def _trial_record(packed):
+    m, _alphabet, seed, trial, _tol = packed
+    return {"classification": "ConsistentProven", "m": m, "seed": seed + trial, "trial": trial}
+
+
+class _CountingPool:
+    """Runs each submitted chunk when its result is read, and records the
+    most futures that were submitted and not yet read at any one time."""
+
+    peak = 0
+
+    def __init__(self, max_workers):
+        self.unread = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, *args):
+        pool = self
+        pool.unread += 1
+        _CountingPool.peak = max(_CountingPool.peak, pool.unread)
+
+        class Future:
+            def result(self):
+                pool.unread -= 1
+                return fn(*args)
+
+            def cancel(self):
+                return True
+
+        return Future()
+
+
+def test_hunt_pool_holds_a_bounded_window_of_chunks(tmp_path, capsys, monkeypatch):
+    # 2 000 trials are 250 chunks of 8; --jobs 2 keeps at most 4 of them
+    # submitted and unread, and the log is the same for any --jobs.
+    monkeypatch.setattr("skomni.cli._hunt_worker", _trial_record)
+    monkeypatch.setattr(_CountingPool, "peak", 0)
+    base = ["hunt", "--m", "4", "--trials", "2000", "--seed", "5"]
+    logs = {}
+    for name, jobs in [("serial", "1"), ("pool", "2"), ("counted", "2")]:
+        if name == "counted":
+            monkeypatch.setattr("skomni.cli.ProcessPoolExecutor", _CountingPool)
+        logs[name] = tmp_path / f"{name}.jsonl"
+        assert run(capsys, base + ["--jobs", jobs, "--out", str(logs[name])])[0] == 0
+    assert 1 <= _CountingPool.peak <= 4
+    serial = logs["serial"].read_bytes()
+    assert [json.loads(line)["trial"] for line in serial.splitlines()] == list(range(2000))
+    assert logs["pool"].read_bytes() == serial
+    assert logs["counted"].read_bytes() == serial
+
+
 def test_hunt_json_summary(tmp_path, capsys):
     code, out, _ = run(
         capsys,

@@ -8,6 +8,7 @@ on rational exact oracles, and guard against ``Fraction`` arithmetic
 coming back into the loops.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -90,6 +91,36 @@ def test_scaled_paths_match_fraction_references(graph, scale):
         }
         assert min(slack.values()) >= 0
         assert report.binding == tuple(c for c, s in slack.items() if s == 0)
+
+
+def _greedy_rates_reference(oracle, speakers, gamma):
+    """x_j = min over B with j in B, B inside the speakers up to j, of
+    h(B) - gamma - x(B - j), written out over ``Fraction``s."""
+    x = {}
+    for t in subsets.members(speakers):
+        below = list(x)
+        x[t] = min(
+            Fraction(oracle.entropy(subsets.bit(t) | sum(map(subsets.bit, others))))
+            - gamma
+            - sum(x[u] for u in others)
+            for k in range(len(below) + 1)
+            for others in itertools.combinations(below, k)
+        )
+    return x
+
+
+@pytest.mark.parametrize("scale", [1, 3], ids=["pin", "pin-thirds"])
+@pytest.mark.parametrize("graph", GRAPHS, ids=[f"m{g.m}-{i}" for i, g in enumerate(GRAPHS)])
+def test_speaker_rates_are_the_greedy_fractions(graph, scale):
+    oracle = PinOracle(graph) if scale == 1 else ThirdsOracle(graph)
+    full = subsets.full_mask(graph.m)
+    for speakers in (full, full & ~subsets.bit(1), full & ~subsets.bit(graph.m), 0b11):
+        gamma = restricted_capacity(oracle, speakers)
+        for at in (gamma, gamma - Fraction(1, 7)):  # also off the capacity
+            rates = speaker_rates(oracle, speakers, at)
+            assert list(rates) == subsets.members(speakers)
+            assert _is_fraction(*rates.values())
+            assert rates == _greedy_rates_reference(oracle, speakers, at)
 
 
 def test_exact_analyses_add_no_fractions_in_their_loops(monkeypatch):

@@ -44,6 +44,8 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
     ("hunt_summary.py", ["int_gaps.jsonl"], "int_gaps.jsonl: line 1: 'gaps' must be a nonempty list"),
     ("hunt_summary.py", ["str_capacity.jsonl"], "str_capacity.jsonl: line 1: 'capacity' must be a number"),
     ("hunt_summary.py", ["latin1.jsonl"], "latin1.jsonl is not UTF-8 text (invalid start byte)"),
+    ("hunt_summary.py", ["long_int.jsonl"],
+     "long_int.jsonl: line 1 is not JSON (Exceeds the limit (4300 digits)"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message
@@ -52,6 +54,7 @@ def test_scripts_reject_bad_arguments_before_any_output(
     record = '{"classification": "ConsistentProven", "trial": 0}\n'
     (tmp_path / "truncated.jsonl").write_text(record + record[:20] + "\n")
     (tmp_path / "latin1.jsonl").write_bytes(record.encode() + b'{"classification": "\xff"}\n')
+    (tmp_path / "long_int.jsonl").write_text('{"classification": "x", "trial": 1' + "0" * 5000 + "}\n")
     (tmp_path / "other.jsonl").write_text(record + '{"trial": 1}\n')
     candidate = '{"classification": "CandidateCounterexample", "trial": 3'
     (tmp_path / "bare.jsonl").write_text(record + candidate + "}\n")
