@@ -4,7 +4,6 @@ from .capacity import (
     CapacityReport,
     MinimizerStatus,
     MinimizerVerdict,
-    partition_surplus,
     restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
@@ -41,7 +40,6 @@ from .pin import (
     PinGraph,
     PinOracle,
     complete_graph,
-    incident_weight,
     load_pin_graph,
     partition_crossing,
     pin_capacity,
@@ -59,10 +57,8 @@ from .sources import (
     ExtendedPrecisionOracle,
     JointSource,
     TabularOracle,
-    conditional_entropy,
     load_source,
     marginal,
-    mutual_information,
 )
 
 __version__ = "0.1.0"

@@ -10,9 +10,10 @@ This module evaluates that objective against any subset-entropy oracle,
 minimizes it without enumerating partitions, also when only some
 terminals talk, and decides whether the all-singletons partition is the
 minimizer.  The searches work on a table of subset entropies and on cell
-masks, folding cell entropies left to right in cell order from int 0, so
-their values are bitwise the ones ``partition_surplus`` gives.  The fold
-is ``reduce(operator.add, ..., 0)``, not ``sum``: since Python 3.12,
+masks.  Every surplus folds its cells' entropies left to right in
+canonical cell order (by smallest member) from int 0, so a partition's
+surplus has the same bits whichever search or scan evaluates it.  The
+fold is ``reduce(operator.add, ..., 0)``, not ``sum``: since Python 3.12,
 ``sum`` compensates float rounding, and on 3.10/3.11 the two agree.
 
 The minimization is a Dinkelbach (Newton) iteration over the Dilworth
@@ -34,6 +35,20 @@ the capacity.  The cell count falls at every step, so at most m
 partitions are evaluated.  Taking the minimizing B with the fewest
 members gives the finest minimizing partition, the common refinement of
 all of them.
+
+The iteration may start at any partition with at least 2 cells: from any
+start, gamma only falls, and it stops only at a gamma no partition beats,
+the least surplus.  ``leave_one_out_capacities`` uses this for the m
+searches over the speakers M - u of an exact oracle.  Each starts at the
+cells of the capacity's minimizer with u dropped, which often already
+minimize over M - u or lie a step from the minimizer, instead of at the
+singletons (on 8 random PIN multigraphs at m = 8, 102 greedy passes
+instead of 147).  In exact arithmetic the least surplus is one number, so
+the values cannot change.  Float searches still start at the singletons:
+a float value is the fold of the partition the search ends at, and when
+partitions tie in the reals a warm search can end at another of them,
+whose fold rounds an ulp apart (about 1 % of pmfs whose terminals are
+copies and XORs of a few biased bits, at m = 4..7).
 
 When only the speakers T talk, the capacity is min(C(X_T), min over
 silent d of I(X_T; X_d)), the optimum of the covering program in
@@ -103,17 +118,6 @@ def _ratio(numerator: Any, denominator: int, exact: bool) -> Any:
     return numerator / denominator
 
 
-def partition_surplus(oracle: EntropyOracle, partition: Partition) -> Any:
-    """Normalized entropy surplus of a partition with >= 2 cells."""
-    if partition.m != oracle.m:
-        raise SizeLimitError(f"partition is over m={partition.m}, oracle has m={oracle.m}")
-    if partition.n_cells < 2:
-        raise SizeLimitError("surplus needs a partition with at least 2 cells")
-    total = reduce(operator.add, map(oracle.entropy, partition.cells), 0)
-    num = total - oracle.entropy(subsets.full_mask(oracle.m))
-    return _ratio(num, partition.n_cells - 1, oracle.exact)
-
-
 def speaker_table(oracle: EntropyOracle, speakers: int) -> list:
     """Entropies of the submasks of ``speakers`` in ascending order.
 
@@ -129,17 +133,22 @@ def speaker_table(oracle: EntropyOracle, speakers: int) -> list:
     subsets.check_table_m(oracle.m)
     h = oracle.table()
     for u in reversed(subsets.members(subsets.full_mask(oracle.m) & ~speakers)):
-        w = 1 << (u - 1)
-        if w <= len(h) // (2 * w):  # loop over offsets or runs, whichever is fewer
-            cut = [0] * (len(h) >> 1)
-            for r in range(w):
-                cut[r::w] = h[r :: 2 * w]
-        else:
-            cut = []
-            for b in range(0, len(h), 2 * w):
-                cut += h[b : b + w]
-        h = cut
+        h = _drop_terminal(h, u)
     return h
+
+
+def _drop_terminal(h: list, u: int) -> list:
+    """The entries of ``h`` at the masks without terminal u, in mask order."""
+    w = 1 << (u - 1)
+    if w <= len(h) // (2 * w):  # loop over offsets or runs, whichever is fewer
+        cut = [0] * (len(h) >> 1)
+        for r in range(w):
+            cut[r::w] = h[r :: 2 * w]
+    else:
+        cut = []
+        for b in range(0, len(h), 2 * w):
+            cut += h[b : b + w]
+    return cut
 
 
 class CapacityReport(NamedTuple):
@@ -193,9 +202,15 @@ def _cells_surplus(h: list, cells: list[int], exact: bool) -> Any:
     return _ratio(total - h[-1], len(cells) - 1, exact)
 
 
-def _newton_search(h: list, m: int, exact: bool) -> tuple[Any, list[int], int]:
-    """Least surplus over the table ``h``: (value, its cells, partitions evaluated)."""
-    best = [1 << i for i in range(m)]
+def _newton_search(
+    h: list, m: int, exact: bool, start: Optional[list[int]] = None
+) -> tuple[Any, list[int], int]:
+    """Least surplus over the table ``h``: (value, its cells, partitions evaluated).
+
+    The iteration starts at the cells ``start`` (canonical order, at least
+    2 of them), by default at the singletons.
+    """
+    best = [1 << i for i in range(m)] if start is None else start
     value = _cells_surplus(h, best, exact)
     examined = 1
     while True:
@@ -213,8 +228,8 @@ def _newton_search(h: list, m: int, exact: bool) -> tuple[Any, list[int], int]:
 def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> CapacityReport:
     """Minimize the partition surplus by Newton steps over the Dilworth truncation.
 
-    ``value`` is the least surplus evaluated, bitwise as
-    ``partition_surplus`` gives it; Newton steps compare strictly.
+    ``value`` is the least surplus evaluated, the canonical fold of its
+    cells (see the module docstring); Newton steps compare strictly.
     ``argmin`` holds one partition: the finest minimizer, chosen by a last
     greedy pass at gamma = ``value`` that keeps the fewest-member set within
     ``tie_tol`` of each step minimum (exactly equal for exact oracles).  If
@@ -238,20 +253,66 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
 def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
     """Capacity min(C(X_T), min over silent d of I(X_T; X_d)) when only ``speakers`` talk.
 
-    C(X_T) is the Newton search over the entropies of T's subsets: H(X_T)
-    when |T| = 1, the capacity itself when T is every terminal.  Each I
-    term is h(T) + h(d) - h(T + d) read from ``oracle.table()``, in
-    ``mutual_information``'s order; it sums like a 2-cell surplus, so for
-    T = {1..m} minus u it is bitwise ``partition_surplus`` of {T, {u}}.
+    C(X_T) is the Newton search over the entropies of T's subsets, started
+    at the singletons: H(X_T) when |T| = 1, the capacity itself when T is
+    every terminal.  Each I term is h(T) + h(d) - h(T + d) read from
+    ``oracle.table()``; it sums like a 2-cell surplus, so for T = {1..m}
+    minus u it is bitwise the surplus of {T, {u}}.
+    """
+    subsets.check_subset(speakers, oracle.m)
+    table = speaker_table(oracle, speakers)
+    return _restricted(oracle.table(), table, speakers, oracle.exact)
+
+
+def leave_one_out_capacities(oracle: EntropyOracle) -> tuple[Any, list]:
+    """The capacity C and ``restricted_capacity`` of {1..m} minus u for u = 1..m.
+
+    One Newton search gives C and its cells.  For an exact oracle the
+    search for the speakers M - u starts at those cells with u dropped
+    (``_drop_cells``) when at least 2 of them remain, else at the
+    singletons; a float oracle's searches start at the singletons (see the
+    module docstring).  Each value equals ``restricted_capacity(oracle,
+    M - u)``.
     """
     m = oracle.m
-    subsets.check_subset(speakers, m)
-    exact = oracle.exact
-    table = speaker_table(oracle, speakers)
-    k = subsets.size(speakers)
-    value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact)[0]
+    if m < 2:
+        raise SizeLimitError("capacity needs at least 2 terminals")
+    subsets.check_table_m(m)
     h = oracle.table()
-    for d in map(subsets.bit, subsets.members(subsets.full_mask(m) & ~speakers)):
+    exact = oracle.exact
+    capacity, cells, _ = _newton_search(h, m, exact)
+    restricted = []
+    for u in range(1, m + 1):
+        start = _drop_cells(cells, u) if exact else None
+        speakers = subsets.full_mask(m) & ~subsets.bit(u)
+        restricted.append(_restricted(h, _drop_terminal(h, u), speakers, exact, start))
+    return capacity, restricted
+
+
+def _drop_cells(cells: list[int], u: int) -> Optional[list[int]]:
+    """``cells`` over the terminals other than u, or None if fewer than 2 remain.
+
+    Bit u - 1 goes and the bits above it shift down one, as in the speaker
+    table of the other terminals; empty cells are dropped and the rest
+    come back in canonical order, by smallest member.
+    """
+    low = (1 << (u - 1)) - 1
+    dropped = [(c & low) | ((c >> 1) & ~low) for c in cells]
+    start = sorted(filter(None, dropped), key=lambda c: c & -c)
+    return start if len(start) >= 2 else None
+
+
+def _restricted(
+    h: list, table: list, speakers: int, exact: bool, start: Optional[list[int]] = None
+) -> Any:
+    """min(C(X_T), min over silent d of I(X_T; X_d)) for T = ``speakers``.
+
+    ``h`` is the whole table and ``table`` its cut to T's subsets; the
+    Newton search over ``table`` starts at ``start``.
+    """
+    k = subsets.size(speakers)
+    value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact, start)[0]
+    for d in map(subsets.bit, subsets.members((len(h) - 1) & ~speakers)):
         value = min(value, _ratio(h[speakers] + h[d] - h[speakers | d], 1, exact))
     return value
 
@@ -302,9 +363,9 @@ def singleton_minimizer_check(
     comparison count is deterministic; the first block in mask order
     decides among equals.  Each surplus folds its cells' table entries in
     canonical order (by smallest member), in the whole-table passes the
-    module docstring describes, so it is bitwise
-    ``partition_surplus(oracle, isolating_partition(m, B))``; only the
-    returned witness becomes a ``Partition``.  For an exact oracle the scan
+    module docstring describes, so it is bitwise the canonical fold of
+    ``isolating_partition(m, B)``; only the returned witness becomes a
+    ``Partition``.  For an exact oracle the scan
     compares the surpluses times L = lcm(1..m-1), sum(h) - h(M) times
     L / (|P| - 1), and only the witness's two surpluses become ``Fraction``s.
 

@@ -43,7 +43,7 @@ from .capacity import (
     DEFAULT_TIE_TOL,
     MinimizerStatus,
     MinimizerVerdict,
-    restricted_capacity,
+    leave_one_out_capacities,
     singleton_minimizer_check,
 )
 from .errors import InputError, InternalInconsistencyError, SizeLimitError
@@ -136,7 +136,7 @@ def verdict_for_three_terminals(
         return OmnivocalityVerdict(OmniStatus.AMBIGUOUS, "three-terminal", None, (), mv)
 
     # The check has a witness here.  The surplus of cutting k off is
-    # h(k) + h(M - k) - h(M), bitwise ``partition_surplus`` of that cut.
+    # h(k) + h(M - k) - h(M), bitwise the 2-cell surplus of that cut.
     band = 0 if oracle.exact else tie_tol
     h = oracle.table()
     s = mv.witness.singleton_surplus
@@ -163,17 +163,21 @@ def verdict_for_three_terminals(
 def verdict_by_lp(
     oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL
 ) -> OmnivocalityVerdict:
-    """Compare capacity against every leave-one-out ``restricted_capacity``."""
+    """Compare capacity against every leave-one-out ``restricted_capacity``.
+
+    The values come from ``leave_one_out_capacities``: for an exact oracle
+    its search for the speakers M - u starts at the capacity's minimizing
+    cells with u dropped, and every value equals ``restricted_capacity``.
+    """
     m = _require_m(oracle, "LP comparison")
     full = subsets.full_mask(m)
-    c = restricted_capacity(oracle, full)
+    c, restricted_values = leave_one_out_capacities(oracle)
     band = 0 if oracle.exact else tie_tol
     rows = []
     equality: Optional[int] = None
     ambiguous = False
-    for u in range(1, m + 1):
+    for u, restricted in enumerate(restricted_values, 1):
         speakers = full & ~(1 << (u - 1))
-        restricted = restricted_capacity(oracle, speakers)
         gap = c - restricted
         rows.append(EvidenceRow(speakers, restricted, c, gap))
         if gap < -band:

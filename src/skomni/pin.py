@@ -111,19 +111,6 @@ def _adjacency(graph: PinGraph) -> list[list[int]]:
     return adj
 
 
-def incident_weight(graph: PinGraph, subset: int) -> int:
-    """Total multiplicity of edges with at least one endpoint in subset.
-
-    This is exactly the subset entropy of the PIN source in bits.
-    """
-    subsets.check_subset(subset, graph.m, allow_empty=True)
-    total = 0
-    for u, v, mult in graph.edges:
-        if subset & ((1 << (u - 1)) | (1 << (v - 1))):
-            total += mult
-    return total
-
-
 class PinOracle(TableOracle):
     """Exact integer subset-entropy oracle for a PIN source, table-backed."""
 

@@ -11,7 +11,9 @@ What this module provides
 * ``TabularOracle``: the standard float-valued subset-entropy oracle.
 * ``ExtendedPrecisionOracle``: the same entropies in mpmath arithmetic;
   the caller controls precision with ``mpmath.workdps``.
-* ``conditional_entropy`` / ``mutual_information`` over any oracle.
+
+Conditional entropies and mutual informations are differences of table
+entries, which each analysis reads from ``table()`` where it needs them.
 
 Entropies are in bits.  A pmf oracle fills a table of all 2^m subset
 entropies on its first query, summing each marginal from its parent's
@@ -48,7 +50,7 @@ from collections.abc import Callable, Iterable
 from typing import Any, Optional, Protocol
 
 from . import subsets
-from .errors import InputError, InvalidSubsetError
+from .errors import InputError
 
 #: Relative slack allowed between the atom mass total and 1.
 PMF_TOLERANCE = 1e-9
@@ -349,25 +351,3 @@ class ExtendedPrecisionOracle(TabularOracle):
             return acc
 
         return _entropy_table(self.source, mp.mpf(0), entropy)
-
-
-def conditional_entropy(oracle: EntropyOracle, a: int, b: int) -> Any:
-    """H(X_A | X_B) = H(X_{A|B joint}) - H(X_B).  B may be empty."""
-    subsets.check_subset(a, oracle.m)
-    subsets.check_subset(b, oracle.m, allow_empty=True)
-    if a & b:
-        raise InvalidSubsetError(
-            f"subsets {subsets.members(a)} and {subsets.members(b)} overlap"
-        )
-    return oracle.entropy(a | b) - oracle.entropy(b)
-
-
-def mutual_information(oracle: EntropyOracle, a: int, b: int) -> Any:
-    """I(X_A ; X_B) for disjoint nonempty subsets."""
-    subsets.check_subset(a, oracle.m)
-    subsets.check_subset(b, oracle.m)
-    if a & b:
-        raise InvalidSubsetError(
-            f"subsets {subsets.members(a)} and {subsets.members(b)} overlap"
-        )
-    return oracle.entropy(a) + oracle.entropy(b) - oracle.entropy(a | b)

@@ -7,8 +7,10 @@ against other library output.
 """
 
 import math
+import operator
 import random
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -18,10 +20,9 @@ from skomni.capacity import (
     MinimizerStatus,
     MinimizerVerdict,
     MinimizerWitness,
-    partition_surplus,
 )
 from skomni import subsets
-from skomni.errors import SizeLimitError
+from skomni.errors import InvalidSubsetError, SizeLimitError
 from skomni.generators import random_source
 from skomni.partitions import Partition, enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
@@ -33,6 +34,60 @@ def binary_entropy(p: float) -> float:
     if p <= 0.0 or p >= 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def partition_surplus(oracle, partition: Partition):
+    """Normalized entropy surplus of a partition with >= 2 cells.
+
+    The reference for every surplus the library computes: the cells'
+    entropies fold left to right in canonical cell order from int 0, as the
+    library's searches and scans fold them, so values compare bitwise.
+    """
+    if partition.m != oracle.m:
+        raise SizeLimitError(f"partition is over m={partition.m}, oracle has m={oracle.m}")
+    if partition.n_cells < 2:
+        raise SizeLimitError("surplus needs a partition with at least 2 cells")
+    total = reduce(operator.add, map(oracle.entropy, partition.cells), 0)
+    num = total - oracle.entropy(subsets.full_mask(oracle.m))
+    if oracle.exact:
+        return Fraction(num, partition.n_cells - 1)
+    return num / (partition.n_cells - 1)
+
+
+def _check_disjoint(a: int, b: int) -> None:
+    if a & b:
+        raise InvalidSubsetError(
+            f"subsets {subsets.members(a)} and {subsets.members(b)} overlap"
+        )
+
+
+def conditional_entropy(oracle, a: int, b: int):
+    """H(X_A | X_B) = H(X_{A|B joint}) - H(X_B).  B may be empty."""
+    subsets.check_subset(a, oracle.m)
+    subsets.check_subset(b, oracle.m, allow_empty=True)
+    _check_disjoint(a, b)
+    return oracle.entropy(a | b) - oracle.entropy(b)
+
+
+def mutual_information(oracle, a: int, b: int):
+    """I(X_A ; X_B) for disjoint nonempty subsets."""
+    subsets.check_subset(a, oracle.m)
+    subsets.check_subset(b, oracle.m)
+    _check_disjoint(a, b)
+    return oracle.entropy(a) + oracle.entropy(b) - oracle.entropy(a | b)
+
+
+def incident_weight(graph: PinGraph, subset: int) -> int:
+    """Total multiplicity of edges with at least one endpoint in subset.
+
+    This is exactly the subset entropy of the PIN source in bits.
+    """
+    subsets.check_subset(subset, graph.m, allow_empty=True)
+    total = 0
+    for u, v, mult in graph.edges:
+        if subset & ((1 << (u - 1)) | (1 << (v - 1))):
+            total += mult
+    return total
 
 
 def make_xor_source() -> JointSource:
@@ -150,6 +205,22 @@ def exchangeable_mixture(m: int, alphabet_size: int, components: int, seed: int)
     total = math.fsum(atoms.values())
     atoms = {cell: p / total for cell, p in atoms.items()}
     return JointSource(m, (alphabet_size,) * m, atoms)
+
+
+def hidden_bits_source(biases, views) -> JointSource:
+    """Terminal i sees the XOR of the hidden bits in the mask views[i].
+
+    Hidden bit j is 1 with probability biases[j], independently.  A view
+    of 0 is a constant terminal and a one-bit view a copy, so subset
+    entropies tie in the reals in many ways, and with biased bits the ties
+    round differently in different sums.
+    """
+    atoms = {}
+    for z in range(1 << len(biases)):
+        p = math.prod(b if (z >> j) & 1 else 1 - b for j, b in enumerate(biases))
+        x = tuple((z & v).bit_count() & 1 for v in views)
+        atoms[x] = atoms.get(x, 0.0) + p
+    return JointSource(len(views), (2,) * len(views), atoms)
 
 
 class CountingOracle:

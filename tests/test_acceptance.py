@@ -17,7 +17,6 @@ import pytest
 from skomni import subsets
 from skomni.capacity import (
     MinimizerStatus,
-    partition_surplus,
     singleton_minimizer_check,
     sk_capacity,
 )
@@ -41,6 +40,7 @@ from conftest import (
     exchangeable_mixture,
     make_identical_bits,
     make_xor_source,
+    partition_surplus,
     restricted_singleton_surplus,
     tabular_test_sources,
 )

@@ -3,14 +3,17 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skomni import subsets
 from skomni.capacity import (
     DEFAULT_TIE_TOL,
     MinimizerStatus,
-    partition_surplus,
+    _drop_cells,
+    _drop_terminal,
+    _greedy_cells,
+    leave_one_out_capacities,
     restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
@@ -28,7 +31,7 @@ from skomni.partitions import (
 )
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.silent_rate import build_rate_region, silent_capacity
-from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle, mutual_information
+from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle
 
 from conftest import (
     ThirdsOracle,
@@ -36,9 +39,12 @@ from conftest import (
     brute_minimizer_check,
     exchangeable_mixture,
     gathered_table,
+    hidden_bits_source,
     make_identical_bits,
     make_path3_graph,
     make_two_speaker_bsc,
+    mutual_information,
+    partition_surplus,
     reference_minimizer_check,
     restricted_singleton_surplus,
     singleton_surplus_identity,
@@ -591,3 +597,99 @@ def test_analyses_leave_the_shared_table_unchanged(kind, m):
     assert oracle.table() is table
     assert all(_same_bits(a, b) for a, b in zip(table, fresh))
     assert len(table) == len(fresh) == 1 << m
+
+
+def test_drop_cells_renumbers_and_falls_back():
+    # u leaves its cell and the bits above u shift down one.
+    assert _drop_cells([0b0011, 0b1100], 2) == [0b001, 0b110]
+    # A cell that held only u is gone.
+    assert _drop_cells([0b0001, 0b0010, 0b1100], 1) == [0b001, 0b110]
+    # {1,3}|{2,4} without 1 is {2}|{1,3} renumbered: the order is canonical again.
+    assert _drop_cells([0b0101, 0b1010], 1) == [0b101, 0b010]
+    # Fewer than 2 cells left: the search starts at the singletons.
+    assert _drop_cells([0b0111, 0b1000], 4) is None
+    assert _drop_cells([0b0001, 0b1110], 1) is None
+
+
+def test_drop_cells_agrees_with_the_speaker_table_cut():
+    # Position s of the cut for M - u holds the mask s stands for, so on an
+    # identity table the dropped cells must read back as the cells minus u,
+    # re-sorted: a cell whose least member was u may now come later.
+    m = 5
+    identity = list(range(1 << m))
+    for p in enumerate_partitions(m):
+        cells = sorted(p.cells, key=lambda c: c & -c)
+        for u in range(1, m + 1):
+            cut = _drop_terminal(identity, u)
+            left = [c & ~subsets.bit(u) for c in cells if c & ~subsets.bit(u)]
+            start = _drop_cells(cells, u)
+            if len(left) < 2:
+                assert start is None
+            else:
+                assert [cut[c] for c in start] == sorted(left, key=lambda c: c & -c)
+
+
+@st.composite
+def _leave_one_out_cases(draw):
+    """(kind, model): PIN or thirds multigraphs at m = 3..9, or hidden-bit pmfs
+    at m = 4..7 read in floats or at 60 digits."""
+    kind = draw(st.sampled_from(["pin", "thirds", "float", "mpf"]))
+    if kind in ("pin", "thirds"):
+        m = draw(st.integers(min_value=3, max_value=9))
+        pairs = [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)]
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+        return kind, PinGraph(m, tuple((u, v, draw(st.integers(1, 3))) for u, v in chosen))
+    m = draw(st.integers(min_value=4, max_value=7))
+    k = draw(st.integers(min_value=1, max_value=3))
+    bias = st.sampled_from([0.5, 0.3, 0.25, 0.1]) | st.floats(0.05, 0.95)
+    biases = draw(st.lists(bias, min_size=k, max_size=k))
+    views = draw(st.lists(st.integers(0, (1 << k) - 1), min_size=m, max_size=m))
+    return kind, hidden_bits_source(biases, views)
+
+
+_ORACLES = {
+    "pin": PinOracle,
+    "thirds": ThirdsOracle,
+    "float": TabularOracle,
+    "mpf": ExtendedPrecisionOracle,
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_leave_one_out_cases())
+# Two constants, A, B and A xor B: every restricted capacity is 0 in the
+# reals, and a search for M - 5 started at the capacity's cells would end
+# at another tying partition, whose float fold rounds apart.
+@example(("float", hidden_bits_source((0.3, 0.3), (0, 0, 1, 2, 3))))
+def test_lp_rows_are_the_cold_restricted_capacities(case):
+    kind, model = case
+    with mpmath.workdps(60):
+        oracle = _ORACLES[kind](model)
+        v = verdict_by_lp(oracle)
+        full = subsets.full_mask(oracle.m)
+        c, restricted = leave_one_out_capacities(oracle)
+        assert _same_bits(c, restricted_capacity(oracle, full))
+        assert [row.silent_capacity for row in v.evidence] == restricted
+        for row in v.evidence:
+            assert _same_bits(row.capacity, c)
+            assert _same_bits(row.silent_capacity, restricted_capacity(oracle, row.speakers))
+
+
+def test_leave_one_out_searches_start_at_the_capacity_minimizer(monkeypatch):
+    # The README graph: C = 5/2 at 1,4|2|3.  Started at that partition
+    # with u dropped, the four leave-one-out searches take 7 greedy passes
+    # with the capacity's, against 9 from the singletons.
+    oracle = PinOracle(PinGraph(4, ((1, 2, 1), (1, 3, 1), (1, 4, 3), (2, 3, 2), (3, 4, 1))))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _greedy_cells(*args)
+
+    monkeypatch.setattr("skomni.capacity._greedy_cells", counted)
+    rows = verdict_by_lp(oracle).evidence
+    assert len(calls) == 7
+    calls.clear()
+    cold = [restricted_capacity(oracle, s) for s in (0b1111, 0b1110, 0b1101, 0b1011, 0b0111)]
+    assert len(calls) == 9
+    assert [row.silent_capacity for row in rows] == cold[1:] == [1, 2, 1, 2]

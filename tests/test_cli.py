@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -441,6 +442,20 @@ def test_hunt_parallel_matches_serial(tmp_path, capsys):
     assert run(capsys, base + ["--out", str(serial)])[0] == 0
     assert run(capsys, base + ["--jobs", "2", "--out", str(parallel)])[0] == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+@pytest.mark.parametrize("m, trials, digest", [
+    (4, 500, "b443e355eaaac286"),
+    (5, 200, "52628e37972f1f28"),
+])
+def test_seed0_hunt_logs_keep_their_digests(tmp_path, capsys, m, trials, digest):
+    # A float bit that moves in a record's capacity or gaps moves no class
+    # count, but it moves the log's digest.  A change that moves float
+    # bits on purpose updates these and reports the old and new counts.
+    log = tmp_path / "hunt.jsonl"
+    args = ["hunt", "--m", str(m), "--trials", str(trials), "--seed", "0", "--jobs", "1"]
+    assert run(capsys, args + ["--out", str(log)])[0] == 0
+    assert hashlib.sha256(log.read_bytes()).hexdigest()[:16] == digest
 
 
 def _fail_at_trial_16(packed):

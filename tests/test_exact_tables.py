@@ -16,7 +16,6 @@ import pytest
 
 from skomni import subsets
 from skomni.capacity import (
-    partition_surplus,
     restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
@@ -27,7 +26,7 @@ from skomni.partitions import enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph, pin_capacity
 from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
 
-from conftest import ThirdsOracle, brute_minimizer_check
+from conftest import ThirdsOracle, brute_minimizer_check, partition_surplus
 
 
 def _drawn_graphs():

@@ -23,7 +23,7 @@ from skomni.omnivocality import (
 from skomni.partitions import parse_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
-from skomni.sources import TabularOracle, mutual_information
+from skomni.sources import TabularOracle
 
 from conftest import (
     CountingOracle,
@@ -35,6 +35,7 @@ from conftest import (
     make_two_speaker_bsc,
     make_xor4_source,
     make_xor_source,
+    mutual_information,
 )
 
 

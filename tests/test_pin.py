@@ -7,7 +7,6 @@ import pytest
 from skomni import subsets
 from skomni.capacity import (
     MinimizerStatus,
-    partition_surplus,
     singleton_minimizer_check,
     sk_capacity,
 )
@@ -22,14 +21,13 @@ from skomni.pin import (
     PinGraph,
     PinOracle,
     complete_graph,
-    incident_weight,
     load_pin_graph,
     partition_crossing,
     pin_capacity,
     strength_quotient,
 )
 
-from conftest import make_path3_graph
+from conftest import incident_weight, make_path3_graph, partition_surplus
 
 
 def random_graph(m, seed):

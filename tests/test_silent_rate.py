@@ -10,7 +10,6 @@ from skomni import subsets
 from skomni.capacity import (
     DEFAULT_TIE_TOL,
     MinimizerStatus,
-    partition_surplus,
     restricted_capacity,
     singleton_minimizer_check,
     sk_capacity,
@@ -25,15 +24,16 @@ from skomni.sources import (
     ExtendedPrecisionOracle,
     JointSource,
     TabularOracle,
-    conditional_entropy,
-    mutual_information,
 )
 
 from conftest import (
     CountingOracle,
     binary_entropy,
     brute_rate_region,
+    conditional_entropy,
     count_fills,
+    mutual_information,
+    partition_surplus,
     restricted_singleton_surplus,
     tabular_test_sources,
 )

@@ -13,13 +13,17 @@ from skomni.sources import (
     ExtendedPrecisionOracle,
     JointSource,
     TabularOracle,
-    conditional_entropy,
     load_source,
     marginal,
-    mutual_information,
 )
 
-from conftest import make_identical_bits, make_iid_bits, make_xor_source
+from conftest import (
+    conditional_entropy,
+    make_identical_bits,
+    make_iid_bits,
+    make_xor_source,
+    mutual_information,
+)
 
 
 def test_atoms_are_canonicalized():
