@@ -33,7 +33,6 @@ from .partitions import (
     enumerate_partitions,
     format_partition,
     isolating_partition,
-    parse_partition,
     singleton_partition,
 )
 from .pin import (

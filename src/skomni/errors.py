@@ -21,7 +21,7 @@ class InvalidSubsetError(SkomniError):
 
 
 class InvalidPartitionError(SkomniError):
-    """A partition literal or cell family does not partition the ground set."""
+    """A restricted growth string or cell family does not partition the ground set."""
 
 
 class SizeLimitError(SkomniError):

@@ -1,26 +1,26 @@
-"""Partitions of the terminal set {1..m} in restricted-growth form.
+"""Partitions of the terminal set {1..m} as canonical cell tuples.
 
-A partition is stored canonically as its restricted growth string (RGS):
-``rgs[i]`` is the cell index of terminal i+1, cells are numbered by first
-appearance, so ``rgs[0] == 0`` and each entry exceeds the running maximum
-by at most one.  Two equal partitions therefore have equal RGS tuples, and
-enumerating RGS tuples in lexicographic order enumerates set partitions
-without repetition.
+A partition is stored as its cells, subset bitmasks (see ``subsets``)
+ordered by their smallest member.  That order is canonical, so two equal
+partitions have equal cell tuples, and the tuple is the partition's
+identity for equality and hashing.
 
-Cells are exposed as subset bitmasks (see ``subsets``), ordered by cell
-index, i.e. by their smallest member.
+The restricted growth string (RGS) is a derived view: ``rgs[i]`` is the
+index of the cell holding terminal i+1, so ``rgs[0] == 0`` and each entry
+exceeds the running maximum by at most one.  Enumerating RGS tuples in
+lexicographic order enumerates set partitions without repetition.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 from . import subsets
-from .errors import InputError, InvalidPartitionError, SizeLimitError
+from .errors import InvalidPartitionError, SizeLimitError
 
 
-def _cells_from_rgs(rgs: tuple[int, ...]) -> tuple[int, ...]:
+def _cells_from_rgs(rgs: Sequence[int]) -> tuple[int, ...]:
     n_cells = max(rgs) + 1
     cells = [0] * n_cells
     for i, c in enumerate(rgs):
@@ -28,12 +28,10 @@ def _cells_from_rgs(rgs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cells)
 
 
-@dataclass(frozen=True)
-class Partition:
-    """A set partition of {1..m}; equality and hashing use the RGS only."""
+class Partition(NamedTuple):
+    """A set partition of {1..m}: its cells in canonical order."""
 
-    rgs: tuple[int, ...]
-    cells: tuple[int, ...] = field(compare=False)
+    cells: tuple[int, ...]
 
     @classmethod
     def from_rgs(cls, rgs: Iterable[int]) -> "Partition":
@@ -45,7 +43,7 @@ class Partition:
             if not isinstance(c, int) or c < 0 or c > running_max + 1:
                 raise InvalidPartitionError(f"{rgs!r} is not a restricted growth string")
             running_max = max(running_max, c)
-        return cls(rgs, _cells_from_rgs(rgs))
+        return cls(_cells_from_rgs(rgs))
 
     @classmethod
     def from_cells(cls, cells: Iterable[int], m: int) -> "Partition":
@@ -60,26 +58,23 @@ class Partition:
             raise InvalidPartitionError(
                 f"cells cover {subsets.members(cover)}, not all of 1..{m}"
             )
-        label: dict[int, int] = {}
-        rgs = []
-        cell_of = {}
-        for cell in cells:
-            for t in subsets.members(cell):
-                cell_of[t] = cell
-        for t in range(1, m + 1):
-            cell = cell_of[t]
-            if cell not in label:
-                label[cell] = len(label)
-            rgs.append(label[cell])
-        return cls(tuple(rgs), _cells_from_rgs(tuple(rgs)))
+        return cls(tuple(sorted(cells, key=lambda c: c & -c)))
 
     @property
     def m(self) -> int:
-        return len(self.rgs)
+        return max(self.cells).bit_length()
 
     @property
     def n_cells(self) -> int:
         return len(self.cells)
+
+    @property
+    def rgs(self) -> tuple[int, ...]:
+        rgs = [0] * self.m
+        for index, cell in enumerate(self.cells):
+            for t in subsets.members(cell):
+                rgs[t - 1] = index
+        return tuple(rgs)
 
     def __str__(self) -> str:
         return format_partition(self)
@@ -87,8 +82,6 @@ class Partition:
 
 def singleton_partition(m: int) -> Partition:
     """The all-singletons partition {{1},...,{m}}."""
-    if m < 1 or m > subsets.MAX_TERMINALS:
-        raise SizeLimitError(f"m={m} outside 1..{subsets.MAX_TERMINALS}")
     return Partition.from_rgs(range(m))
 
 
@@ -120,8 +113,7 @@ def enumerate_partitions(m: int, min_cells: int = 2) -> Iterator[Partition]:
     def rec(i: int, running_max: int) -> Iterator[Partition]:
         if i == m:
             if running_max + 1 >= min_cells:
-                t = tuple(rgs)
-                yield Partition(t, _cells_from_rgs(t))
+                yield Partition(_cells_from_rgs(rgs))
             return
         for c in range(running_max + 2):
             rgs[i] = c
@@ -130,30 +122,6 @@ def enumerate_partitions(m: int, min_cells: int = 2) -> Iterator[Partition]:
     yield from rec(1, 0)
 
 
-def parse_partition(text: str, m: int) -> Partition:
-    """Parse a partition literal such as "1,2|3" for the given m.
-
-    Every terminal 1..m must appear exactly once; cells are separated by
-    '|' and members by ','.
-    """
-    cell_texts = text.split("|")
-    cells = []
-    seen = 0
-    for cell_text in cell_texts:
-        try:
-            cell = subsets.parse_subset(cell_text.strip(), m)
-        except InputError as exc:
-            raise InputError(f"bad partition literal {text!r}: {exc}") from None
-        if cell & seen:
-            raise InputError(f"bad partition literal {text!r}: terminal repeated across cells")
-        seen |= cell
-        cells.append(cell)
-    if seen != subsets.full_mask(m):
-        missing = subsets.members(subsets.full_mask(m) & ~seen)
-        raise InputError(f"bad partition literal {text!r}: missing terminals {missing}")
-    return Partition.from_cells(cells, m)
-
-
 def format_partition(partition: Partition) -> str:
-    """Inverse of parse_partition, cells in canonical order: "1,2|3"."""
+    """Cells in canonical order, '|' between cells and ',' between members: "1,2|3"."""
     return "|".join(subsets.format_subset(cell) for cell in partition.cells)

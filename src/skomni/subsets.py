@@ -25,8 +25,8 @@ MAX_TERMINALS = 24
 #: hunt.  A dense source fills its table at 3^m cell sums, close to 3x the
 #: time per added terminal: ``capacity`` on a full-support binary source
 #: takes 0.29 s at m = 12, 1.9 s at 14 and 16 s at 16.  At m = 16,
-#: ``omnivocality`` takes 0.7 s on a 2-atom source and 0.3 s on K_16
-#: (Python 3.11, 2-core x86-64).
+#: ``omnivocality`` takes 0.22-0.41 s on a 2-atom source and 0.08-0.13 s
+#: on K_16 (Python 3.11.7, 2-core x86-64, in process).
 MAX_TABLE_M = 16
 
 #: Outcomes in a hunt source's alphabet grid: ``random_source`` builds

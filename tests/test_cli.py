@@ -402,12 +402,15 @@ def test_hunt_rejects_small_m(tmp_path, capsys):
 
 
 def test_hunt_rejects_bad_alphabet(tmp_path, capsys):
-    code, _, err = run(
-        capsys,
-        ["hunt", "--m", "4", "--alphabet", "2,2", "--out", str(tmp_path / "h.jsonl")],
-    )
-    assert code == 2
-    assert "alphabet spec" in err
+    log = tmp_path / "h.jsonl"
+    for spec, message in [
+        ("2,2", "alphabet spec '2,2' does not fit m=4"),
+        ("x", "bad alphabet spec 'x'"),
+    ]:
+        code, out, err = run(capsys, ["hunt", "--m", "4", "--alphabet", spec, "--out", str(log)])
+        assert (code, out) == (2, ""), spec
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not log.exists()
 
 
 def test_hunt_writes_deterministic_log(tmp_path, capsys):
@@ -636,6 +639,33 @@ def test_unparseable_model_text_exits_2(tmp_path, capsys, content, reason):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert reason in err
 
+
+
+_EDGE = {"u": 1, "v": 2}
+_ATOM = {"x": [0, 0], "p": 1.0}
+
+
+@pytest.mark.parametrize("model, flags, message", [
+    ({"edges": [_EDGE]}, [], "graph JSON needs 'm' and 'edges'"),
+    ({"m": 2, "edges": "x"}, [], "graph JSON field 'edges' must be a list"),
+    ({"m": 2, "edges": [[1, 2]]}, [], "edge entry [1, 2] must have 'u' and 'v'"),
+    ({"alphabet_sizes": [2, 2], "atoms": [_ATOM]}, [], "source JSON missing 'm'"),
+    ({"m": 2, "atoms": [_ATOM]}, [], "source JSON missing 'alphabet_sizes'"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": "x"}, [], "source JSON field 'atoms' must be a list"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [[0, 0, 1]]}, [],
+     "atom entry [0, 0, 1] must have 'x' and 'p'"),
+    ({"m": 2, "alphabet_sizes": 2, "atoms": [_ATOM]}, [],
+     "source JSON field 'alphabet_sizes' must be a list"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [{"x": [0, 0], "p": 0}, {"x": [1, 1], "p": 0}]},
+     ["--renormalize"], "cannot renormalize: atoms sum to 0.0"),
+], ids=[
+    "graph-no-m", "edges-not-list", "edge-not-object", "source-no-m", "source-no-alphabet",
+    "atoms-not-list", "atom-not-object", "alphabet-not-list", "renormalize-zero",
+])
+def test_malformed_model_shape_exits_2(tmp_path, capsys, model, flags, message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(model))
+    assert run(capsys, ["capacity", str(path)] + flags) == (2, "", f"error: {message}\n")
 
 def test_malformed_coordinate_beside_other_atoms_exits_2(tmp_path, capsys):
     # Sorting the atoms would compare a string or null coordinate with an

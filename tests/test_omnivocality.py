@@ -20,7 +20,7 @@ from skomni.omnivocality import (
     verdict_by_lp,
     verdict_for_three_terminals,
 )
-from skomni.partitions import parse_partition
+from skomni.partitions import Partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
 from skomni.sources import TabularOracle
@@ -200,7 +200,7 @@ def test_lp_necessary_where_the_singleton_partition_is_beaten():
     oracle = PinOracle(PinGraph(4, ((1, 2, 1), (1, 3, 1), (1, 4, 3), (2, 3, 2), (3, 4, 1))))
     report = sk_capacity(oracle)
     assert report.value == Fraction(5, 2)
-    assert report.argmin == (parse_partition("1,4|2|3", 4),)
+    assert report.argmin == (Partition.from_rgs((0, 1, 2, 0)),)
     condition = verdict_by_condition(oracle)
     assert condition.status is OmniStatus.UNKNOWN
     assert condition.minimizer.status is MinimizerStatus.NOT_MINIMIZER

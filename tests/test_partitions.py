@@ -2,15 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skomni.errors import InputError, InvalidPartitionError
+from skomni.errors import InvalidPartitionError
 from skomni.partitions import (
     Partition,
     enumerate_partitions,
     format_partition,
     isolating_partition,
-    parse_partition,
     singleton_partition,
 )
+from skomni.subsets import parse_subset
 
 # Number of partitions of an n-set, n = 1..8.
 BELL = [1, 2, 5, 15, 52, 203, 877, 4140]
@@ -84,28 +84,27 @@ def test_enumeration_is_lexicographic_and_duplicate_free():
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=202))
-def test_round_trip_through_rgs(m, index):
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=0, max_value=202),
+    st.randoms(use_true_random=False),
+)
+def test_round_trip_through_rgs(m, index, rng):
     all_parts = list(enumerate_partitions(m, min_cells=1))
     p = all_parts[index % len(all_parts)]
     assert Partition.from_rgs(p.rgs) == p
     assert Partition.from_cells(p.cells, m) == p
-
-
-def test_parse_partition():
-    p = parse_partition("1,2|3", 3)
-    assert p.cells == (0b011, 0b100)
-    assert parse_partition(" 3 | 1 , 2 ", 3) == p
-
-
-@pytest.mark.parametrize("text", ["", "1|2", "1,2|2,3", "1,2|3|3", "0|1,2,3", "1,2"])
-def test_parse_partition_rejects_bad_literals(text):
-    with pytest.raises(InputError):
-        parse_partition(text, 3)
+    shuffled = list(p.cells)
+    rng.shuffle(shuffled)
+    q = Partition.from_cells(shuffled, m)
+    assert q == Partition.from_rgs(p.rgs) and hash(q) == hash(p)
+    assert (q.rgs, q.m, q.n_cells) == (p.rgs, m, len(set(p.rgs)))
 
 
 def test_format_partition_round_trip():
     for p in enumerate_partitions(4, min_cells=1):
-        assert parse_partition(format_partition(p), 4) == p
-    assert format_partition(parse_partition("1,2|3", 3)) == "1,2|3"
+        cells = [parse_subset(text, 4) for text in format_partition(p).split("|")]
+        assert Partition.from_cells(cells, 4) == p
+    assert format_partition(Partition.from_rgs((0, 0, 1))) == "1,2|3"
+    assert format_partition(Partition.from_rgs((0, 1, 0, 2))) == "1,3|2|4"
     assert str(singleton_partition(3)) == "1|2|3"

@@ -1,4 +1,4 @@
-"""The result records are immutable NamedTuples.
+"""The result records and ``Partition`` are immutable NamedTuples.
 
 A frozen dataclass costs its generated methods' ``exec`` on every import,
 many times a NamedTuple's cost, so each result record must stay a
@@ -9,6 +9,7 @@ import pytest
 
 from skomni.capacity import CapacityReport, MinimizerVerdict, MinimizerWitness
 from skomni.omnivocality import ConjectureProbe, EvidenceRow, OmnivocalityVerdict, SilentWitness
+from skomni.partitions import Partition
 from skomni.silent_rate import RateConstraint, RateRegion, RateSolution, SilentCapacityReport
 from skomni.simplex import CoverSolution
 
@@ -16,7 +17,7 @@ RECORDS = [
     CapacityReport, MinimizerWitness, MinimizerVerdict,
     SilentWitness, EvidenceRow, OmnivocalityVerdict, ConjectureProbe,
     RateConstraint, RateRegion, RateSolution, SilentCapacityReport,
-    CoverSolution,
+    CoverSolution, Partition,
 ]
 
 
