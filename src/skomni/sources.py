@@ -111,7 +111,7 @@ class JointSource:
             if p < 0.0 or not math.isfinite(p):
                 raise InputError(f"atom {x!r} has probability {p!r}")
             clean[x] = p
-        total = math.fsum(clean.values())
+        total = _total(clean.values())
         if abs(total - 1.0) > PMF_TOLERANCE:
             raise InputError(f"atoms sum to {total:.6f}, not 1")
         object.__setattr__(self, "alphabet_sizes", sizes)
@@ -144,7 +144,7 @@ class JointSource:
             atoms[x] = p
         if renormalize:
             atoms = {x: _probability(x, p) for x, p in atoms.items()}
-            total = math.fsum(atoms.values())
+            total = _total(atoms.values())
             if total <= 0.0 or not math.isfinite(total):
                 raise InputError(f"cannot renormalize: atoms sum to {total!r}")
             atoms = {x: p / total for x, p in atoms.items()}
@@ -168,6 +168,15 @@ def _probability(x: Any, p: Any) -> float:
         return float(p)
     except OverflowError:
         raise InputError(f"atom {x!r} has a probability too large for a float") from None
+
+
+def _total(probabilities: Iterable[float]) -> float:
+    """``math.fsum`` of the probabilities, or inf where its partial sums
+    overflow, so that a total past the float range reads as bad input."""
+    try:
+        return math.fsum(probabilities)
+    except OverflowError:
+        return math.inf
 
 
 def read_json(path: str | Path) -> Any:
@@ -333,21 +342,33 @@ class ExtendedPrecisionOracle(TabularOracle):
     so wrap the whole computation that consumes this oracle in
     ``mpmath.workdps``.  Exact cell masses are rounded once to it; that
     equals summing the atoms in mpmath whenever it holds the sums exactly.
+
+    Each entry is bitwise what mpmath's own operators give at the context
+    precision: ``acc -= p * mp.log(p) / mp.log(2)`` over the cells, from
+    ``mpf(0)``, with ``p = mp.ldexp(mp.mpf(mass), -k)``.  The fill runs
+    the same ``mpmath.libmp`` calls, with the same rounding, on raw mpf
+    tuples, and builds one ``mpf`` per subset.
     """
 
     entropy = TableOracle.entropy
 
     def _fill(self) -> list[Any]:
-        import mpmath as mp
+        from mpmath import mp
+        from mpmath.libmp import (
+            from_man_exp, fzero, mpf_div, mpf_log, mpf_mul, mpf_sub, round_nearest as rnd,
+        )
 
-        ln2 = mp.log(2)
+        prec = mp.prec
+        ln2 = mp.log(2)._mpf_
+        make_mpf = mp.make_mpf
 
         def entropy(masses: Iterable[int], k: int) -> Any:
-            acc = mp.mpf(0)
+            acc = fzero
             for mass in masses:
                 if mass:
-                    p = mp.ldexp(mp.mpf(mass), -k)
-                    acc -= p * mp.log(p) / ln2
-            return acc
+                    p = from_man_exp(mass, -k, prec, rnd)
+                    term = mpf_div(mpf_mul(p, mpf_log(p, prec, rnd), prec, rnd), ln2, prec, rnd)
+                    acc = mpf_sub(acc, term, prec, rnd)
+            return make_mpf(acc)
 
         return _entropy_table(self.source, mp.mpf(0), entropy)

@@ -27,7 +27,7 @@ from skomni.generators import random_source
 from skomni.partitions import Partition, enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.silent_rate import RateConstraint, RateRegion
-from skomni.sources import JointSource, TabularOracle
+from skomni.sources import JointSource, TabularOracle, _entropy_table
 
 
 def binary_entropy(p: float) -> float:
@@ -88,6 +88,26 @@ def incident_weight(graph: PinGraph, subset: int) -> int:
         if subset & ((1 << (u - 1)) | (1 << (v - 1))):
             total += mult
     return total
+
+
+def mpf_operator_table(source: JointSource) -> list:
+    """The subset-entropy table of ``source`` at the current mpmath
+    precision, built with mpmath's high-level operators: the reference
+    for ``ExtendedPrecisionOracle``, which runs the same ``mpmath.libmp``
+    calls on raw mpf tuples."""
+    import mpmath as mp
+
+    ln2 = mp.log(2)
+
+    def entropy(masses, k):
+        acc = mp.mpf(0)
+        for mass in masses:
+            if mass:
+                p = mp.ldexp(mp.mpf(mass), -k)
+                acc -= p * mp.log(p) / ln2
+        return acc
+
+    return _entropy_table(source, mp.mpf(0), entropy)
 
 
 def make_xor_source() -> JointSource:

@@ -447,16 +447,19 @@ def test_hunt_parallel_matches_serial(tmp_path, capsys):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-@pytest.mark.parametrize("m, trials, digest", [
-    (4, 500, "b443e355eaaac286"),
-    (5, 200, "52628e37972f1f28"),
-])
-def test_seed0_hunt_logs_keep_their_digests(tmp_path, capsys, m, trials, digest):
+@pytest.mark.parametrize("m, alphabet, trials, digest", [
+    (4, "2", 500, "b443e355eaaac286"),
+    (5, "2", 200, "52628e37972f1f28"),
+    (4, "3,2,2,2", 100, "ed78b8200d2f4006"),
+], ids=["4-500-b443e355eaaac286", "5-200-52628e37972f1f28", "4-3222-100-ed78b8200d2f4006"])
+def test_seed0_hunt_logs_keep_their_digests(tmp_path, capsys, m, alphabet, trials, digest):
     # A float bit that moves in a record's capacity or gaps moves no class
     # count, but it moves the log's digest.  A change that moves float
     # bits on purpose updates these and reports the old and new counts.
+    # The mixed alphabet pins the 60-digit re-check on a non-binary grid.
     log = tmp_path / "hunt.jsonl"
-    args = ["hunt", "--m", str(m), "--trials", str(trials), "--seed", "0", "--jobs", "1"]
+    args = ["hunt", "--m", str(m), "--alphabet", alphabet, "--trials", str(trials),
+            "--seed", "0", "--jobs", "1"]
     assert run(capsys, args + ["--out", str(log)])[0] == 0
     assert hashlib.sha256(log.read_bytes()).hexdigest()[:16] == digest
 
@@ -643,6 +646,8 @@ def test_unparseable_model_text_exits_2(tmp_path, capsys, content, reason):
 
 _EDGE = {"u": 1, "v": 2}
 _ATOM = {"x": [0, 0], "p": 1.0}
+# Each atom is a float, but their sum is past the float range.
+_ATOMS_PAST_FLOAT_RANGE = [{"x": [0, 0], "p": 1e308}, {"x": [1, 1], "p": 1e308}]
 
 
 @pytest.mark.parametrize("model, flags, message", [
@@ -658,9 +663,14 @@ _ATOM = {"x": [0, 0], "p": 1.0}
      "source JSON field 'alphabet_sizes' must be a list"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [{"x": [0, 0], "p": 0}, {"x": [1, 1], "p": 0}]},
      ["--renormalize"], "cannot renormalize: atoms sum to 0.0"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": _ATOMS_PAST_FLOAT_RANGE}, [],
+     "atoms sum to inf, not 1"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": _ATOMS_PAST_FLOAT_RANGE}, ["--renormalize"],
+     "cannot renormalize: atoms sum to inf"),
 ], ids=[
     "graph-no-m", "edges-not-list", "edge-not-object", "source-no-m", "source-no-alphabet",
     "atoms-not-list", "atom-not-object", "alphabet-not-list", "renormalize-zero",
+    "sum-overflows", "renormalize-sum-overflows",
 ])
 def test_malformed_model_shape_exits_2(tmp_path, capsys, model, flags, message):
     path = tmp_path / "m.json"

@@ -3,7 +3,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skomni import subsets
@@ -22,6 +22,7 @@ from conftest import (
     make_identical_bits,
     make_iid_bits,
     make_xor_source,
+    mpf_operator_table,
     mutual_information,
 )
 
@@ -265,16 +266,22 @@ def test_float_table_is_bitwise_the_fsum_over_marginals(source):
         assert oracle.entropy(subset).hex() == _fsum_entropy(source, subset).hex()
 
 
+def _tiny_atom_source(grid, full):
+    """Three atoms 2^-1060, 1/4 and 3/4 - 2^-1060 on a 3-terminal grid,
+    with the rest of the grid as zero-mass atoms if ``full``."""
+    tiny = 2.0**-1060
+    cells = list(itertools.product(*(range(size) for size in grid)))
+    atoms = dict.fromkeys(cells if full else cells[:3], 0.0)
+    atoms[cells[0]], atoms[cells[1]], atoms[cells[2]] = tiny, 0.25, 0.75 - tiny
+    return JointSource(3, grid, atoms)
+
+
 @pytest.mark.parametrize("grid", [(2, 1, 2), (2, 2, 1)])
 @pytest.mark.parametrize("full", [True, False])
 def test_masses_below_the_normal_range_divide_exactly(grid, full):
     # An atom of 2^-1060 puts the masses in units of 2^-1061, beyond the
     # exponent range in which scaling by a float power of two is exact.
-    tiny = 2.0**-1060
-    cells = list(itertools.product(*(range(size) for size in grid)))
-    atoms = dict.fromkeys(cells if full else cells[:3], 0.0)
-    atoms[cells[0]], atoms[cells[1]], atoms[cells[2]] = tiny, 0.25, 0.75 - tiny
-    source = JointSource(3, grid, atoms)
+    source = _tiny_atom_source(grid, full)
     oracle = TabularOracle(source)
     for subset in range(1, 8):
         assert oracle.entropy(subset).hex() == _fsum_entropy(source, subset).hex()
@@ -297,6 +304,10 @@ def _mpf_entropy(source, subset):
     return acc
 
 
+def _mpf_bits(table):
+    return [value._mpf_ for value in table]
+
+
 @pytest.mark.parametrize(
     "source",
     [
@@ -317,3 +328,22 @@ def test_mpf_table_matches_per_subset_sums_at_60_digits(source):
         assert oracle.entropy(0) == 0
         for subset in range(1, 1 << source.m):
             assert oracle.entropy(subset) == _mpf_entropy(source, subset)
+        assert _mpf_bits(oracle.table()) == _mpf_bits(mpf_operator_table(source))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_awkward_sources(), _full_grid_sources()))
+@example(_tiny_atom_source((2, 1, 2), True))
+@example(_tiny_atom_source((2, 1, 2), False))
+@example(_tiny_atom_source((2, 2, 1), True))
+@example(_tiny_atom_source((2, 2, 1), False))
+def test_mpf_table_is_bitwise_the_operator_fill(source):
+    # The fill runs mpmath.libmp on raw tuples; every entry must carry the
+    # bits that mpmath's own operators give, at any precision.
+    import mpmath
+
+    for dps in (16, 30, 60, 100):
+        with mpmath.workdps(dps):
+            table = ExtendedPrecisionOracle(source).table()
+            assert all(type(value) is mpmath.mpf for value in table)
+            assert _mpf_bits(table) == _mpf_bits(mpf_operator_table(source)), dps
