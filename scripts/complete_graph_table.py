@@ -38,7 +38,7 @@ def main() -> int:
         condition = verdict_by_condition(oracle).status.value
         lp = verdict_by_lp(oracle).status.value
         elapsed = time.monotonic() - start
-        argmin = " ".join(format_partition(p) for p in report.argmin)
+        argmin = format_partition(report.argmin)
         print(f"{m:>2}  {str(report.value):>9}  {argmin:<16} {condition:<10} {lp:<10} "
               f"{report.partitions_examined:>10}  {elapsed:>7.2f}")
     return 0

@@ -13,6 +13,8 @@ or holds an integer too long for Python to parse, holds a record without
 ``classification``, or holds a candidate without a field the listing
 reads (or, with ``--dump-worst``, without its ``source``), or with such a
 field of the wrong type, is a usage error: exit 2 with a one-line message.
+So is a ``--dump-worst`` path that cannot be written; the dump is written
+before anything is printed.
 
 Usage: python scripts/hunt_summary.py hunt.jsonl [--top 10] [--dump-worst worst.json]
 """
@@ -77,16 +79,22 @@ def main() -> int:
         print("empty log")
         return 1
 
+    candidates = [r for r in records if r["classification"] == CANDIDATE]
+    candidates.sort(key=lambda r: min(abs(g) for g in r["gaps"]))
+    if args.dump_worst and candidates:
+        try:
+            with open(args.dump_worst, "w") as fh:
+                json.dump(candidates[0]["source"], fh, indent=2)
+        except OSError as exc:
+            parser.error(f"cannot write {args.dump_worst}: {exc.strerror}")
+
     counts = Counter(r["classification"] for r in records)
     for name, count in sorted(counts.items()):
         print(f"{name}: {count}")
-
-    candidates = [r for r in records if r["classification"] == CANDIDATE]
     if not candidates:
         print("no candidates")
         return 0
 
-    candidates.sort(key=lambda r: min(abs(g) for g in r["gaps"]))
     print(f"\n{'trial':>6} {'seed':>6}  {'digest':<16} {'min |gap|':>12} {'capacity':>10}")
     for r in candidates[: args.top]:
         min_gap = min(abs(g) for g in r["gaps"])
@@ -94,8 +102,6 @@ def main() -> int:
               f"{min_gap:>12.3e} {r['capacity']:>10.6f}")
 
     if args.dump_worst:
-        with open(args.dump_worst, "w") as fh:
-            json.dump(candidates[0]["source"], fh, indent=2)
         print(f"\nmost marginal candidate (trial {candidates[0]['trial']}) "
               f"written to {args.dump_worst}")
     return 0

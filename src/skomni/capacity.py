@@ -105,7 +105,7 @@ from typing import Any, NamedTuple, Optional
 
 from . import subsets
 from .errors import SizeLimitError
-from .partitions import Partition, isolating_partition
+from .partitions import Partition, canonical_order, isolating_partition, merge_cells
 from .sources import EntropyOracle
 
 #: Default half-width of the band inside which float comparisons are ties.
@@ -153,7 +153,7 @@ def _drop_terminal(h: list, u: int) -> list:
 
 class CapacityReport(NamedTuple):
     value: Any
-    argmin: tuple[Partition, ...]
+    argmin: Partition
     partitions_examined: int
     exact: bool
 
@@ -186,15 +186,11 @@ def _greedy_cells(h: list, m: int, gamma: Any, band: Any) -> tuple[list[int], li
         else:
             near = compress(range(bit), map(operator.le, gains, repeat(cutoff)))
             chosen = bit | min(near, key=int.bit_count)
-        merged = chosen
-        for cell in [c for c in cells if c & chosen]:
-            cells.remove(cell)
-            merged |= cell
-        cells.append(merged)
+        cells = merge_cells(cells, chosen)
         x_j = low - gamma
         xs.append(x_j)
         x += [v + x_j for v in x]
-    return sorted(cells, key=lambda c: c & -c), xs
+    return canonical_order(cells), xs
 
 
 def _cells_surplus(h: list, cells: list[int], exact: bool) -> Any:
@@ -230,11 +226,13 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
 
     ``value`` is the least surplus evaluated, the canonical fold of its
     cells (see the module docstring); Newton steps compare strictly.
-    ``argmin`` holds one partition: the finest minimizer, chosen by a last
+    ``argmin`` is one ``Partition``: the finest minimizer, chosen by a last
     greedy pass at gamma = ``value`` that keeps the fewest-member set within
     ``tie_tol`` of each step minimum (exactly equal for exact oracles).  If
     that pass gives the trivial partition or one whose surplus lies outside
-    the band, ``argmin`` holds the partition whose surplus set ``value``.
+    the band, ``argmin`` is the partition whose surplus set ``value``.  The
+    search itself runs on canonical lists of cell masks; only ``argmin``
+    becomes a ``Partition``.
     ``partitions_examined`` counts the surpluses the Newton steps evaluated.
     """
     m = oracle.m
@@ -247,7 +245,7 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
     finest = _greedy_cells(h, m, value, band)[0]
     if len(finest) >= 2 and abs(_cells_surplus(h, finest, exact) - value) <= band:
         best = finest
-    return CapacityReport(value, (Partition.from_cells(best, m),), examined, exact)
+    return CapacityReport(value, Partition.from_cells(best, m), examined, exact)
 
 
 def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
@@ -298,7 +296,7 @@ def _drop_cells(cells: list[int], u: int) -> Optional[list[int]]:
     """
     low = (1 << (u - 1)) - 1
     dropped = [(c & low) | ((c >> 1) & ~low) for c in cells]
-    start = sorted(filter(None, dropped), key=lambda c: c & -c)
+    start = canonical_order(filter(None, dropped))
     return start if len(start) >= 2 else None
 
 

@@ -117,16 +117,16 @@ def cmd_capacity(args: argparse.Namespace) -> int:
         report = pin_capacity(model)
     else:
         report = sk_capacity(TabularOracle(model), args.tol)
-    argmin = [format_partition(p) for p in report.argmin]
+    argmin = format_partition(report.argmin)
     payload = {
         "m": model.m,
         "exact": report.exact,
         "capacity": _jsonable(report.value),
-        "argmin": argmin,
+        "argmin": [argmin],
         "partitions_examined": report.partitions_examined,
     }
     lines = [
-        f"C = {_fmt(report.value)} bits; argmin: {' '.join(argmin)}",
+        f"C = {_fmt(report.value)} bits; argmin: {argmin}",
         f"partitions examined: {report.partitions_examined}",
     ]
     return _emit(args, payload, lines)
@@ -323,7 +323,12 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         else:
             records = map(_hunt_worker, jobs)
         for record in records:
-            fh.write(json.dumps(record) + "\n")
+            try:
+                fh.write(json.dumps(record) + "\n")
+            except OSError as exc:
+                with contextlib.suppress(OSError):
+                    fh.close()  # its flush fails the same way
+                raise InputError(f"cannot write log {args.out}: {exc.strerror}") from None
             counts[record["classification"]] = counts.get(record["classification"], 0) + 1
     payload = {
         "m": args.m,

@@ -21,7 +21,7 @@ class InvalidSubsetError(SkomniError):
 
 
 class InvalidPartitionError(SkomniError):
-    """A restricted growth string or cell family does not partition the ground set."""
+    """A family of cells does not partition the ground set."""
 
 
 class SizeLimitError(SkomniError):

@@ -3,47 +3,43 @@
 A partition is stored as its cells, subset bitmasks (see ``subsets``)
 ordered by their smallest member.  That order is canonical, so two equal
 partitions have equal cell tuples, and the tuple is the partition's
-identity for equality and hashing.
-
-The restricted growth string (RGS) is a derived view: ``rgs[i]`` is the
-index of the cell holding terminal i+1, so ``rgs[0] == 0`` and each entry
-exceeds the running maximum by at most one.  Enumerating RGS tuples in
-lexicographic order enumerates set partitions without repetition.
+identity for equality and hashing.  The searches in ``capacity`` and
+``pin`` work on plain lists of cell masks in the same order and build a
+``Partition`` only for what they return; ``canonical_order`` and
+``merge_cells`` are the cell rules they share.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import subsets
 from .errors import InvalidPartitionError, SizeLimitError
 
 
-def _cells_from_rgs(rgs: Sequence[int]) -> tuple[int, ...]:
-    n_cells = max(rgs) + 1
-    cells = [0] * n_cells
-    for i, c in enumerate(rgs):
-        cells[c] |= 1 << i
-    return tuple(cells)
+def canonical_order(cells: Iterable[int]) -> list[int]:
+    """Cell masks sorted by their smallest member."""
+    return sorted(cells, key=lambda c: c & -c)
+
+
+def merge_cells(cells: list[int], chosen: int) -> list[int]:
+    """The cells that miss ``chosen``, in order, then ``chosen`` joined with
+    every cell it meets."""
+    kept = []
+    for cell in cells:
+        if cell & chosen:
+            chosen |= cell
+        else:
+            kept.append(cell)
+    kept.append(chosen)
+    return kept
 
 
 class Partition(NamedTuple):
     """A set partition of {1..m}: its cells in canonical order."""
 
     cells: tuple[int, ...]
-
-    @classmethod
-    def from_rgs(cls, rgs: Iterable[int]) -> "Partition":
-        rgs = tuple(rgs)
-        if not rgs:
-            raise InvalidPartitionError("empty RGS")
-        running_max = -1
-        for c in rgs:
-            if not isinstance(c, int) or c < 0 or c > running_max + 1:
-                raise InvalidPartitionError(f"{rgs!r} is not a restricted growth string")
-            running_max = max(running_max, c)
-        return cls(_cells_from_rgs(rgs))
 
     @classmethod
     def from_cells(cls, cells: Iterable[int], m: int) -> "Partition":
@@ -58,7 +54,7 @@ class Partition(NamedTuple):
             raise InvalidPartitionError(
                 f"cells cover {subsets.members(cover)}, not all of 1..{m}"
             )
-        return cls(tuple(sorted(cells, key=lambda c: c & -c)))
+        return cls(tuple(canonical_order(cells)))
 
     @property
     def m(self) -> int:
@@ -68,21 +64,13 @@ class Partition(NamedTuple):
     def n_cells(self) -> int:
         return len(self.cells)
 
-    @property
-    def rgs(self) -> tuple[int, ...]:
-        rgs = [0] * self.m
-        for index, cell in enumerate(self.cells):
-            for t in subsets.members(cell):
-                rgs[t - 1] = index
-        return tuple(rgs)
-
     def __str__(self) -> str:
         return format_partition(self)
 
 
 def singleton_partition(m: int) -> Partition:
     """The all-singletons partition {{1},...,{m}}."""
-    return Partition.from_rgs(range(m))
+    return isolating_partition(m, subsets.full_mask(m))
 
 
 def isolating_partition(m: int, block: int) -> Partition:
@@ -101,25 +89,32 @@ def isolating_partition(m: int, block: int) -> Partition:
 def enumerate_partitions(m: int, min_cells: int = 2) -> Iterator[Partition]:
     """Yield every partition of {1..m} with at least ``min_cells`` cells.
 
-    Lazy, in lexicographic RGS order.  The count over all min_cells=1
-    partitions is the Bell number B(m).
+    Lazy.  Terminal t joins each cell of the terminals below it in turn,
+    in canonical order, and then opens a cell of its own, so every
+    partition comes once.  The count over all min_cells=1 partitions is
+    the Bell number B(m).
     """
     if not isinstance(m, int) or m < 1:
         raise SizeLimitError(f"m={m!r} is not a positive integer")
     if min_cells > m:
         return
-    rgs = [0] * m
+    cells: list[int] = []
 
-    def rec(i: int, running_max: int) -> Iterator[Partition]:
-        if i == m:
-            if running_max + 1 >= min_cells:
-                yield Partition(_cells_from_rgs(rgs))
+    def rec(t: int) -> Iterator[Partition]:
+        if t == m:
+            if len(cells) >= min_cells:
+                yield Partition(tuple(cells))
             return
-        for c in range(running_max + 2):
-            rgs[i] = c
-            yield from rec(i + 1, max(running_max, c))
+        bit = 1 << t
+        for i in range(len(cells)):
+            cells[i] |= bit
+            yield from rec(t + 1)
+            cells[i] ^= bit
+        cells.append(bit)
+        yield from rec(t + 1)
+        cells.pop()
 
-    yield from rec(1, 0)
+    yield from rec(0)
 
 
 def format_partition(partition: Partition) -> str:

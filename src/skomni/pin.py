@@ -23,6 +23,7 @@ entropy-based analysis can be cross-checked against the graph route.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -31,7 +32,7 @@ from typing import Any
 from . import subsets
 from .capacity import CapacityReport
 from .errors import InputError, SizeLimitError
-from .partitions import Partition, singleton_partition
+from .partitions import Partition, canonical_order, merge_cells
 from .sources import TableOracle, read_json
 
 
@@ -139,8 +140,15 @@ def partition_crossing(graph: PinGraph, partition: Partition) -> int:
     different cells."""
     if partition.m != graph.m:
         raise SizeLimitError(f"partition is over m={partition.m}, graph has m={graph.m}")
-    rgs = partition.rgs
-    return sum(mult for u, v, mult in graph.edges if rgs[u - 1] != rgs[v - 1])
+    return _crossing(graph, partition.cells)
+
+
+def _crossing(graph: PinGraph, cells: Iterable[int]) -> int:
+    cell_of = [0] * graph.m  # the cell holding each terminal
+    for cell in cells:
+        for t in subsets.members(cell):
+            cell_of[t - 1] = cell
+    return sum(mult for u, v, mult in graph.edges if not cell_of[u - 1] >> (v - 1) & 1)
 
 
 def strength_quotient(graph: PinGraph, partition: Partition) -> Fraction:
@@ -201,7 +209,8 @@ def _greedy_cells(adj: list[list[int]], p: int, q: int) -> list[int]:
     arc of its absolute value, plus a constant, when that is negative) and
     each edge inside {1..j} is an arc of q w both ways.  j then merges
     with every cell that meets the minimal B, the source side of that cut,
-    so the cells form the finest minimizing partition.
+    so the cells form the finest minimizing partition.  They come back in
+    canonical order, by smallest member.
     """
     m = len(adj)
     qadj = [[q * w for w in row] for row in adj]
@@ -227,15 +236,8 @@ def _greedy_cells(adj: list[list[int]], p: int, q: int) -> list[int]:
         chosen = 0
         for i in reached:
             chosen |= 1 << i
-        merged = chosen
-        kept = []
-        for cell in cells:
-            if cell & chosen:
-                merged |= cell
-            else:
-                kept.append(cell)
-        cells = kept + [merged]
-    return cells
+        cells = merge_cells(cells, chosen)
+    return canonical_order(cells)
 
 
 def pin_capacity(graph: PinGraph) -> CapacityReport:
@@ -248,26 +250,27 @@ def pin_capacity(graph: PinGraph) -> CapacityReport:
     the trivial partition exactly when its quotient is below lambda, and
     lambda then moves there.  Otherwise lambda is the capacity: the
     current partition ties the trivial one, so the pass returns the
-    finest partition reaching lambda, which becomes ``argmin``.  The cell
-    count falls at every step, so at most m partitions are evaluated.
+    finest partition reaching lambda, which becomes ``argmin``, one
+    ``Partition``.  The cell count falls at every step, so at most m
+    partitions are evaluated.  The steps run on canonical lists of cell
+    masks, as ``capacity``'s Newton search does; only ``argmin`` becomes a
+    ``Partition``.
 
     All flows are in ints and no entropy is read, so this route is
     independent of ``sk_capacity`` over a ``PinOracle``.
     """
     adj = _adjacency(graph)
-    best = singleton_partition(graph.m)
-    value = strength_quotient(graph, best)
+    best = [1 << i for i in range(graph.m)]
+    value = Fraction(_crossing(graph, best), graph.m - 1)
     examined = 1
     while True:
-        candidate = Partition.from_cells(
-            _greedy_cells(adj, value.numerator, value.denominator), graph.m
-        )
-        if candidate == best:
+        cells = _greedy_cells(adj, value.numerator, value.denominator)
+        if cells == best:
             break
         examined += 1
-        quotient = strength_quotient(graph, candidate)
-        best = candidate
+        quotient = Fraction(_crossing(graph, cells), len(cells) - 1)
+        best = cells
         if not quotient < value:
             break
         value = quotient
-    return CapacityReport(value, (best,), examined, True)
+    return CapacityReport(value, Partition.from_cells(best, graph.m), examined, True)

@@ -59,7 +59,7 @@ def test_criterion_01_complete_graph_pin():
         report = pin_capacity(oracle.graph)
         assert report.exact
         assert report.value == Fraction(m, 2)
-        assert list(report.argmin) == [singleton_partition(m)]
+        assert report.argmin == singleton_partition(m)
         assert verdict_by_condition(oracle).status is OmniStatus.NECESSARY
         assert verdict_by_lp(oracle).status is OmniStatus.NECESSARY
     elapsed = time.monotonic() - start

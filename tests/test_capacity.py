@@ -71,39 +71,39 @@ def test_capacity_xor(xor_oracle):
     # The singleton partition is the unique minimizer: the first Newton
     # step finds it again, so no other partition is evaluated.
     assert report.partitions_examined == 1
-    assert report.argmin == (singleton_partition(3),)
+    assert report.argmin == singleton_partition(3)
 
 
 def test_capacity_identical_bits_all_tie(identical_oracle):
     # All four partitions tie; the finest of them is reported.
     report = sk_capacity(identical_oracle)
     assert report.value == pytest.approx(1.0)
-    assert report.argmin == (singleton_partition(3),)
+    assert report.argmin == singleton_partition(3)
 
 
 def test_capacity_iid_bits_is_zero(iid_oracle):
     report = sk_capacity(iid_oracle)
     assert report.value == pytest.approx(0.0)
-    assert report.argmin == (singleton_partition(3),)
+    assert report.argmin == singleton_partition(3)
 
 
 def test_capacity_common_randomness(common_randomness_oracle):
     report = sk_capacity(common_randomness_oracle)
     assert report.value == pytest.approx(1.0)
-    assert report.argmin == (singleton_partition(3),)
+    assert report.argmin == singleton_partition(3)
 
 
 def test_capacity_two_speaker(two_speaker_oracle):
     report = sk_capacity(two_speaker_oracle)
     assert report.value == pytest.approx(1.0 - binary_entropy(0.45))
-    assert report.argmin == (Partition.from_rgs((0, 0, 1)),)
+    assert report.argmin == Partition.from_cells([0b011, 0b100], 3)
 
 
 def test_capacity_xor4(xor4_oracle):
     report = sk_capacity(xor4_oracle)
     assert report.value == pytest.approx(1.0 / 3.0)
     assert report.partitions_examined == 1
-    assert report.argmin == (singleton_partition(4),)
+    assert report.argmin == singleton_partition(4)
 
 
 def test_capacity_m2_reduces_to_mutual_information():
@@ -422,8 +422,8 @@ def _check_capacity_search(oracle, bitwise=True):
         assert _same_bits(report.value, value)
     else:
         assert value <= report.value <= value + 1e-9
-    assert len(report.argmin) == 1
-    (chosen,) = report.argmin
+    chosen = report.argmin
+    assert isinstance(chosen, Partition)
     # The reported finest partition comes from a last pass inside the band,
     # so only exact oracles promise its surplus bit for bit.
     surplus = partition_surplus(oracle, chosen)
@@ -473,8 +473,8 @@ def test_capacity_reports_the_finest_partition_inside_the_band():
     oracle = _TableOracle(3, [0, 1, 1, 1.5 - 1e-12, 1, 2, 2, 2])
     wide, narrow = sk_capacity(oracle), sk_capacity(oracle, tie_tol=1e-15)
     assert wide.value == narrow.value == 1.5 - 1e-12 + 1 - 2
-    assert wide.argmin == (singleton_partition(3),)
-    assert narrow.argmin == (Partition.from_rgs((0, 0, 1)),)
+    assert wide.argmin == singleton_partition(3)
+    assert narrow.argmin == Partition.from_cells([0b011, 0b100], 3)
 
 
 def test_capacity_search_reports_a_finest_partition_off_value_by_rounding():
@@ -486,8 +486,8 @@ def test_capacity_search_reports_a_finest_partition_off_value_by_rounding():
     with mpmath.workdps(60):
         oracle = ExtendedPrecisionOracle(source)
         report = sk_capacity(oracle)
-        assert report.argmin == (singleton_partition(4),)
-        assert partition_surplus(oracle, report.argmin[0]) != report.value
+        assert report.argmin == singleton_partition(4)
+        assert partition_surplus(oracle, report.argmin) != report.value
         _check_capacity_search(oracle, bitwise=False)
 
 
@@ -524,9 +524,16 @@ class _Untouchable:
 _TABLE_CAP = r"^entropy-table analyses support m <= 16$"
 
 
+class _OneTerminal(_Untouchable):
+    m = 1
+
+
 def test_capacity_size_limit_precedes_entropy_queries():
     with pytest.raises(SizeLimitError, match=_TABLE_CAP):
         sk_capacity(_Untouchable())
+    for search in (sk_capacity, leave_one_out_capacities):
+        with pytest.raises(SizeLimitError, match="^capacity needs at least 2 terminals$"):
+            search(_OneTerminal())
     with pytest.raises(SizeLimitError, match=_TABLE_CAP):
         singleton_minimizer_check(_Untouchable())
     with pytest.raises(SizeLimitError, match=_TABLE_CAP):

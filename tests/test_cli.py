@@ -718,6 +718,15 @@ def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_hunt_log_write_failure_exits_2(capsys, jobs):
+    # Every write to /dev/full fails with ENOSPC; the pool still shuts down.
+    argv = ["hunt", "--m", "4", "--trials", "3", "--jobs", jobs, "--out", "/dev/full"]
+    expected = "error: cannot write log /dev/full: No space left on device\n"
+    assert run(capsys, argv) == (2, "", expected)
+
+
 def test_in_process_calls_share_one_parser_and_leak_nothing(files, capsys, monkeypatch):
     # A fresh import of the module, so that its parser cache starts empty.
     monkeypatch.setattr(skomni, "cli", sys.modules["skomni.cli"])

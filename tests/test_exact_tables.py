@@ -61,7 +61,7 @@ def test_scaled_paths_match_fraction_references(graph, scale):
     brute = min(partition_surplus(oracle, p) for p in enumerate_partitions(m, min_cells=2))
     assert _is_fraction(capacity.value)
     assert capacity.value == brute == pin_capacity(graph).value / scale
-    assert partition_surplus(oracle, capacity.argmin[0]) == capacity.value
+    assert partition_surplus(oracle, capacity.argmin) == capacity.value
 
     fast = singleton_minimizer_check(oracle)
     assert fast.status is brute_minimizer_check(oracle).status

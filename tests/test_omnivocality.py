@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -200,7 +201,7 @@ def test_lp_necessary_where_the_singleton_partition_is_beaten():
     oracle = PinOracle(PinGraph(4, ((1, 2, 1), (1, 3, 1), (1, 4, 3), (2, 3, 2), (3, 4, 1))))
     report = sk_capacity(oracle)
     assert report.value == Fraction(5, 2)
-    assert report.argmin == (Partition.from_rgs((0, 1, 2, 0)),)
+    assert report.argmin == Partition.from_cells([0b1001, 0b0010, 0b0100], 4)
     condition = verdict_by_condition(oracle)
     assert condition.status is OmniStatus.UNKNOWN
     assert condition.minimizer.status is MinimizerStatus.NOT_MINIMIZER
@@ -381,6 +382,22 @@ def test_probe_candidate_survives_reverification():
     assert probe.condition is MinimizerStatus.NOT_MINIMIZER
     assert probe.lp is OmniStatus.NECESSARY
     assert min(abs(float(g)) for g in probe.gaps) > 1e-4
+
+
+def test_seed0_recheck_keeps_the_bits_of_its_60_digit_values():
+    # The hunt log stores the re-checked capacity and gaps as floats, so a
+    # 60-digit value off by a few ulps leaves every log byte the same; this
+    # digest covers their mpf bits.  Seeds 0-499 are the m = 4 seed-0 hunt.
+    digest = hashlib.sha256()
+    rechecked = 0
+    for seed in range(500):
+        probe = probe_conjecture(random_source(4, (2,) * 4, seed))
+        if probe.reverified:
+            rechecked += 1
+            bits = (probe.capacity._mpf_, [g._mpf_ for g in probe.gaps])
+            digest.update(repr((seed, probe.classification.value, bits)).encode())
+    assert rechecked == 92
+    assert digest.hexdigest()[:16] == "00d771769b7bf29a"
 
 
 def test_atoms_digest_stability():

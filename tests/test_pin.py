@@ -57,6 +57,7 @@ def test_edge_normalization_and_sorting():
         (((True, 2, 1),), "non-integer"),
         (((1, True, 1),), "non-integer"),
         (((1, 2, True),), "non-integer"),
+        (((1, 2),), r"\(1, 2\) is not a \(u, v, mult\) triple"),
     ],
 )
 def test_graph_rejects_bad_edges(edges, message):
@@ -112,9 +113,13 @@ def test_crossing_and_strength_k3():
     s = singleton_partition(3)
     assert partition_crossing(k3, s) == 3
     assert strength_quotient(k3, s) == Fraction(3, 2)
-    split = Partition.from_rgs((0, 0, 1))
+    split = Partition.from_cells([0b011, 0b100], 3)
     assert partition_crossing(k3, split) == 2
     assert strength_quotient(k3, split) == Fraction(2)
+    with pytest.raises(SizeLimitError, match="at least 2 cells"):
+        strength_quotient(k3, Partition.from_cells([0b111], 3))
+    with pytest.raises(SizeLimitError, match="partition is over m=4, graph has m=3"):
+        partition_crossing(k3, singleton_partition(4))
 
 
 def test_strength_k4_isolating_values():
@@ -150,7 +155,7 @@ def test_pin_capacity_complete_graphs():
     for m in range(3, 9):
         report = pin_capacity(complete_graph(m))
         assert report.value == Fraction(m, 2)
-        assert report.argmin == (singleton_partition(m),)
+        assert report.argmin == singleton_partition(m)
         assert report.exact
 
 
@@ -164,7 +169,7 @@ def test_pin_capacity_path_tie():
     # 1,2|3, 1|2,3 and 1|2|3 all reach C = 1; the argmin is the finest.
     report = pin_capacity(make_path3_graph())
     assert report.value == Fraction(1)
-    assert report.argmin == (Partition.from_rgs((0, 1, 2)),)
+    assert report.argmin == singleton_partition(3)
 
 
 def test_pin_capacity_size_limit():
@@ -204,7 +209,7 @@ def test_pin_capacity_matches_brute_force(graph):
     for p, q in quotients.items():
         if q == value:
             cells = [a & b for a in cells for b in p.cells if a & b]
-    assert report.argmin == (Partition.from_cells(cells, graph.m),)
+    assert report.argmin == Partition.from_cells(cells, graph.m)
     assert 1 <= report.partitions_examined <= graph.m
 
 
@@ -223,14 +228,14 @@ def test_pin_capacity_matches_the_entropy_route(graph):
 def test_pin_capacity_is_zero_without_connectivity(graph, components):
     report = pin_capacity(graph)
     assert report.value == 0
-    assert [str(p) for p in report.argmin] == [components]
+    assert str(report.argmin) == components
 
 
 def test_pin_capacity_complete_graphs_past_the_enumeration_cap():
     for m in range(13, subsets.MAX_TERMINALS + 1):
         report = pin_capacity(complete_graph(m))
         assert report.value == Fraction(m, 2)
-        assert report.argmin == (singleton_partition(m),)
+        assert report.argmin == singleton_partition(m)
         assert report.partitions_examined == 1
 
 

@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under ``scripts/``, run through ``runpy``."""
 
+import os
 import runpy
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
 
 @pytest.mark.parametrize("mult", [1, 2])
@@ -46,6 +48,10 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
     ("hunt_summary.py", ["latin1.jsonl"], "latin1.jsonl is not UTF-8 text (invalid start byte)"),
     ("hunt_summary.py", ["long_int.jsonl"],
      "long_int.jsonl: line 1 is not JSON (Exceeds the limit (4300 digits)"),
+    ("hunt_summary.py", ["sourced.jsonl", "--dump-worst", "missing/w.json"],
+     "cannot write missing/w.json: No such file or directory"),
+    pytest.param("hunt_summary.py", ["sourced.jsonl", "--dump-worst", "/dev/full"],
+                 "cannot write /dev/full: No space left on device", marks=NO_DEV_FULL),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message
@@ -60,6 +66,7 @@ def test_scripts_reject_bad_arguments_before_any_output(
     (tmp_path / "bare.jsonl").write_text(record + candidate + "}\n")
     listed = ', "seed": 3, "atoms_digest": "0", "gaps": [0.1], "capacity": 1.0}\n'
     (tmp_path / "full.jsonl").write_text(candidate + listed)
+    (tmp_path / "sourced.jsonl").write_text(candidate + ', "source": {}' + listed)
     for name, good, bad in [
         ("no_gaps", '"gaps": [0.1]', '"gaps": []'),
         ("int_gaps", '"gaps": [0.1]', '"gaps": 5'),

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from skomni import subsets
 from skomni.errors import InputError, InvalidSubsetError
 from skomni.generators import random_source
+from skomni.pin import PinGraph
 from skomni.sources import (
     ExtendedPrecisionOracle,
     JointSource,
@@ -49,12 +50,20 @@ def test_validation_errors():
         JointSource(2, (2, 2), {(True, 0): 0.5, (0, 1): 0.5})
     with pytest.raises(InputError, match="alphabet_sizes"):
         JointSource(2, (True, 2), {(0, 0): 0.5, (0, 1): 0.5})
+    with pytest.raises(InputError, match="need 3 alphabet sizes, got 2"):
+        random_source(3, (2, 2), seed=0)
 
 
 def test_json_round_trip():
     src = make_xor_source()
     again = JointSource.from_json_dict(json.loads(json.dumps(src.to_json_dict())))
     assert again == src
+
+
+@pytest.mark.parametrize("cls, kind", [(JointSource, "source"), (PinGraph, "graph")])
+def test_from_json_rejects_a_non_object(cls, kind):
+    with pytest.raises(InputError, match=f"^{kind} JSON must be an object$"):
+        cls.from_json_dict([])
 
 
 def test_from_json_rejects_duplicate_atoms():

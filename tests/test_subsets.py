@@ -36,6 +36,9 @@ def test_check_subset_rejects_out_of_range():
     for mask in (1.0, "1", None, True):
         with pytest.raises(InvalidSubsetError, match="not an int"):
             subsets.check_subset(mask, 2)
+    for m in (0, subsets.MAX_TERMINALS + 1):
+        with pytest.raises(InvalidSubsetError, match=f"m={m} outside 1..24"):
+            subsets.check_subset(1, m)
 
 
 @given(st.integers(min_value=0, max_value=(1 << 10) - 1))
