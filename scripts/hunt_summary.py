@@ -49,6 +49,8 @@ def main() -> int:
     parser.add_argument("--dump-worst", metavar="PATH",
                         help="write the most marginal candidate's source here")
     args = parser.parse_args()
+    if args.top < 0:
+        parser.error(f"--top must be at least 0, got {args.top}")
     listed = [*CANDIDATE_FIELDS, "source"] if args.dump_worst else list(CANDIDATE_FIELDS)
 
     try:

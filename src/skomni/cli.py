@@ -6,10 +6,10 @@ joint pmf, one with "edges" is a PIN multigraph (analyzed in exact
 rational arithmetic).  Text output prints floats with six decimals
 and rationals as p/q; --json emits a single JSON object instead.
 
-``omnivocality`` picks its routes and formats what
-``omnivocality.run_routes`` returns; that runner also does the
-``--dps`` re-run and the disagreement check, and the hunt's candidate
-re-check is the same call at 60 digits.
+``omnivocality`` formats what ``omnivocality.run_routes`` returns; that
+runner chooses the routes from the model, does the ``--dps`` re-run and
+the disagreement check, and the hunt's candidate re-check is the same
+call at 60 digits.
 
 The argument parser is built on the first ``main`` call and reused by
 every later call in the process; each call looks up its ``cmd_<command>``
@@ -53,7 +53,7 @@ from .omnivocality import FLOAT_DPS, OmniStatus, as_oracle, hunt_record, run_rou
 from .partitions import format_partition
 from .pin import PinGraph, pin_capacity
 from .silent_rate import silent_capacity
-from .sources import JointSource, TabularOracle, read_json
+from .sources import JointSource, read_json
 
 Model = Union[JointSource, PinGraph]
 
@@ -116,7 +116,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     if isinstance(model, PinGraph):
         report = pin_capacity(model)
     else:
-        report = sk_capacity(TabularOracle(model), args.tol)
+        report = sk_capacity(as_oracle(model), args.tol)
     argmin = format_partition(report.argmin)
     payload = {
         "m": model.m,
@@ -237,15 +237,11 @@ def _omnivocality_payload(verdict) -> dict[str, Any]:
 
 def cmd_omnivocality(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.renormalize)
-    methods = [args.method] if args.method != "all" else ["condition", "lp"]
-    if args.method == "all" and model.m == 3:
-        methods.append("three")
-    status, verdicts = run_routes(model, methods, args.tol, args.dps)
+    status, verdicts = run_routes(model, args.tol, args.dps)
     lines: list[str] = []
     for v in verdicts:
         lines.extend(_omnivocality_lines(v))
-    if len(verdicts) > 1:
-        lines.append(f"verdict: {status.value} (methods agree)")
+    lines.append(f"verdict: {status.value} (methods agree)")
     payload = {
         "verdict": status.value,
         "methods": [_omnivocality_payload(v) for v in verdicts],
@@ -303,6 +299,10 @@ def _parse_alphabet(text: str, m: int) -> tuple[int, ...]:
 def cmd_hunt(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise InputError(f"trial count must be >= 1, got {args.trials}")
+    if args.seed < 0:
+        # random.Random seeds an int by its absolute value, so -s and s
+        # would draw the same sources.
+        raise InputError(f"seed must be >= 0, got {args.seed}")
     cpus = os.cpu_count() or 1
     if not 1 <= args.jobs <= cpus:
         raise InputError(f"jobs must be between 1 and the CPU count {cpus}, got {args.jobs}")
@@ -378,12 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("omnivocality", help="must all terminals speak to reach capacity?")
     common(p)
     p.add_argument(
-        "--method",
-        choices=["condition", "lp", "three", "all"],
-        default="all",
-        help="decision route (three = exact m=3 characterization)",
-    )
-    p.add_argument(
         "--dps",
         type=int,
         default=0,
@@ -395,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, model=False)
     p.add_argument("--m", type=int, required=True, help="number of terminals (>= 4)")
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="base seed (>= 0)")
     p.add_argument("--alphabet", default="2", help="alphabet sizes, single int or m comma-separated")
     p.add_argument("--out", default="hunt.jsonl", help="JSONL log path")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")

@@ -20,14 +20,14 @@ nonempty D works.  Three decision routes are provided:
   does some single silent terminal, and checking the m leave-one-out sets
   is exhaustive.  The verdict is exact whenever the oracle is.
 
-``run_routes`` runs any of the routes on one model, at float or extended
-precision, and is the one place where routes that reach different
-conclusive statuses are an internal inconsistency.  Both the CLI and
-``probe_conjecture`` go through it.  The probe combines the condition with
-the LP route and classifies the outcome; a candidate counterexample
-(condition fails but the LP route still says necessary) is re-checked at
-``REVERIFY_DPS`` digits before being reported, so float artifacts do not
-survive into hunt logs.
+``run_routes`` is the one place that chooses the routes: from the model
+alone, it runs every route that applies, at float or extended precision,
+and two routes that reach different conclusive statuses are an internal
+inconsistency.  Both the CLI and ``probe_conjecture`` go through it.  The
+probe combines the condition with the LP route and classifies the
+outcome; a candidate counterexample (condition fails but the LP route
+still says necessary) is re-checked at ``REVERIFY_DPS`` digits before
+being reported, so float artifacts do not survive into hunt logs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from collections.abc import Sequence
 from typing import Any, NamedTuple, Optional, Union
 
 from . import subsets
@@ -236,20 +235,20 @@ def as_oracle(model: Union[JointSource, PinGraph, EntropyOracle]) -> EntropyOrac
 
 def run_routes(
     model: Union[JointSource, PinGraph, EntropyOracle],
-    methods: Sequence[str],
     tie_tol: float = DEFAULT_TIE_TOL,
     dps: int = 0,
 ) -> tuple[OmniStatus, list[OmnivocalityVerdict]]:
-    """Run the named routes (``condition``, ``lp``, ``three``) on one model.
+    """Run every route that applies to one model and check that they agree.
 
-    With ``dps`` > 0 a pmf is analyzed on an ``ExtendedPrecisionOracle``
-    at an mpmath working precision of ``dps`` decimal digits, with the band
-    10^-(dps // 2) in place of ``tie_tol``; PIN graphs and given oracles
-    ignore ``dps``.  Returns the overall status and the verdicts in
-    ``methods`` order.  The overall status is the conclusive status the
-    routes reached, else NumericallyAmbiguous if any route was, else
-    Unknown; two routes with different conclusive statuses raise
-    ``InternalInconsistencyError``.
+    The condition and the LP route always run, in that order, and the
+    three-terminal route follows when m = 3.  With ``dps`` > 0 a pmf is
+    analyzed on an ``ExtendedPrecisionOracle`` at an mpmath working
+    precision of ``dps`` decimal digits, with the band 10^-(dps // 2) in
+    place of ``tie_tol``; PIN graphs and given oracles ignore ``dps``.
+    Returns the overall status and the verdicts in route order.  The
+    overall status is the conclusive status the routes reached, else
+    NumericallyAmbiguous if any route was, else Unknown; two routes with
+    different conclusive statuses raise ``InternalInconsistencyError``.
     """
     if dps < 0 or 0 < dps <= FLOAT_DPS:
         raise InputError(
@@ -257,21 +256,19 @@ def run_routes(
             f"a float's {FLOAT_DPS} digits, got {dps}"
         )
     # Looked up per call, so that a patched module attribute takes effect.
-    routes = {
-        "condition": verdict_by_condition,
-        "lp": verdict_by_lp,
-        "three": verdict_for_three_terminals,
-    }
+    routes = [verdict_by_condition, verdict_by_lp]
+    if model.m == 3:
+        routes.append(verdict_for_three_terminals)
     if dps and isinstance(model, JointSource):
         import mpmath
 
         with mpmath.workdps(dps):
             oracle = ExtendedPrecisionOracle(model)
             band = mpmath.mpf(10) ** -(dps // 2)
-            verdicts = [routes[name](oracle, band) for name in methods]
+            verdicts = [route(oracle, band) for route in routes]
     else:
         oracle = as_oracle(model)
-        verdicts = [routes[name](oracle, tie_tol) for name in methods]
+        verdicts = [route(oracle, tie_tol) for route in routes]
     statuses = {v.status for v in verdicts}
     conclusive = statuses & {OmniStatus.NECESSARY, OmniStatus.NOT_NECESSARY}
     if len(conclusive) > 1:
@@ -289,7 +286,7 @@ def probe_conjecture(
     model: Union[JointSource, PinGraph, EntropyOracle],
     tie_tol: float = DEFAULT_TIE_TOL,
 ) -> ConjectureProbe:
-    """Run the condition and the LP route on one source and classify.
+    """Run ``run_routes`` on one source (condition and LP at m >= 4) and classify.
 
     For m >= 4 the condition is not necessary: a source whose singleton
     partition is *not* the unique minimizer, yet where every leave-one-out
@@ -305,12 +302,11 @@ def probe_conjecture(
     """
     if model.m < 4:
         raise SizeLimitError("conjecture probe targets m >= 4")
-    routes = ("condition", "lp")
-    _, (condition, lp) = run_routes(model, routes, tie_tol)
+    _, (condition, lp) = run_routes(model, tie_tol)
     classification = _classify(condition.minimizer.status, lp.status)
     reverified = classification is Classification.CANDIDATE and isinstance(model, JointSource)
     if reverified:
-        _, (condition, lp) = run_routes(model, routes, tie_tol, REVERIFY_DPS)
+        _, (condition, lp) = run_routes(model, tie_tol, REVERIFY_DPS)
         classification = _classify(condition.minimizer.status, lp.status)
     return ConjectureProbe(
         condition=condition.minimizer.status,

@@ -44,6 +44,9 @@ class Partition(NamedTuple):
     @classmethod
     def from_cells(cls, cells: Iterable[int], m: int) -> "Partition":
         """Canonicalize an arbitrary family of disjoint cell masks covering 1..m."""
+        if m < 1:
+            raise SizeLimitError(f"m must be >= 1, got {m}")
+        cells = tuple(cells)  # a one-shot iterable is read once
         cover = 0
         for cell in cells:
             subsets.check_subset(cell, m)

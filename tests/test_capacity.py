@@ -597,7 +597,7 @@ def test_analyses_leave_the_shared_table_unchanged(kind, m):
         table = oracle.table()
         sk_capacity(oracle)
         singleton_minimizer_check(oracle)
-        run_routes(oracle, ("condition", "lp"))
+        run_routes(oracle)
         for speakers in range(1, subsets.full_mask(m) + 1):
             silent_capacity(oracle, speakers)
         fresh = _table_oracle(kind, m).table()

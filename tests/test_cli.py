@@ -192,6 +192,8 @@ def test_bad_numeric_flags(files, capsys, argv, message):
 def test_argparse_failures_exit_2(files, capsys):
     assert run(capsys, ["silent", files["xor"]])[0] == 2  # missing --speakers
     assert run(capsys, ["nonsense"])[0] == 2
+    # The model picks the routes; none runs alone.
+    assert run(capsys, ["omnivocality", files["xor"], "--method", "lp"])[0] == 2
 
 
 def test_singleton_xor(files, capsys):
@@ -319,13 +321,6 @@ def test_omnivocality_identical(files, capsys):
     assert "three-terminal: NotNecessary; construction: single-speaker; silent {2,3}" in out
     assert "cut-surplus witnesses W = {1,2,3}" in out
     assert "verdict: NotNecessary (methods agree)" in out
-
-
-def test_omnivocality_single_method(files, capsys):
-    code, out, _ = run(capsys, ["omnivocality", files["identical"], "--method", "condition"])
-    assert code == 0
-    assert "condition: Unknown (condition is only sufficient" in out
-    assert "verdict:" not in out
 
 
 def test_omnivocality_m4_skips_three(files, capsys):
@@ -700,6 +695,7 @@ def test_malformed_coordinate_beside_other_atoms_exits_2(tmp_path, capsys):
     (["--m", "17"], "entropy-table analyses support m <= 16"),
     (["--out", "{tmp}/missing/x.jsonl"], "cannot open log {tmp}/missing/x.jsonl"),
     (["--alphabet", "60"], "alphabet grid has 12960000 cells; hunt supports at most 1048576"),
+    (["--seed", "-3"], "seed must be >= 0, got -3"),
 ])
 def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, flags, message):
     # Too many terminals or alphabet cells is a size error (exit 3); the
@@ -745,12 +741,12 @@ def test_in_process_calls_share_one_parser_and_leak_nothing(files, capsys, monke
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, 1)
 
-    # A default left over from an earlier call would drop routes.
+    # A default left over from an earlier call would change the output.
     every_route = call(["omnivocality", files["xor"]])
     assert "condition: Necessary" in every_route[1]
     assert "verdict: Necessary (methods agree)" in every_route[1]
-    lp_only = call(["omnivocality", files["xor"], "--method", "lp"])
-    assert "condition:" not in lp_only[1]
+    as_json = call(["omnivocality", files["xor"], "--json", "--dps", "30"])
+    assert json.loads(as_json[1])["verdict"] == "Necessary"
     assert call(["omnivocality", files["xor"]]) == every_route
 
     # An argparse failure leaves no state behind for the next call.

@@ -235,21 +235,32 @@ def test_lp_reads_the_table_once(oracle, monkeypatch):
             assert row.silent_capacity == restricted_capacity(oracle, row.speakers)
 
 
+@pytest.mark.parametrize("model, routes", [
+    (make_xor_source(), ["condition", "lp", "three-terminal"]),
+    (make_xor4_source(), ["condition", "lp"]),
+    (complete_graph(16), ["condition", "lp"]),
+])
+def test_run_routes_picks_the_routes_from_the_model(model, routes):
+    # Condition and lp always run; the exact three-terminal route joins
+    # them at m = 3 only.
+    assert [v.method for v in run_routes(model)[1]] == routes
+
+
 def test_condition_and_lp_share_one_fill(monkeypatch):
     # Every route reads the graph's one table and makes no point query:
     # condition and lp on K_16, all three routes on K_3 and on the path
     # 1-2-3, where the check finds a tie, so the three-terminal route reads
     # its W set.
     cases = [
-        (complete_graph(16), ("condition", "lp"), OmniStatus.NECESSARY),
-        (complete_graph(3), ("condition", "lp", "three"), OmniStatus.NECESSARY),
-        (make_path3_graph(), ("condition", "lp", "three"), OmniStatus.NOT_NECESSARY),
+        (complete_graph(16), OmniStatus.NECESSARY),
+        (complete_graph(3), OmniStatus.NECESSARY),
+        (make_path3_graph(), OmniStatus.NOT_NECESSARY),
     ]
-    for graph, routes, expected in cases:
+    for graph, expected in cases:
         oracle = PinOracle(graph)
         fills = count_fills(monkeypatch, oracle)
         counting = CountingOracle(oracle)
-        status, verdicts = run_routes(counting, routes)
+        status, verdicts = run_routes(counting)
         assert status is expected
         assert verdicts[-1].status is expected
         assert len(fills) == 1

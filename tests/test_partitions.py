@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skomni.errors import InvalidPartitionError, SizeLimitError
+from skomni.errors import InvalidPartitionError, SizeLimitError, SkomniError
 from skomni.partitions import (
     Partition,
     enumerate_partitions,
@@ -24,6 +24,8 @@ def test_from_cells_canonicalizes():
     assert p == q
     assert p.cells == (0b011, 0b100)
     assert (p.m, p.n_cells) == (3, 2)
+    # A one-shot iterable is read once, for the checks and the cells alike.
+    assert Partition.from_cells((c for c in [0b100, 0b011]), 3) == p
 
 
 def test_from_cells_rejects_overlap_and_gaps():
@@ -33,6 +35,8 @@ def test_from_cells_rejects_overlap_and_gaps():
         Partition.from_cells([0b001], 3)
     with pytest.raises(InvalidPartitionError):
         Partition.from_cells([], 3)
+    with pytest.raises(SkomniError):
+        Partition.from_cells([], 0)
 
 
 def test_singleton_partition():

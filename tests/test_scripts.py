@@ -52,6 +52,7 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
      "cannot write missing/w.json: No such file or directory"),
     pytest.param("hunt_summary.py", ["sourced.jsonl", "--dump-worst", "/dev/full"],
                  "cannot write /dev/full: No space left on device", marks=NO_DEV_FULL),
+    ("hunt_summary.py", ["full.jsonl", "--top", "-1"], "--top must be at least 0, got -1"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message
