@@ -3,17 +3,21 @@
 For K_m every pair of terminals shares an independent uniform bit, the
 capacity works out to m/2 exactly, and the singleton partition is the
 unique minimizer, so both decision routes must report Necessary.  The
-table doubles as a quick smoke check that the exact arithmetic path
-stays exact as m grows.
+script checks every row against that (C = m * mult / 2, the singleton
+argmin, Necessary from both routes) and exits 1 with one line on stderr
+at the first row that differs, so it doubles as a smoke check that the
+exact arithmetic path stays exact as m grows.
 
 Usage: python scripts/complete_graph_table.py [--max-m 8] [--mult 1]
 """
 
 import argparse
+import sys
 import time
+from fractions import Fraction
 
 from skomni.omnivocality import verdict_by_condition, verdict_by_lp
-from skomni.partitions import format_partition
+from skomni.partitions import format_partition, singleton_partition
 from skomni.pin import PinOracle, complete_graph, pin_capacity
 from skomni.subsets import MAX_TABLE_M
 
@@ -23,6 +27,8 @@ def main() -> int:
     parser.add_argument("--max-m", type=int, default=8, help="largest clique size")
     parser.add_argument("--mult", type=int, default=1, help="edge multiplicity")
     args = parser.parse_args()
+    if args.max_m < 3:
+        parser.error(f"--max-m must be at least 3, got {args.max_m}")
     if args.max_m > MAX_TABLE_M:
         parser.error(f"--max-m must be at most {MAX_TABLE_M}, the entropy-table cap")
     if args.mult < 1:
@@ -41,6 +47,12 @@ def main() -> int:
         argmin = format_partition(report.argmin)
         print(f"{m:>2}  {str(report.value):>9}  {argmin:<16} {condition:<10} {lp:<10} "
               f"{report.partitions_examined:>10}  {elapsed:>7.2f}")
+        expected = (Fraction(m * args.mult, 2), singleton_partition(m), "Necessary", "Necessary")
+        if (report.value, report.argmin, condition, lp) != expected:
+            print(f"m={m}: got C = {report.value}, argmin {argmin}, {condition}/{lp}; expected "
+                  f"C = {expected[0]}, argmin {format_partition(expected[1])}, Necessary/Necessary",
+                  file=sys.stderr)
+            return 1
     return 0
 
 

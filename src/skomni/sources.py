@@ -15,6 +15,16 @@ What this module provides
 Conditional entropies and mutual informations are differences of table
 entries, which each analysis reads from ``table()`` where it needs them.
 
+A source is validated by whole columns: one pass each for the types of
+entries and coordinates, the key lengths, duplicates, each terminal's
+smallest and largest symbol against its alphabet, and the probabilities
+(floats, at least 0, with a finite sum).  Keys already in canonical order
+are not sorted again.  Only when a column check fails does the per-atom
+pass run; it decides, and an error names the first bad atom in its
+order.  A source passes the column checks only if the per-atom pass
+would accept it with the same atoms, in the same order, with the same
+bits, so the two passes never disagree.
+
 Entropies are in bits.  A pmf oracle fills a table of all 2^m subset
 entropies on its first query, summing each marginal from its parent's
 (the subset plus one terminal) in exact integers over a power-of-two
@@ -24,9 +34,13 @@ over the cells, so equal sources built in different atom orders produce
 bitwise-identical entropy values.  A source whose atoms fill the whole
 alphabet grid (every hunt source does) keeps its marginals as dense lists
 and sums them slice by slice; any other source keeps only its nonempty
-cells, in a dict.  Both list the cells in the order they first appear in
+cells, in a dict.  The walk reaches three subsets in four by dropping the
+first or the last terminal, which for a dense list is one slice per
+symbol.  Both kernels list the cells in the order they first appear in
 canonical atom order, so the mpmath sums, which depend on that order, are
-the same whichever kernel ran.
+the same whichever kernel ran.  The entropy functions get their per-fill
+constants once, and the float one evaluates a subset's terms in three
+C-level passes (scale, log2, fsum).
 
 Every analysis in the package consumes an object with the ``EntropyOracle``
 shape rather than a pmf, so exact integer-valued oracles (see ``pin``) and
@@ -47,6 +61,7 @@ import operator
 from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Callable, Iterable
+from itertools import chain, repeat
 from typing import Any, Optional, Protocol
 
 from . import subsets
@@ -96,21 +111,9 @@ class JointSource:
             raise InputError(f"alphabet_sizes {self.alphabet_sizes!r} invalid for m={self.m}")
         if not self.atoms:
             raise InputError("source has no atoms")
-        try:
-            items = sorted(self.atoms.items())
-        except TypeError:  # a non-int coordinate; the loop below names its atom
-            items = self.atoms.items()
-        clean: dict[tuple[int, ...], float] = {}
-        for x, p in items:
-            x = tuple(x)
-            if len(x) != self.m or any(
-                type(c) is not int or not 0 <= c < sizes[i] for i, c in enumerate(x)
-            ):
-                raise InputError(f"atom {x!r} outside the alphabet grid")
-            p = _probability(x, p)
-            if p < 0.0 or not math.isfinite(p):
-                raise InputError(f"atom {x!r} has probability {p!r}")
-            clean[x] = p
+        clean = _atoms_by_columns(self.atoms, self.m, sizes)
+        if clean is None:  # not settled by columns: check atom by atom, naming the first bad one
+            clean = _atoms_one_by_one(self.atoms, self.m, sizes)
         total = _total(clean.values())
         if abs(total - 1.0) > PMF_TOLERANCE:
             raise InputError(f"atoms sum to {total:.6f}, not 1")
@@ -127,21 +130,9 @@ class JointSource:
         raw_atoms = data["atoms"]
         if not isinstance(raw_atoms, list):
             raise InputError("source JSON field 'atoms' must be a list")
-        atoms: dict[tuple[int, ...], float] = {}
-        for entry in raw_atoms:
-            if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
-                raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
-            x, p = entry["x"], entry["p"]
-            if type(p) not in (int, float):
-                raise InputError(f"atom entry {entry!r}: 'p' must be a number")
-            try:
-                x = tuple(x)
-                repeated = x in atoms
-            except TypeError:  # x is not iterable, or holds lists or objects
-                raise InputError(f"atom entry {entry!r}: 'x' must be a list of integers") from None
-            if repeated:
-                raise InputError(f"atom {list(x)!r} listed twice")
-            atoms[x] = p
+        atoms = _entries_by_columns(raw_atoms)
+        if atoms is None:  # not settled by columns: check entry by entry, naming the first bad one
+            atoms = _entries_one_by_one(raw_atoms)
         if renormalize:
             atoms = {x: _probability(x, p) for x, p in atoms.items()}
             total = _total(atoms.values())
@@ -160,6 +151,93 @@ class JointSource:
             "alphabet_sizes": list(self.alphabet_sizes),
             "atoms": [{"x": list(x), "p": p} for x, p in self.atoms.items()],
         }
+
+
+def _entries_by_columns(entries: list[Any]) -> Optional[dict[tuple[Any, ...], Any]]:
+    """The atoms of the JSON ``entries``, checked by whole columns, or None
+    unless every entry is a dict with a list ``x`` of hashable items and an
+    int or float ``p``, and no ``x`` repeats."""
+    if {*map(type, entries)} != {dict}:
+        return None
+    try:
+        xs = list(map(operator.itemgetter("x"), entries))
+        ps = list(map(operator.itemgetter("p"), entries))
+    except KeyError:
+        return None
+    if {*map(type, xs)} != {list} or not {*map(type, ps)} <= {int, float}:
+        return None
+    try:
+        atoms = dict(zip(map(tuple, xs), ps))
+    except TypeError:  # a coordinate is a list or an object
+        return None
+    return atoms if len(atoms) == len(entries) else None
+
+
+def _entries_one_by_one(entries: list[Any]) -> dict[tuple[Any, ...], Any]:
+    """The atoms of the JSON ``entries``, checked entry by entry; raises
+    InputError naming the first bad entry."""
+    atoms: dict[tuple[Any, ...], Any] = {}
+    for entry in entries:
+        if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
+            raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
+        x, p = entry["x"], entry["p"]
+        if type(p) not in (int, float):
+            raise InputError(f"atom entry {entry!r}: 'p' must be a number")
+        try:
+            x = tuple(x)
+            repeated = x in atoms
+        except TypeError:  # x is not iterable, or holds lists or objects
+            raise InputError(f"atom entry {entry!r}: 'x' must be a list of integers") from None
+        if repeated:
+            raise InputError(f"atom {list(x)!r} listed twice")
+        atoms[x] = p
+    return atoms
+
+
+def _atoms_by_columns(
+    atoms: Any, m: int, sizes: tuple[int, ...]
+) -> Optional[dict[tuple[int, ...], float]]:
+    """``atoms`` in canonical order, checked by whole columns, or None unless
+    every key is a tuple of m ints inside the grid and every probability a
+    finite float >= 0.  ``min`` skips a NaN that is not first, so NaN and inf
+    are caught by their sum instead."""
+    if type(atoms) is not dict:
+        return None
+    keys, probs = list(atoms), list(atoms.values())
+    if (
+        {*map(type, keys)} != {tuple}
+        or {*map(len, keys)} != {m}
+        or {*map(type, chain.from_iterable(keys))} != {int}
+        or not all(min(col) >= 0 and max(col) < a for col, a in zip(zip(*keys), sizes))
+        or {*map(type, probs)} != {float}
+        or not min(probs) >= 0.0
+        or not math.isfinite(sum(probs))
+    ):
+        return None
+    if any(map(operator.ge, keys, keys[1:])):  # keys are distinct, so probabilities never compare
+        return dict(sorted(atoms.items()))
+    return atoms.copy()
+
+
+def _atoms_one_by_one(atoms: Any, m: int, sizes: tuple[int, ...]) -> dict[tuple[int, ...], float]:
+    """``atoms`` in canonical order, checked atom by atom; raises InputError
+    naming the first bad atom in that order."""
+    try:
+        items = sorted(atoms.items())
+    except TypeError:  # a non-int coordinate; the loop below names its atom
+        items = atoms.items()
+    clean: dict[tuple[int, ...], float] = {}
+    for x, p in items:
+        x = tuple(x)
+        if len(x) != m or any(
+            type(c) is not int or not 0 <= c < sizes[i] for i, c in enumerate(x)
+        ):
+            raise InputError(f"atom {x!r} outside the alphabet grid")
+        p = _probability(x, p)
+        if p < 0.0 or not math.isfinite(p):
+            raise InputError(f"atom {x!r} has probability {p!r}")
+        clean[x] = p
+    return clean
 
 
 def _probability(x: Any, p: Any) -> float:
@@ -211,59 +289,76 @@ def marginal(source: JointSource, subset: int) -> dict[tuple[int, ...], float]:
 
 
 def _entropy_table(
-    source: JointSource, zero: Any, entropy: Callable[[Iterable[int], int], Any]
+    source: JointSource, zero: Any, kernel: Callable[[int], Callable[[Iterable[int]], Any]]
 ) -> list[Any]:
-    """All 2^m subset entropies, ``entropy(cell masses, k)`` for each nonempty one.
+    """All 2^m subset entropies: ``kernel(k)`` gives the function that maps
+    one subset's nonzero cell masses to its entropy.
 
     Masses are exact integers in units of 2**-k, cells in order of first
     appearance in canonical atom order.  Depth first, each subset's cells
-    merge from its parent's: the subset plus the largest terminal it lacks,
-    so every terminal after the one dropped is present.  Two kernels merge:
+    merge from its parent's, which adds to the subset its last terminal if
+    it lacks that, else its first terminal if it lacks that, else the
+    largest terminal it lacks.  So a subset holding the first and the last
+    terminal also holds every terminal after the one dropped to reach it.
+    Two kernels merge:
 
     * A source whose atoms fill the whole alphabet grid keeps each subset's
       cells as a dense list in mixed radix, terminal 1 the most significant
       digit.  Canonical atom order is that order, and dropping a digit
       keeps it, so the list order is the first-appearance order.  Dropping
       terminal j sums its |X_j| slices at the stride of the terminals after
-      j, the same for every subset.
+      j: 1 for the last terminal (one stepped slice per symbol), the rest
+      of the list for the first (one contiguous slice per symbol), and for
+      any other the same for every subset, so the fill computes it once.
+      Only a source with a zero atom has zero cells to filter out.
     * Any other source keeps a dict keyed by the mixed-radix code of the
       outcome with dropped digits zeroed, so it never holds an empty cell;
       a dense grid for a 2-atom source would cost 3^m.
 
-    Both hand ``entropy`` the same masses in the same order.
+    Both hand the entropy function the same masses in the same order.
     """
     ratios = [p.as_integer_ratio() for p in source.atoms.values()]
     k = max(d.bit_length() for _, d in ratios) - 1
     masses = [n << (k + 1 - d.bit_length()) for n, d in ratios]
     sizes = source.alphabet_sizes
-    table = [zero] * (1 << source.m)
+    m = source.m
+    table = [zero] * (1 << m)
+    entropy = kernel(k)
+    add = operator.add
 
-    dense = len(masses) == math.prod(sizes)
-    if dense:
-        strides = [math.prod(sizes[j + 1 :]) for j in range(source.m)]
+    nonzero: Callable[[Any], Iterable[int]]
+    if len(masses) == math.prod(sizes):
+        strides = [math.prod(sizes[j + 1 :]) for j in range(m)]
 
         def merge(cells: list[int], j: int) -> list[int]:
-            a, s = sizes[j], strides[j]
+            a = sizes[j]
+            s = strides[j] if j else len(cells) // a  # terminal 1 is the most significant digit
+            if s == 1:
+                acc: Any = cells[::a]
+                for r in range(1, a):
+                    acc = map(add, acc, cells[r::a])
+                return list(acc)
             step = a * s
             if s <= len(cells) // step:  # loop over offsets or blocks, whichever is fewer
                 merged = [0] * (len(cells) // a)
                 for t in range(s):
-                    acc: Any = cells[t::step]
+                    acc = cells[t::step]
                     for r in range(t + s, step, s):
-                        acc = map(operator.add, acc, cells[r::step])
+                        acc = map(add, acc, cells[r::step])
                     merged[t::s] = acc
             else:
                 merged = []
                 for b in range(0, len(cells), step):
                     acc = cells[b : b + s]
                     for r in range(b + s, b + step, s):
-                        acc = map(operator.add, acc, cells[r : r + s])
+                        acc = map(add, acc, cells[r : r + s])
                     merged += acc
             return merged
 
         root: Any = masses
+        nonzero = (lambda cells: cells) if all(masses) else (lambda cells: filter(None, cells))
     else:
-        radix = [math.prod(sizes[:i]) for i in range(source.m + 1)]
+        radix = [math.prod(sizes[:i]) for i in range(m + 1)]
 
         def merge(cells: dict[int, int], j: int) -> dict[int, int]:
             low, high = radix[j], radix[j + 1]
@@ -274,24 +369,42 @@ def _entropy_table(
             return merged
 
         root = {sum(c * r for c, r in zip(x, radix)): n for x, n in zip(source.atoms, masses)}
+        nonzero = lambda cells: filter(None, cells.values())
+
+    first, last = 1, 1 << (m - 1)
 
     def walk(subset: int, start: int, cells: Any) -> None:
-        table[subset] = entropy(cells if dense else cells.values(), k)
-        for j in range(start, source.m):
-            if subset != 1 << j:
-                walk(subset & ~(1 << j), j + 1, merge(cells, j))
+        # subset holds the first and the last terminal and every one from start on
+        table[subset] = entropy(nonzero(cells))
+        table[subset & ~last] = entropy(nonzero(merge(cells, m - 1)))
+        without_first(subset & ~first, merge(cells, 0))
+        for j in range(start, m - 1):
+            walk(subset & ~(1 << j), j + 1, merge(cells, j))
 
-    walk(subsets.full_mask(source.m), 0, root)
+    def without_first(subset: int, cells: Any) -> None:
+        # subset holds the last terminal; its cells are freed before the walk goes deeper
+        table[subset] = entropy(nonzero(cells))
+        if subset != last:
+            table[subset & ~last] = entropy(nonzero(merge(cells, m - 1)))
+
+    walk(subsets.full_mask(m), 1, root)
     return table
 
 
-def _float_entropy(masses: Iterable[int], k: int) -> float:
+def _float_entropy(k: int) -> Callable[[Iterable[int]], float]:
+    """Entropy in bits of nonzero masses in units of 2**-k: each p rounded
+    once from its mass, then ``0.0 - fsum(p * log2(p))``."""
     if k <= 1022:  # every p is normal, so scaling rounds as the division does
-        scale = 2.0**-k
-        probs = [float(mass) * scale for mass in masses if mass]
+        to_p, unit = operator.mul, repeat(2.0**-k)  # int * float converts the int as float() does
     else:
-        probs = [mass / (1 << k) for mass in masses if mass]
-    return 0.0 - math.fsum(map(operator.mul, probs, map(math.log2, probs)))
+        to_p, unit = operator.truediv, repeat(1 << k)
+    mul, log2, fsum = operator.mul, math.log2, math.fsum
+
+    def entropy(masses: Iterable[int]) -> float:
+        probs = list(map(to_p, masses, unit))
+        return 0.0 - fsum(map(mul, probs, map(log2, probs)))
+
+    return entropy
 
 
 class TableOracle:
@@ -362,13 +475,15 @@ class ExtendedPrecisionOracle(TabularOracle):
         ln2 = mp.log(2)._mpf_
         make_mpf = mp.make_mpf
 
-        def entropy(masses: Iterable[int], k: int) -> Any:
-            acc = fzero
-            for mass in masses:
-                if mass:
+        def kernel(k: int) -> Callable[[Iterable[int]], Any]:
+            def entropy(masses: Iterable[int]) -> Any:
+                acc = fzero
+                for mass in masses:
                     p = from_man_exp(mass, -k, prec, rnd)
                     term = mpf_div(mpf_mul(p, mpf_log(p, prec, rnd), prec, rnd), ln2, prec, rnd)
                     acc = mpf_sub(acc, term, prec, rnd)
-            return make_mpf(acc)
+                return make_mpf(acc)
 
-        return _entropy_table(self.source, mp.mpf(0), entropy)
+            return entropy
+
+        return _entropy_table(self.source, mp.mpf(0), kernel)

@@ -22,12 +22,12 @@ from skomni.capacity import (
     MinimizerWitness,
 )
 from skomni import subsets
-from skomni.errors import InvalidSubsetError, SizeLimitError
+from skomni.errors import InputError, InvalidSubsetError, SizeLimitError
 from skomni.generators import random_source
 from skomni.partitions import Partition, enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.silent_rate import RateConstraint, RateRegion
-from skomni.sources import JointSource, TabularOracle, _entropy_table
+from skomni.sources import PMF_TOLERANCE, JointSource, TabularOracle, _entropy_table
 
 
 def binary_entropy(p: float) -> float:
@@ -99,15 +99,86 @@ def mpf_operator_table(source: JointSource) -> list:
 
     ln2 = mp.log(2)
 
-    def entropy(masses, k):
-        acc = mp.mpf(0)
-        for mass in masses:
-            if mass:
-                p = mp.ldexp(mp.mpf(mass), -k)
-                acc -= p * mp.log(p) / ln2
-        return acc
+    def kernel(k):
+        def entropy(masses):
+            acc = mp.mpf(0)
+            for mass in masses:
+                if mass:
+                    p = mp.ldexp(mp.mpf(mass), -k)
+                    acc -= p * mp.log(p) / ln2
+            return acc
 
-    return _entropy_table(source, mp.mpf(0), entropy)
+        return entropy
+
+    return _entropy_table(source, mp.mpf(0), kernel)
+
+
+def reference_json_atoms(data: dict, renormalize: bool = False) -> dict:
+    """The atoms ``JointSource.from_json_dict`` hands its constructor, by a
+    check of one entry at a time: the reference for its whole-column
+    checks.  ``data`` is an object with ``m``, ``alphabet_sizes`` and a list
+    ``atoms``."""
+    atoms = {}
+    for entry in data["atoms"]:
+        if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
+            raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
+        x, p = entry["x"], entry["p"]
+        if type(p) not in (int, float):
+            raise InputError(f"atom entry {entry!r}: 'p' must be a number")
+        try:
+            x = tuple(x)
+            repeated = x in atoms
+        except TypeError:
+            raise InputError(f"atom entry {entry!r}: 'x' must be a list of integers") from None
+        if repeated:
+            raise InputError(f"atom {list(x)!r} listed twice")
+        atoms[x] = p
+    if renormalize:
+        atoms = {x: _reference_probability(x, p) for x, p in atoms.items()}
+        total = _reference_total(atoms.values())
+        if total <= 0.0 or not math.isfinite(total):
+            raise InputError(f"cannot renormalize: atoms sum to {total!r}")
+        atoms = {x: p / total for x, p in atoms.items()}
+    return atoms
+
+
+def reference_source_atoms(m: int, sizes: tuple, atoms) -> dict:
+    """The atoms ``JointSource(m, sizes, atoms)`` keeps, by a check of one
+    atom at a time in sorted order: the reference for its whole-column
+    checks.  ``m`` and ``sizes`` must be valid."""
+    try:
+        items = sorted(atoms.items())
+    except TypeError:
+        items = atoms.items()
+    clean = {}
+    for x, p in items:
+        x = tuple(x)
+        if len(x) != m or any(
+            type(c) is not int or not 0 <= c < sizes[i] for i, c in enumerate(x)
+        ):
+            raise InputError(f"atom {x!r} outside the alphabet grid")
+        p = _reference_probability(x, p)
+        if p < 0.0 or not math.isfinite(p):
+            raise InputError(f"atom {x!r} has probability {p!r}")
+        clean[x] = p
+    total = _reference_total(clean.values())
+    if abs(total - 1.0) > PMF_TOLERANCE:
+        raise InputError(f"atoms sum to {total:.6f}, not 1")
+    return clean
+
+
+def _reference_probability(x, p) -> float:
+    try:
+        return float(p)
+    except OverflowError:
+        raise InputError(f"atom {x!r} has a probability too large for a float") from None
+
+
+def _reference_total(probabilities) -> float:
+    try:
+        return math.fsum(probabilities)
+    except OverflowError:
+        return math.inf
 
 
 def make_xor_source() -> JointSource:

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from skomni import pin
+from skomni.partitions import Partition
+
 ROOT = Path(__file__).resolve().parent.parent
 NO_DEV_FULL = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 
@@ -33,6 +36,30 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
         assert int(partitions) == 1
 
 
+@pytest.mark.parametrize("field, wrong", [
+    ("value", Fraction(1, 3)),
+    ("argmin", Partition.from_cells([0b0011, 0b0100, 0b1000], 4)),
+])
+def test_complete_graph_table_exits_1_at_the_first_wrong_row(monkeypatch, capsys, field, wrong):
+    real = pin.pin_capacity
+
+    def faulty(graph):
+        report = real(graph)
+        return report._replace(**{field: wrong}) if graph.m == 4 else report
+
+    monkeypatch.setattr(pin, "pin_capacity", faulty)
+    script = ROOT / "scripts" / "complete_graph_table.py"
+    monkeypatch.setattr(sys, "argv", [script.name, "--max-m", "6"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 1
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == ["m", "3", "4"]
+    (line,) = captured.err.splitlines()
+    assert line.startswith("m=4: got C = ")
+    assert line.endswith("; expected C = 2, argmin 1|2|3|4, Necessary/Necessary")
+
+
 @pytest.mark.parametrize("script, args, message", [
     ("complete_graph_table.py", ["--max-m", "17"], "--max-m must be at most 16"),
     ("complete_graph_table.py", ["--mult", "0"], "--mult must be at least 1, got 0"),
@@ -53,6 +80,8 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
     pytest.param("hunt_summary.py", ["sourced.jsonl", "--dump-worst", "/dev/full"],
                  "cannot write /dev/full: No space left on device", marks=NO_DEV_FULL),
     ("hunt_summary.py", ["full.jsonl", "--top", "-1"], "--top must be at least 0, got -1"),
+    ("complete_graph_table.py", ["--max-m", "2"], "--max-m must be at least 3, got 2"),
+    ("complete_graph_table.py", ["--max-m", "-4"], "--max-m must be at least 3, got -4"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message

@@ -1,6 +1,10 @@
+import hashlib
 import itertools
 import json
 import math
+import random
+import re
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +29,8 @@ from conftest import (
     make_xor_source,
     mpf_operator_table,
     mutual_information,
+    reference_json_atoms,
+    reference_source_atoms,
 )
 
 
@@ -52,6 +58,118 @@ def test_validation_errors():
         JointSource(2, (True, 2), {(0, 0): 0.5, (0, 1): 0.5})
     with pytest.raises(InputError, match="need 3 alphabet sizes, got 2"):
         random_source(3, (2, 2), seed=0)
+
+
+# Probabilities and symbols that spoil an atom, or are odd but valid.
+_ODD_PROBABILITIES = [
+    -0.0, 0.0, -1e-3, math.inf, -math.inf, math.nan, 0, 1, True, 10**400, "0.5", None,
+]
+_ODD_SYMBOLS = [True, False, 1.0, None, "0", -1]
+
+
+@st.composite
+def _atom_pairs(draw):
+    """(m, sizes, [[x, p], ...]) for a valid source with up to three atoms
+    spoiled: odd symbols (some unsortable against ints), keys of the wrong
+    length, out-of-range symbols and odd probabilities, in any order."""
+    m = draw(st.integers(min_value=2, max_value=4))
+    sizes = tuple(draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    grid = list(itertools.product(*(range(size) for size in sizes)))
+    if draw(st.booleans()):
+        keys = grid
+    else:
+        keys = draw(st.lists(st.sampled_from(grid), min_size=1, max_size=len(grid), unique=True))
+    weights = [draw(st.floats(0.01, 1.0)) for _ in keys]
+    total = math.fsum(weights)
+    pairs = [[list(x), w / total] for x, w in zip(keys, weights)]
+    for _ in range(draw(st.integers(0, 3))):
+        pair = draw(st.sampled_from(pairs))
+        kind = draw(st.sampled_from(["symbol", "length", "probability"]))
+        if kind == "symbol" and pair[0]:
+            i = draw(st.integers(0, min(len(pair[0]), m) - 1))
+            pair[0][i] = draw(st.sampled_from(_ODD_SYMBOLS + [sizes[i], sizes[i] + 1]))
+        elif kind == "length" and pair[0]:
+            pair[0] = pair[0][:-1] if draw(st.booleans()) else pair[0] + [0]
+        elif kind == "probability":
+            pair[1] = draw(st.sampled_from(_ODD_PROBABILITIES))
+    if draw(st.booleans()):
+        pairs = draw(st.permutations(pairs))
+    return m, sizes, pairs
+
+
+def _outcome(build):
+    """The exception type and message of ``build()``, or the atoms it
+    returns with each coordinate's type and each probability's bits."""
+    try:
+        atoms = build()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [(x, tuple(map(type, x)), type(p), p.hex()) for x, p in atoms.items()]
+
+
+_NAN_CASES = [
+    (2, (2, 2), [[[0, 0], 0.5], [[0, 1], math.nan], [[1, 1], 0.5]]),
+    (2, (2, 2), [[[0, 0], 0.5], [[1, 1], 0.5], [[0, 1], math.nan]]),
+    (2, (2, 2), [[[1, 1], 0.5], [[0, 1], math.inf], [[0, 0], 0.5]]),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_pairs())
+@example(_NAN_CASES[0])
+@example(_NAN_CASES[1])
+@example(_NAN_CASES[2])
+def test_constructor_agrees_with_the_per_atom_reference(case):
+    m, sizes, pairs = case
+    atoms = {tuple(x): p for x, p in pairs}
+    assert _outcome(lambda: JointSource(m, sizes, atoms).atoms) == _outcome(
+        lambda: reference_source_atoms(m, sizes, atoms)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_atom_pairs(), st.data())
+@example(_NAN_CASES[0], None)
+@example(_NAN_CASES[2], None)
+def test_from_json_dict_agrees_with_the_per_entry_reference(case, data):
+    m, sizes, pairs = case
+    entries = [{"x": x, "p": p} for x, p in pairs]
+    renormalize = False
+    if data is not None:
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(entries) - 1))
+            x, p = pairs[i]
+            entries[i] = data.draw(st.sampled_from([
+                [], "x", None, {"x": x}, {"p": p},
+                {"x": x, "p": True}, {"x": x, "p": "0.5"}, {"x": x, "p": None},
+                {"x": 3, "p": p}, {"x": "01", "p": p}, {"x": tuple(x), "p": p},
+                {"x": [[0]] + x[1:], "p": p}, {"x": [{}] + x[1:], "p": p},
+                {"x": pairs[0][0], "p": p}, {"x": x, "p": p, "note": 1},
+            ]))
+        renormalize = data.draw(st.booleans())
+    doc = {"m": m, "alphabet_sizes": list(sizes), "atoms": entries}
+    assert _outcome(lambda: JointSource.from_json_dict(doc, renormalize=renormalize).atoms) == (
+        _outcome(lambda: reference_source_atoms(m, sizes, reference_json_atoms(doc, renormalize)))
+    )
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+@pytest.mark.parametrize("position", [0, 1, 3])
+def test_a_bad_probability_is_caught_in_any_position(bad, position):
+    # min() skips a NaN that is not the first item, so only a check that
+    # sees every item catches NaN in positions 1 and 3.
+    atoms = dict.fromkeys(itertools.product(range(2), repeat=2), 0.25)
+    key = list(atoms)[position]
+    atoms[key] = bad
+    message = f"^atom {re.escape(repr(key))} has probability {re.escape(repr(bad))}$"
+    with pytest.raises(InputError, match=message):
+        JointSource(2, (2, 2), atoms)
+
+
+def test_an_int_probability_past_the_float_range_is_named():
+    atoms = {(0, 0): 0.5, (1, 1): 10**400}
+    with pytest.raises(InputError, match=r"^atom \(1, 1\) has a probability too large for a float$"):
+        JointSource(2, (2, 2), atoms)
 
 
 def test_json_round_trip():
@@ -273,6 +391,43 @@ def test_float_table_is_bitwise_the_fsum_over_marginals(source):
     assert oracle.entropy(0).hex() == (0.0).hex()
     for subset in range(1, 1 << source.m):
         assert oracle.entropy(subset).hex() == _fsum_entropy(source, subset).hex()
+
+
+def _ternary_grid_with_zero_atoms():
+    """m = 7 over (3,)*7, every seventh atom (from the fourth) of zero mass."""
+    rng = random.Random(7)
+    return _full_grid((3,) * 7, [0.0 if i % 7 == 3 else rng.random() for i in range(3**7)])
+
+
+@pytest.mark.parametrize("make, digest", [
+    (lambda: random_source(10, (2,) * 10, 1),
+     "41dac22d3036a9a9ec65354353afa32b0f1c2f29ec2f31446ce9238c218d5d56"),
+    (lambda: random_source(10, (2,) * 10, 2),
+     "eae17b6678f4e22dcdfd651e713dfdcdd3b5f60644e90c1423d072111a4df548"),
+    (lambda: random_source(10, (2,) * 10, 3),
+     "7085fc75564ba81236d8844521f7e48c680ce47b14bf2ca5a639af313c0962ca"),
+    (_ternary_grid_with_zero_atoms,
+     "5e133d04fab3b18d709868dd039aec2536973940ab406320e650346968e70ce6"),
+], ids=["binary-m10-seed1", "binary-m10-seed2", "binary-m10-seed3", "ternary-m7-zeros"])
+def test_dense_float_tables_keep_their_bits_past_m6(make, digest):
+    # The fsum reference above stops at m = 6; these digests of every
+    # entry's hex were recorded from the slice-by-slice fill.
+    table = TabularOracle(make()).table()
+    assert hashlib.sha256(" ".join(h.hex() for h in table).encode()).hexdigest() == digest
+
+
+def test_dense_fill_memory_stays_bounded():
+    # Depth first, the fill holds one cell list per level of the walk:
+    # under 1 MB at m = 12.  A batched or breadth-first fill must stay
+    # below 4 MB.
+    oracle = TabularOracle(random_source(12, (2,) * 12, 1))
+    tracemalloc.start()
+    try:
+        oracle.table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000, peak
 
 
 def _tiny_atom_source(grid, full):
