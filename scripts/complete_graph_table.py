@@ -3,10 +3,12 @@
 For K_m every pair of terminals shares an independent uniform bit, the
 capacity works out to m/2 exactly, and the singleton partition is the
 unique minimizer, so both decision routes must report Necessary.  The
-script checks every row against that (C = m * mult / 2, the singleton
-argmin, Necessary from both routes) and exits 1 with one line on stderr
-at the first row that differs, so it doubles as a smoke check that the
-exact arithmetic path stays exact as m grows.
+verdicts come from ``run_routes``, which exits the script with 4 and one
+line on stderr if its routes disagree.  The script checks every row
+against the closed form (C = m * mult / 2, the singleton argmin,
+Necessary from both routes) and exits 1 with one line on stderr at the
+first row that differs, so it doubles as a smoke check that the exact
+arithmetic path stays exact as m grows.
 
 Usage: python scripts/complete_graph_table.py [--max-m 8] [--mult 1]
 """
@@ -16,9 +18,10 @@ import sys
 import time
 from fractions import Fraction
 
-from skomni.omnivocality import verdict_by_condition, verdict_by_lp
+from skomni.errors import InternalInconsistencyError
+from skomni.omnivocality import run_routes
 from skomni.partitions import format_partition, singleton_partition
-from skomni.pin import PinOracle, complete_graph, pin_capacity
+from skomni.pin import complete_graph, pin_capacity
 from skomni.subsets import MAX_TABLE_M
 
 
@@ -34,18 +37,24 @@ def main() -> int:
     if args.mult < 1:
         parser.error(f"--mult must be at least 1, got {args.mult}")
 
-    print(f"{'m':>2}  {'capacity':>9}  {'argmin':<16} {'condition':<10} {'lp':<10} "
+    # A partition of {1..m} prints as its m members with one separator
+    # between each two, so the widest argmin of the run is at m = max_m.
+    width = max(len("argmin"), len(format_partition(singleton_partition(args.max_m))))
+    print(f"{'m':>2}  {'capacity':>9}  {'argmin':<{width}} {'condition':<10} {'lp':<10} "
           f"{'partitions':>10}  {'seconds':>7}")
     for m in range(3, args.max_m + 1):
         graph = complete_graph(m, args.mult)
         start = time.monotonic()
         report = pin_capacity(graph)
-        oracle = PinOracle(graph)
-        condition = verdict_by_condition(oracle).status.value
-        lp = verdict_by_lp(oracle).status.value
+        try:
+            verdicts = run_routes(graph)[1]
+        except InternalInconsistencyError as exc:
+            print(f"m={m}: internal inconsistency: {exc}", file=sys.stderr)
+            return 4
+        condition, lp = (v.status.value for v in verdicts[:2])
         elapsed = time.monotonic() - start
         argmin = format_partition(report.argmin)
-        print(f"{m:>2}  {str(report.value):>9}  {argmin:<16} {condition:<10} {lp:<10} "
+        print(f"{m:>2}  {str(report.value):>9}  {argmin:<{width}} {condition:<10} {lp:<10} "
               f"{report.partitions_examined:>10}  {elapsed:>7.2f}")
         expected = (Fraction(m * args.mult, 2), singleton_partition(m), "Necessary", "Necessary")
         if (report.value, report.argmin, condition, lp) != expected:

@@ -34,7 +34,11 @@ partition found until that is no longer strictly below; the last gamma is
 the capacity.  The cell count falls at every step, so at most m
 partitions are evaluated.  Taking the minimizing B with the fewest
 members gives the finest minimizing partition, the common refinement of
-all of them.
+all of them.  One loop, ``_dinkelbach``, takes these steps for every
+search here and, with a min-cut pass, for ``pin.pin_capacity``.  A pass
+that returns the current cells or the trivial partition ends it; one
+that returns other cells of equal surplus ends it on those cells, so an
+exact search ends on the finest minimizer.
 
 The iteration may start at any partition with at least 2 cells: from any
 start, gamma only falls, and it stops only at a gamma no partition beats,
@@ -98,6 +102,7 @@ from __future__ import annotations
 import enum
 import math
 import operator
+from collections.abc import Callable
 from fractions import Fraction
 from functools import reduce
 from itertools import compress, repeat
@@ -198,27 +203,34 @@ def _cells_surplus(h: list, cells: list[int], exact: bool) -> Any:
     return _ratio(total - h[-1], len(cells) - 1, exact)
 
 
+def _dinkelbach(
+    start: list[int], greedy: Callable[[Any], list[int]], surplus: Callable[[list[int]], Any]
+) -> tuple[Any, list[int], int]:
+    """The Newton loop of every capacity search, from the cells ``start``:
+    (value, its cells, partitions evaluated).  See the module docstring."""
+    best, value, examined = start, surplus(start), 1
+    while True:
+        cells = greedy(value)
+        if len(cells) < 2 or cells == best:
+            return value, best, examined
+        examined += 1
+        candidate = surplus(cells)
+        if candidate <= value:
+            best = cells
+        if not candidate < value:
+            return value, best, examined
+        value = candidate
+
+
 def _newton_search(
     h: list, m: int, exact: bool, start: Optional[list[int]] = None
 ) -> tuple[Any, list[int], int]:
-    """Least surplus over the table ``h``: (value, its cells, partitions evaluated).
-
-    The iteration starts at the cells ``start`` (canonical order, at least
-    2 of them), by default at the singletons.
-    """
-    best = [1 << i for i in range(m)] if start is None else start
-    value = _cells_surplus(h, best, exact)
-    examined = 1
-    while True:
-        cells = _greedy_cells(h, m, value, 0)[0]
-        if len(cells) < 2 or cells == best:
-            break
-        examined += 1
-        candidate = _cells_surplus(h, cells, exact)
-        if not candidate < value:
-            break
-        value, best = candidate, cells
-    return value, best, examined
+    """``_dinkelbach`` on the table ``h``, by default from the singletons."""
+    return _dinkelbach(
+        [1 << i for i in range(m)] if start is None else start,
+        lambda gamma: _greedy_cells(h, m, gamma, 0)[0],
+        lambda cells: _cells_surplus(h, cells, exact),
+    )
 
 
 def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> CapacityReport:
@@ -226,13 +238,11 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
 
     ``value`` is the least surplus evaluated, the canonical fold of its
     cells (see the module docstring); Newton steps compare strictly.
-    ``argmin`` is one ``Partition``: the finest minimizer, chosen by a last
-    greedy pass at gamma = ``value`` that keeps the fewest-member set within
-    ``tie_tol`` of each step minimum (exactly equal for exact oracles).  If
-    that pass gives the trivial partition or one whose surplus lies outside
-    the band, ``argmin`` is the partition whose surplus set ``value``.  The
-    search itself runs on canonical lists of cell masks; only ``argmin``
-    becomes a ``Partition``.
+    ``argmin`` is one ``Partition``: the finest minimizer.  An exact search
+    ends on it.  For a float or mpf oracle a last greedy pass at gamma =
+    ``value`` keeps the fewest-member set within ``tie_tol`` of each step
+    minimum; if that pass gives the trivial partition or one whose surplus
+    lies outside the band, ``argmin`` holds the cells the search ended on.
     ``partitions_examined`` counts the surpluses the Newton steps evaluated.
     """
     m = oracle.m
@@ -240,11 +250,11 @@ def sk_capacity(oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL) -> Capa
         raise SizeLimitError("capacity needs at least 2 terminals")
     h = speaker_table(oracle, subsets.full_mask(m))
     exact = oracle.exact
-    band = 0 if exact else tie_tol
     value, best, examined = _newton_search(h, m, exact)
-    finest = _greedy_cells(h, m, value, band)[0]
-    if len(finest) >= 2 and abs(_cells_surplus(h, finest, exact) - value) <= band:
-        best = finest
+    if not exact:
+        finest = _greedy_cells(h, m, value, tie_tol)[0]
+        if len(finest) >= 2 and abs(_cells_surplus(h, finest, exact) - value) <= tie_tol:
+            best = finest
     return CapacityReport(value, Partition.from_cells(best, m), examined, exact)
 
 

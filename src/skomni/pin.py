@@ -14,11 +14,12 @@ inside a cell cancels and every crossing edge contributes once, so
     surplus(P) = crossing(P) / (|P| - 1),
 
 the quotient familiar from graph strength.  ``pin_capacity`` minimizes
-that quotient by Newton steps of m integer minimum cuts each, after
-Cunningham ("Optimal attack and reinforcement of a network", J. ACM,
-1985), and reads no entropies.  ``PinOracle`` exposes
-the same model through the generic entropy interface, so every
-entropy-based analysis can be cross-checked against the graph route.
+that quotient in the Newton loop of ``sk_capacity``, with its one tie
+rule, but each step is m integer minimum cuts, after Cunningham
+("Optimal attack and reinforcement of a network", J. ACM, 1985), and no
+entropy is read.  ``PinOracle`` exposes the same model through the
+generic entropy interface, so every entropy-based analysis can be
+cross-checked against the graph route.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from . import subsets
-from .capacity import CapacityReport
+from .capacity import CapacityReport, _dinkelbach
 from .errors import InputError, SizeLimitError
 from .partitions import Partition, canonical_order, merge_cells
 from .sources import TableOracle, read_json
@@ -233,10 +234,7 @@ def _greedy_cells(adj: list[list[int]], p: int, q: int) -> list[int]:
                 constant += arc
         flow, reached = _max_flow(cap, j, sink)
         x.append(constant + flow)
-        chosen = 0
-        for i in reached:
-            chosen |= 1 << i
-        cells = merge_cells(cells, chosen)
+        cells = merge_cells(cells, sum(1 << i for i in reached))
     return canonical_order(cells)
 
 
@@ -244,33 +242,16 @@ def pin_capacity(graph: PinGraph) -> CapacityReport:
     """Exact secret-key capacity of a PIN source: the strength of the
     multigraph, the least crossing(P) / (|P| - 1).
 
-    Newton steps on lambda start at the singleton quotient W / (m - 1).
-    A greedy pass at lambda (``_greedy_cells``, m minimum cuts) returns
-    the finest partition minimizing crossing(P) - lambda |P|.  It beats
-    the trivial partition exactly when its quotient is below lambda, and
-    lambda then moves there.  Otherwise lambda is the capacity: the
-    current partition ties the trivial one, so the pass returns the
-    finest partition reaching lambda, which becomes ``argmin``, one
-    ``Partition``.  The cell count falls at every step, so at most m
-    partitions are evaluated.  The steps run on canonical lists of cell
-    masks, as ``capacity``'s Newton search does; only ``argmin`` becomes a
-    ``Partition``.
-
-    All flows are in ints and no entropy is read, so this route is
-    independent of ``sk_capacity`` over a ``PinOracle``.
+    ``capacity``'s Newton loop runs from the singleton quotient W / (m - 1)
+    with this module's greedy pass (``_greedy_cells``, m minimum cuts at
+    lambda), and ends on the finest minimizer, ``argmin``, one
+    ``Partition``.  All flows are in ints and no entropy is read, so this
+    route is independent of ``sk_capacity`` over a ``PinOracle``.
     """
     adj = _adjacency(graph)
-    best = [1 << i for i in range(graph.m)]
-    value = Fraction(_crossing(graph, best), graph.m - 1)
-    examined = 1
-    while True:
-        cells = _greedy_cells(adj, value.numerator, value.denominator)
-        if cells == best:
-            break
-        examined += 1
-        quotient = Fraction(_crossing(graph, cells), len(cells) - 1)
-        best = cells
-        if not quotient < value:
-            break
-        value = quotient
+    value, best, examined = _dinkelbach(
+        [1 << i for i in range(graph.m)],
+        lambda gamma: _greedy_cells(adj, gamma.numerator, gamma.denominator),
+        lambda cells: Fraction(_crossing(graph, cells), len(cells) - 1),
+    )
     return CapacityReport(value, Partition.from_cells(best, graph.m), examined, True)

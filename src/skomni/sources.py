@@ -57,8 +57,10 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from pathlib import Path
 from collections.abc import Callable, Iterable
 from itertools import chain, repeat
@@ -241,11 +243,16 @@ def _atoms_one_by_one(atoms: Any, m: int, sizes: tuple[int, ...]) -> dict[tuple[
 
 
 def _probability(x: Any, p: Any) -> float:
-    """``float(p)`` of atom ``x``; an int past the float range is bad input."""
+    """``float(p)`` of atom ``x``, for a real number p (int, float, Fraction,
+    Decimal, ...) other than a bool; an int past the float range is bad input."""
+    if isinstance(p, bool) or not isinstance(p, (numbers.Real, Decimal)):
+        raise InputError(f"atom {x!r} has probability {p!r}")
     try:
         return float(p)
     except OverflowError:
         raise InputError(f"atom {x!r} has a probability too large for a float") from None
+    except ValueError:  # a signalling NaN Decimal
+        raise InputError(f"atom {x!r} has probability {p!r}") from None
 
 
 def _total(probabilities: Iterable[float]) -> float:

@@ -7,8 +7,10 @@ against other library output.
 """
 
 import math
+import numbers
 import operator
 import random
+from decimal import Decimal
 from fractions import Fraction
 from functools import reduce
 from itertools import product
@@ -168,10 +170,15 @@ def reference_source_atoms(m: int, sizes: tuple, atoms) -> dict:
 
 
 def _reference_probability(x, p) -> float:
+    # Any real number but a bool: int, float, Fraction, Decimal.
+    if type(p) is bool or not isinstance(p, (numbers.Real, Decimal)):
+        raise InputError(f"atom {x!r} has probability {p!r}")
     try:
         return float(p)
     except OverflowError:
         raise InputError(f"atom {x!r} has a probability too large for a float") from None
+    except ValueError:
+        raise InputError(f"atom {x!r} has probability {p!r}") from None
 
 
 def _reference_total(probabilities) -> float:

@@ -10,9 +10,11 @@ from skomni import subsets
 from skomni.capacity import (
     DEFAULT_TIE_TOL,
     MinimizerStatus,
+    _dinkelbach,
     _drop_cells,
     _drop_terminal,
     _greedy_cells,
+    _newton_search,
     leave_one_out_capacities,
     restricted_capacity,
     singleton_minimizer_check,
@@ -29,7 +31,7 @@ from skomni.partitions import (
     isolating_partition,
     singleton_partition,
 )
-from skomni.pin import PinGraph, PinOracle, complete_graph
+from skomni.pin import PinGraph, PinOracle, complete_graph, pin_capacity
 from skomni.silent_rate import build_rate_region, silent_capacity
 from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle
 
@@ -489,6 +491,44 @@ def test_capacity_search_reports_a_finest_partition_off_value_by_rounding():
         assert report.argmin == singleton_partition(4)
         assert partition_surplus(oracle, report.argmin) != report.value
         _check_capacity_search(oracle, bitwise=False)
+
+
+def test_newton_loop_ends_on_a_finer_tied_partition():
+    # On the path 1=2-3-4 with (1, 2) doubled, C = 1 at every split of the
+    # unit edges, and 1,2|3|4 is the finest minimizer.  Started at the tied
+    # 1,2,3|4, the confirming pass returns 1,2|3|4 at the same surplus, and
+    # the loop ends on it, having examined 2 partitions.
+    graph = PinGraph(4, ((1, 2, 2), (2, 3, 1), (3, 4, 1)))
+    h = PinOracle(graph).table()
+    value, cells, examined = _newton_search(h, 4, True, [0b0111, 0b1000])
+    assert (value, cells, examined) == (1, [0b0011, 0b0100, 0b1000], 2)
+    finest = Partition.from_cells(cells, 4)
+    assert finest == pin_capacity(graph).argmin == sk_capacity(PinOracle(graph)).argmin
+
+
+@pytest.mark.parametrize("passes, surpluses, expected", [
+    ([[3, 12], [3, 12]], {(3, 12): 2}, (2, [3, 12], 2)),
+    ([[3, 4, 8], [15]], {(3, 4, 8): 2}, (2, [3, 4, 8], 2)),
+    ([[3, 12], [3, 4, 8]], {(3, 12): 2, (3, 4, 8): 2}, (2, [3, 4, 8], 3)),
+    ([[3, 12], [3, 4, 8]], {(3, 12): 2, (3, 4, 8): 2.5}, (2, [3, 12], 3)),
+    ([[3, 12], [1, 14], [1, 14]], {(3, 12): 2, (1, 14): 1}, (1, [1, 14], 3)),
+], ids=["same-cells", "trivial", "finer-tie", "above", "two-steps"])
+def test_newton_loop_stopping_and_tie_rule(passes, surpluses, expected):
+    # Scripted greedy passes from the singletons of 4 terminals (surplus
+    # 3).  The loop ends when a pass returns the current cells or the
+    # trivial partition, or cells whose surplus is not below gamma; it
+    # takes those cells only when their surplus equals gamma.
+    surpluses = {(1, 2, 4, 8): 3, **surpluses}
+    script = iter(passes)
+    gammas = []
+
+    def greedy(gamma):
+        gammas.append(gamma)
+        return next(script)
+
+    assert _dinkelbach([1, 2, 4, 8], greedy, lambda c: surpluses[tuple(c)]) == expected
+    assert gammas[0] == 3 and gammas[-1] == expected[0]
+    assert next(script, None) is None
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,7 +22,7 @@ from skomni.omnivocality import (
     verdict_for_three_terminals,
 )
 from skomni.partitions import Partition
-from skomni.pin import PinGraph, PinOracle, complete_graph
+from skomni.pin import PinGraph, PinOracle, complete_graph, pin_capacity
 from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
 from skomni.sources import TabularOracle
 
@@ -212,6 +212,51 @@ def test_lp_necessary_where_the_singleton_partition_is_beaten():
         assert isinstance(row.silent_capacity, Fraction)
         by_lp = min_sum_rate(build_rate_region(oracle, row.speakers)).min_sum
         assert row.silent_capacity == oracle.entropy(row.speakers) - by_lp
+
+
+def test_lp_necessary_on_the_weight_5_counterexample():
+    # The lightest m = 4 candidate: the 4-cycle 1-3-2-4-1 with (2, 4)
+    # doubled, C = 3/2 at 1|2,4|3.  The singletons (surplus 5/3) lose, yet
+    # each leave-one-out capacity is 1.
+    graph = PinGraph(4, ((1, 3, 1), (2, 3, 1), (2, 4, 2), (1, 4, 1)))
+    report = pin_capacity(graph)
+    assert report.value == sk_capacity(PinOracle(graph)).value == Fraction(3, 2)
+    assert report.argmin == Partition.from_cells([0b0001, 0b1010, 0b0100], 4)
+    _, (condition, lp) = run_routes(graph)
+    assert (condition.status, lp.status) == (OmniStatus.UNKNOWN, OmniStatus.NECESSARY)
+    probe = probe_conjecture(graph)
+    assert probe.condition is MinimizerStatus.NOT_MINIMIZER
+    assert probe.classification is Classification.CANDIDATE
+
+
+def _cycle_plus(m):
+    """C_m^+: the cycle 1-2-...-m-1 with edge {1, m} doubled, weight m + 1."""
+    return PinGraph(m, tuple((t, t + 1, 1) for t in range(1, m)) + ((1, m, 2),))
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_cycle_plus_closed_form(m):
+    # Merging 1 and m leaves m - 1 cells crossed by m - 1 unit edges, so
+    # C = (m - 1)/(m - 2), below the singleton surplus (m + 1)/(m - 1) for
+    # m >= 4; each G - u is a path, of strength 1 < C.  At m = 3 the two
+    # tie at 2, and a terminal may stay silent.
+    graph = _cycle_plus(m)
+    report = pin_capacity(graph)
+    by_entropy = sk_capacity(PinOracle(graph))
+    assert report.value == by_entropy.value == Fraction(m - 1, m - 2)
+    assert report.argmin == by_entropy.argmin
+    status, verdicts = run_routes(graph)
+    condition, lp = verdicts[:2]
+    if m == 3:
+        assert report.argmin == Partition.from_cells([1, 2, 4], 3)
+        assert condition.minimizer.status is MinimizerStatus.NON_UNIQUE
+        assert status is lp.status is OmniStatus.NOT_NECESSARY
+    else:
+        merged = [1 | 1 << (m - 1)] + [1 << t for t in range(1, m - 1)]
+        assert report.argmin == Partition.from_cells(merged, m)
+        assert condition.minimizer.status is MinimizerStatus.NOT_MINIMIZER
+        assert status is lp.status is OmniStatus.NECESSARY
+        assert probe_conjecture(graph).classification is Classification.CANDIDATE
 
 
 @pytest.mark.parametrize("oracle", [

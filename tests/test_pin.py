@@ -219,6 +219,7 @@ def test_pin_capacity_matches_the_entropy_route(graph):
     by_entropy = sk_capacity(PinOracle(graph))
     assert report.value == by_entropy.value
     assert report.argmin == by_entropy.argmin
+    assert report.partitions_examined == by_entropy.partitions_examined
 
 
 @pytest.mark.parametrize("graph, components", [

@@ -1,6 +1,7 @@
 """Smoke tests of the scripts under ``scripts/``, run through ``runpy``."""
 
 import os
+import re
 import runpy
 import sys
 from fractions import Fraction
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from skomni import pin
+from skomni import omnivocality, pin
 from skomni.partitions import Partition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,6 +59,45 @@ def test_complete_graph_table_exits_1_at_the_first_wrong_row(monkeypatch, capsys
     (line,) = captured.err.splitlines()
     assert line.startswith("m=4: got C = ")
     assert line.endswith("; expected C = 2, argmin 1|2|3|4, Necessary/Necessary")
+
+
+def test_complete_graph_table_columns_line_up(monkeypatch, capsys):
+    # From m = 9 the argmin outgrows "argmin"; every later column must
+    # still start (left-aligned) or end (right-aligned) under its header.
+    script = ROOT / "scripts" / "complete_graph_table.py"
+    monkeypatch.setattr(sys, "argv", [script.name, "--max-m", "10"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and lines[-1].split()[2] == "1|2|3|4|5|6|7|8|9|10"
+    spans = [[m.span() for m in re.finditer(r"\S+", line)] for line in lines]
+    assert {len(row) for row in spans} == {7}
+    left = (2, 3, 4)  # argmin, condition, lp
+    for row in spans[1:]:
+        for i, (header, cell) in enumerate(zip(spans[0], row)):
+            assert (cell[0] == header[0]) if i in left else (cell[1] == header[1])
+
+
+def test_complete_graph_table_exits_4_when_the_routes_disagree(monkeypatch, capsys):
+    real = omnivocality.verdict_by_lp
+
+    def faulty(oracle, tie_tol):
+        verdict = real(oracle, tie_tol)
+        if oracle.m == 4:
+            return verdict._replace(status=omnivocality.OmniStatus.NOT_NECESSARY)
+        return verdict
+
+    monkeypatch.setattr(omnivocality, "verdict_by_lp", faulty)
+    script = ROOT / "scripts" / "complete_graph_table.py"
+    monkeypatch.setattr(sys, "argv", [script.name, "--max-m", "6"])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 4
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == ["m", "3"]
+    (line,) = captured.err.splitlines()
+    assert line == "m=4: internal inconsistency: methods disagree: condition=Necessary, lp=NotNecessary"
 
 
 @pytest.mark.parametrize("script, args, message", [

@@ -5,6 +5,8 @@ import math
 import random
 import re
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -63,6 +65,7 @@ def test_validation_errors():
 # Probabilities and symbols that spoil an atom, or are odd but valid.
 _ODD_PROBABILITIES = [
     -0.0, 0.0, -1e-3, math.inf, -math.inf, math.nan, 0, 1, True, 10**400, "0.5", None,
+    Fraction(1, 4), Decimal("0.25"), Decimal("-0.25"), Decimal("NaN"), False, [0.5],
 ]
 _ODD_SYMBOLS = [True, False, 1.0, None, "0", -1]
 
@@ -153,17 +156,38 @@ def test_from_json_dict_agrees_with_the_per_entry_reference(case, data):
     )
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+@pytest.mark.parametrize("bad", [
+    math.nan, math.inf, -math.inf, -1e-300,
+    "0.25", True, None, [0.25], Decimal("sNaN"), Fraction(-1, 4),
+])
 @pytest.mark.parametrize("position", [0, 1, 3])
 def test_a_bad_probability_is_caught_in_any_position(bad, position):
     # min() skips a NaN that is not the first item, so only a check that
-    # sees every item catches NaN in positions 1 and 3.
+    # sees every item catches NaN in positions 1 and 3.  A str, a bool or a
+    # non-number is named as given; a negative real number as its float.
     atoms = dict.fromkeys(itertools.product(range(2), repeat=2), 0.25)
     key = list(atoms)[position]
     atoms[key] = bad
-    message = f"^atom {re.escape(repr(key))} has probability {re.escape(repr(bad))}$"
+    shown = float(bad) if isinstance(bad, Fraction) else bad
+    message = f"^atom {re.escape(repr(key))} has probability {re.escape(repr(shown))}$"
     with pytest.raises(InputError, match=message):
         JointSource(2, (2, 2), atoms)
+
+
+@pytest.mark.parametrize("quarter", [Fraction(1, 4), Decimal("0.25"), 0.25])
+def test_a_real_probability_of_any_type_is_kept_as_its_float(quarter):
+    atoms = {(0, 0): quarter, (0, 1): quarter, (1, 0): quarter, (1, 1): 1 - 3 * quarter}
+    source = JointSource(2, (2, 2), atoms)
+    assert source == JointSource(2, (2, 2), dict.fromkeys(atoms, 0.25))
+    assert {type(p) for p in source.atoms.values()} == {float}
+
+
+def test_a_str_probability_is_refused_as_the_json_loader_refuses_it():
+    with pytest.raises(InputError, match=r"^atom \(0, 0\) has probability '0.5'$"):
+        JointSource(2, (2, 2), {(0, 0): "0.5", (1, 1): 0.5})
+    doc = {"m": 2, "alphabet_sizes": [2, 2], "atoms": [{"x": [0, 0], "p": "0.5"}]}
+    with pytest.raises(InputError, match="'p' must be a number"):
+        JointSource.from_json_dict(doc)
 
 
 def test_an_int_probability_past_the_float_range_is_named():
