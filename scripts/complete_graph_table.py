@@ -1,16 +1,28 @@
-"""Tabulate complete-graph PIN sources: capacity, minimizer, verdicts.
+"""Tabulate closed-form PIN families: capacity, minimizer, verdicts.
 
-For K_m every pair of terminals shares an independent uniform bit, the
-capacity works out to m/2 exactly, and the singleton partition is the
-unique minimizer, so both decision routes must report Necessary.  The
-verdicts come from ``run_routes``, which exits the script with 4 and one
-line on stderr if its routes disagree.  The script checks every row
-against the closed form (C = m * mult / 2, the singleton argmin,
-Necessary from both routes) and exits 1 with one line on stderr at the
-first row that differs, so it doubles as a smoke check that the exact
+Each family is one multigraph per m whose answers are known in closed
+form (C for unit edges; ``--mult`` scales every edge, and C with it):
+
+    family    edges                                  C            argmin     condition / lp
+    complete  every pair                             m/2          singletons UniqueMinimizer / Necessary
+    cycle     1-2-...-m-1                            m/(m-1)      singletons UniqueMinimizer / Necessary
+    cycle+    the cycle with {1, m} doubled, m >= 4  (m-1)/(m-2)  1,m merged NotMinimizer / Necessary
+              at m = 3                               2            singletons NonUniqueMinimizer / NotNecessary
+    path      1-2-...-m                              1            singletons NonUniqueMinimizer / NotNecessary
+    star      1 joined to each of 2..m               1            singletons NonUniqueMinimizer / NotNecessary
+    wheel     the star plus the cycle 2-...-m-2      2            singletons UniqueMinimizer / Necessary
+
+The wheel starts at m = 4, where it is K_4.  From m = 4, cycle+ is a
+counterexample to the converse of the uniqueness condition: the
+singletons lose to 1,m merged, yet every terminal must talk.
+
+The verdicts come from ``run_routes``, which exits the script with 4 and
+one line on stderr if its routes disagree.  The script checks every row
+against the closed form and exits 1 with one line on stderr at the first
+row that differs, so it doubles as a smoke check that the exact
 arithmetic path stays exact as m grows.
 
-Usage: python scripts/complete_graph_table.py [--max-m 8] [--mult 1]
+Usage: python scripts/complete_graph_table.py [--family complete] [--max-m 8] [--mult 1]
 """
 
 import argparse
@@ -20,47 +32,80 @@ from fractions import Fraction
 
 from skomni.errors import InternalInconsistencyError
 from skomni.omnivocality import run_routes
-from skomni.partitions import format_partition, singleton_partition
-from skomni.pin import complete_graph, pin_capacity
+from skomni.partitions import Partition, format_partition, singleton_partition
+from skomni.pin import PinGraph, pin_capacity
 from skomni.subsets import MAX_TABLE_M
+
+
+def _path(first: int, last: int) -> list[tuple[int, int, int]]:
+    return [(t, t + 1, 1) for t in range(first, last)]
+
+
+#: Each family's unit-multiplicity edges on terminals 1..m.
+FAMILIES = {
+    "complete": lambda m: [(u, v, 1) for u in range(1, m + 1) for v in range(u + 1, m + 1)],
+    "cycle": lambda m: _path(1, m) + [(1, m, 1)],
+    "cycle+": lambda m: _path(1, m) + [(1, m, 2)],
+    "path": lambda m: _path(1, m),
+    "star": lambda m: [(1, t, 1) for t in range(2, m + 1)],
+    "wheel": lambda m: [(1, t, 1) for t in range(2, m + 1)] + _path(2, m) + [(2, m, 1)],
+}
+
+
+def closed_form(family: str, m: int) -> tuple[Fraction, Partition, str, str]:
+    """C for unit edges, the finest argmin, and the condition and lp verdicts."""
+    singletons = singleton_partition(m)
+    if family == "cycle+" and m > 3:
+        merged = Partition.from_cells([1 | 1 << (m - 1)] + [1 << t for t in range(1, m - 1)], m)
+        return Fraction(m - 1, m - 2), merged, "NotMinimizer", "Necessary"
+    if family in ("complete", "cycle", "wheel"):
+        capacity = {"complete": Fraction(m, 2), "cycle": Fraction(m, m - 1), "wheel": Fraction(2)}
+        return capacity[family], singletons, "UniqueMinimizer", "Necessary"
+    # path, star, and cycle+ at m = 3: the singletons tie, and a terminal may stay silent.
+    return Fraction(2 if family == "cycle+" else 1), singletons, "NonUniqueMinimizer", "NotNecessary"
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--max-m", type=int, default=8, help="largest clique size")
-    parser.add_argument("--mult", type=int, default=1, help="edge multiplicity")
+    parser.add_argument("--family", choices=FAMILIES, default="complete", help="graph family")
+    parser.add_argument("--max-m", type=int, default=8, help="largest number of terminals")
+    parser.add_argument("--mult", type=int, default=1, help="multiplier of every edge")
     args = parser.parse_args()
-    if args.max_m < 3:
-        parser.error(f"--max-m must be at least 3, got {args.max_m}")
+    first = 4 if args.family == "wheel" else 3
+    if args.max_m < first:
+        parser.error(f"--max-m must be at least {first}, got {args.max_m}")
     if args.max_m > MAX_TABLE_M:
         parser.error(f"--max-m must be at most {MAX_TABLE_M}, the entropy-table cap")
     if args.mult < 1:
         parser.error(f"--mult must be at least 1, got {args.mult}")
 
-    # A partition of {1..m} prints as its m members with one separator
-    # between each two, so the widest argmin of the run is at m = max_m.
-    width = max(len("argmin"), len(format_partition(singleton_partition(args.max_m))))
-    print(f"{'m':>2}  {'capacity':>9}  {'argmin':<{width}} {'condition':<10} {'lp':<10} "
-          f"{'partitions':>10}  {'seconds':>7}")
-    for m in range(3, args.max_m + 1):
-        graph = complete_graph(m, args.mult)
+    rows = {m: closed_form(args.family, m) for m in range(first, args.max_m + 1)}
+    width = [max(len(head), *(len(cell) for cell in cells)) for head, cells in [
+        ("argmin", [format_partition(row[1]) for row in rows.values()]),
+        ("condition", [row[2] for row in rows.values()]),
+        ("lp", [row[3] for row in rows.values()]),
+    ]]
+    print(f"{'m':>2}  {'capacity':>9}  {'argmin':<{width[0]}} {'condition':<{width[1]}} "
+          f"{'lp':<{width[2]}} {'partitions':>10}  {'seconds':>7}")
+    for m, (unit_capacity, *rest) in rows.items():
+        graph = PinGraph(m, tuple((u, v, w * args.mult) for u, v, w in FAMILIES[args.family](m)))
         start = time.monotonic()
         report = pin_capacity(graph)
         try:
-            verdicts = run_routes(graph)[1]
+            condition, lp = run_routes(graph)[1][:2]
         except InternalInconsistencyError as exc:
             print(f"m={m}: internal inconsistency: {exc}", file=sys.stderr)
             return 4
-        condition, lp = (v.status.value for v in verdicts[:2])
+        got = (report.value, report.argmin, condition.minimizer.status.value, lp.status.value)
         elapsed = time.monotonic() - start
         argmin = format_partition(report.argmin)
-        print(f"{m:>2}  {str(report.value):>9}  {argmin:<{width}} {condition:<10} {lp:<10} "
-              f"{report.partitions_examined:>10}  {elapsed:>7.2f}")
-        expected = (Fraction(m * args.mult, 2), singleton_partition(m), "Necessary", "Necessary")
-        if (report.value, report.argmin, condition, lp) != expected:
-            print(f"m={m}: got C = {report.value}, argmin {argmin}, {condition}/{lp}; expected "
-                  f"C = {expected[0]}, argmin {format_partition(expected[1])}, Necessary/Necessary",
-                  file=sys.stderr)
+        print(f"{m:>2}  {str(report.value):>9}  {argmin:<{width[0]}} {got[2]:<{width[1]}} "
+              f"{got[3]:<{width[2]}} {report.partitions_examined:>10}  {elapsed:>7.2f}")
+        expected = (unit_capacity * args.mult, *rest)
+        if got != expected:
+            print(f"m={m}: got C = {got[0]}, argmin {argmin}, {got[2]}/{got[3]}; expected "
+                  f"C = {expected[0]}, argmin {format_partition(expected[1])}, "
+                  f"{expected[2]}/{expected[3]}", file=sys.stderr)
             return 1
     return 0
 

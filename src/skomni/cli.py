@@ -3,8 +3,15 @@
 Subcommands mirror the library: capacity, singleton, silent, omnivocality,
 hunt.  Model files are JSON and auto-detected: an object with "atoms" is a
 joint pmf, one with "edges" is a PIN multigraph (analyzed in exact
-rational arithmetic).  Text output prints floats with six decimals
-and rationals as p/q; --json emits a single JSON object instead.
+rational arithmetic), and one with both is refused.  Text output prints
+floats with six decimals and rationals as p/q; --json emits a single JSON
+object instead.
+
+Only ``hunt --jobs N`` with N > 1 imports the process pool
+(``_process_pool``), so importing this module and every other call leave
+``concurrent.futures`` and ``multiprocessing`` unloaded.  The pool runs
+the trials in chunks of 8 and holds at most 2N of them; the log is the
+same for any N.
 
 ``omnivocality`` formats what ``omnivocality.run_routes`` returns; that
 runner chooses the routes from the model, does the ``--dps`` re-run and
@@ -31,9 +38,8 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
-from typing import Any, Union
+from typing import TYPE_CHECKING, Any, Union
 
 from . import subsets
 from .capacity import (
@@ -55,14 +61,21 @@ from .pin import PinGraph, pin_capacity
 from .silent_rate import silent_capacity
 from .sources import JointSource, read_json
 
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
+
 Model = Union[JointSource, PinGraph]
 
 
 def _load_model(path: str, renormalize: bool = False) -> Model:
     data = read_json(path)
-    if isinstance(data, dict) and "edges" in data:
+    is_source = isinstance(data, dict) and "atoms" in data
+    is_graph = isinstance(data, dict) and "edges" in data
+    if is_source and is_graph:
+        raise InputError("model JSON has both 'atoms' (source) and 'edges' (PIN graph)")
+    if is_graph:
         return PinGraph.from_json_dict(data)
-    if isinstance(data, dict) and "atoms" in data:
+    if is_source:
         return JointSource.from_json_dict(data, renormalize=renormalize)
     raise InputError(f"{path} has neither 'atoms' (source) nor 'edges' (PIN graph)")
 
@@ -258,7 +271,19 @@ def _run_chunk(worker: Any, jobs: list) -> list:
     return [worker(job) for job in jobs]
 
 
-def _windowed_map(pool: ProcessPoolExecutor, worker: Any, jobs: Any, chunksize: int, window: int):
+def _process_pool(workers: int) -> Executor:
+    """A pool of ``workers`` processes.
+
+    Imported here, not at the top, because only ``hunt --jobs N`` with
+    N > 1 starts one: every other call leaves ``concurrent.futures`` and
+    ``multiprocessing`` unloaded.
+    """
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers)
+
+
+def _windowed_map(pool: Executor, worker: Any, jobs: Any, chunksize: int, window: int):
     """``pool.map(worker, jobs, chunksize=chunksize)`` holding at most ``window`` chunks.
 
     ``Executor.map`` submits every chunk before it yields the first result;
@@ -317,7 +342,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     except OSError as exc:
         raise InputError(f"cannot open log {args.out}: {exc.strerror}") from None
     counts: dict[str, int] = {}
-    with fh, ProcessPoolExecutor(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
+    with fh, _process_pool(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
         if pool:
             records = _windowed_map(pool, _hunt_worker, jobs, 8, 2 * args.jobs)
         else:

@@ -36,6 +36,9 @@ from .errors import InputError, SizeLimitError
 from .partitions import Partition, canonical_order, merge_cells
 from .sources import TableOracle, read_json
 
+#: The keys an edge entry of a graph JSON may have; ``mult`` defaults to 1.
+_EDGE_KEYS = frozenset(("u", "v", "mult"))
+
 
 @dataclass(frozen=True)
 class PinGraph:
@@ -84,6 +87,8 @@ class PinGraph:
         for entry in data["edges"]:
             if not isinstance(entry, dict) or "u" not in entry or "v" not in entry:
                 raise InputError(f"edge entry {entry!r} must have 'u' and 'v'")
+            if not entry.keys() <= _EDGE_KEYS:
+                raise InputError(f"edge entry {entry!r} has keys other than 'u', 'v' and 'mult'")
             edges.append((entry["u"], entry["v"], entry.get("mult", 1)))
         return cls(data["m"], tuple(edges))
 

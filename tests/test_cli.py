@@ -2,8 +2,11 @@ import hashlib
 import importlib
 import json
 import os
+import subprocess
 import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -541,7 +544,7 @@ def test_hunt_pool_holds_a_bounded_window_of_chunks(tmp_path, capsys, monkeypatc
     logs = {}
     for name, jobs in [("serial", "1"), ("pool", "2"), ("counted", "2")]:
         if name == "counted":
-            monkeypatch.setattr("skomni.cli.ProcessPoolExecutor", _CountingPool)
+            monkeypatch.setattr("skomni.cli._process_pool", _CountingPool)
         logs[name] = tmp_path / f"{name}.jsonl"
         assert run(capsys, base + ["--jobs", jobs, "--out", str(logs[name])])[0] == 0
     assert 1 <= _CountingPool.peak <= 4
@@ -662,10 +665,17 @@ _ATOMS_PAST_FLOAT_RANGE = [{"x": [0, 0], "p": 1e308}, {"x": [1, 1], "p": 1e308}]
      "atoms sum to inf, not 1"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": _ATOMS_PAST_FLOAT_RANGE}, ["--renormalize"],
      "cannot renormalize: atoms sum to inf"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM], "edges": [_EDGE]}, [],
+     "model JSON has both 'atoms' (source) and 'edges' (PIN graph)"),
+    ({"m": 2, "edges": [{"u": 1, "v": 2, "weight": 3}]}, [],
+     "edge entry {'u': 1, 'v': 2, 'weight': 3} has keys other than 'u', 'v' and 'mult'"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM], "edges": [{"u": 1, "v": 2, "weight": 3}]},
+     [], "model JSON has both 'atoms' (source) and 'edges' (PIN graph)"),
 ], ids=[
     "graph-no-m", "edges-not-list", "edge-not-object", "source-no-m", "source-no-alphabet",
     "atoms-not-list", "atom-not-object", "alphabet-not-list", "renormalize-zero",
-    "sum-overflows", "renormalize-sum-overflows",
+    "sum-overflows", "renormalize-sum-overflows", "atoms-and-edges", "edge-unknown-key",
+    "atoms-and-edges-with-unknown-key",
 ])
 def test_malformed_model_shape_exits_2(tmp_path, capsys, model, flags, message):
     path = tmp_path / "m.json"
@@ -704,7 +714,7 @@ def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, 
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool was started")
 
-    monkeypatch.setattr("skomni.cli.ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("skomni.cli._process_pool", no_pool)
     monkeypatch.setattr("skomni.cli._hunt_worker", no_pool)
     out = tmp_path / "hunt.jsonl"
     flags = [f.format(tmp=tmp_path) for f in flags]
@@ -763,3 +773,32 @@ def test_in_process_calls_share_one_parser_and_leak_nothing(files, capsys, monke
     monkeypatch.setattr(cli, "cmd_capacity", lambda args: 7)
     assert call(["capacity", files["xor"]]) == (7, "", "")
     assert cli._build_parser.cache_info().misses == 1
+
+
+def test_only_a_parallel_hunt_loads_the_worker_pool(files, tmp_path):
+    # A fresh interpreter, since this one has loaded multiprocessing long
+    # since: importing the CLI and every call but ``hunt --jobs N`` with
+    # N > 1 must leave the pool's import stack unloaded.
+    code = textwrap.dedent(f"""
+        import sys
+        from skomni.cli import main
+        for argv in (
+            ["capacity", {files["xor"]!r}],
+            ["capacity", {files["k3"]!r}],
+            ["singleton", {files["xor"]!r}, "--json"],
+            ["silent", {files["xor"]!r}, "--speakers", "1,2"],
+            ["omnivocality", {files["xor"]!r}, "--dps", "30"],
+            ["hunt", "--m", "4", "--trials", "3", "--jobs", "1", "--out", {str(tmp_path / "h.jsonl")!r}],
+        ):
+            assert main(argv) == 0, argv
+        print(sorted(name for name in sys.modules
+                     if name.partition(".")[0] in ("concurrent", "multiprocessing")))
+    """)
+    src = str(Path(skomni.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"

@@ -259,6 +259,45 @@ def test_cycle_plus_closed_form(m):
         assert probe_conjecture(graph).classification is Classification.CANDIDATE
 
 
+def _family(name, m):
+    """The complete graph, cycle, path, star (hub 1) or wheel (hub 1, rim
+    2-...-m-2) on m terminals, with unit edges."""
+    rim = [(t, (t - 1) % (m - 1) + 2) for t in range(2, m + 1)]
+    pairs = {
+        "complete": [(u, v) for u in range(1, m + 1) for v in range(u + 1, m + 1)],
+        "cycle": [(t, t % m + 1) for t in range(1, m + 1)],
+        "path": [(t, t + 1) for t in range(1, m)],
+        "star": [(1, t) for t in range(2, m + 1)],
+        "wheel": [(1, t) for t in range(2, m + 1)] + rim,
+    }[name]
+    return PinGraph(m, tuple((u, v, 1) for u, v in pairs))
+
+
+@pytest.mark.parametrize("name, m", [
+    (name, m) for name in ("complete", "cycle", "path", "star", "wheel")
+    for m in range(4 if name == "wheel" else 3, 9)
+])
+def test_pin_family_closed_forms(name, m):
+    # K_m: C = m/2; C_m: C = m/(m - 1); the wheel: C = 2.  Each has the
+    # singletons as its unique minimizer, so every terminal must talk.
+    # A tree (path or star) has C = 1, reached by every partition into
+    # connected parts, so the singletons tie and a leaf may stay silent.
+    graph = _family(name, m)
+    report = pin_capacity(graph)
+    by_entropy = sk_capacity(PinOracle(graph))
+    expected = {"complete": Fraction(m, 2), "cycle": Fraction(m, m - 1), "wheel": Fraction(2)}
+    assert report.value == by_entropy.value == expected.get(name, 1)
+    assert report.argmin == by_entropy.argmin == Partition.from_cells([1 << t for t in range(m)], m)
+    status, verdicts = run_routes(graph)
+    condition, lp = verdicts[:2]
+    if name in expected:
+        assert condition.minimizer.status is MinimizerStatus.UNIQUE
+        assert status is lp.status is OmniStatus.NECESSARY
+    else:
+        assert condition.minimizer.status is MinimizerStatus.NON_UNIQUE
+        assert status is lp.status is OmniStatus.NOT_NECESSARY
+
+
 @pytest.mark.parametrize("oracle", [
     PinOracle(complete_graph(16)),
     PinOracle(PinGraph(6, ((1, 2, 2), (2, 3, 1), (3, 4, 3), (4, 5, 1), (5, 6, 2), (1, 6, 1)))),

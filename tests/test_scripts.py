@@ -33,8 +33,36 @@ def test_complete_graph_table(monkeypatch, capsys, mult):
         m = int(m)
         assert Fraction(capacity) == Fraction(mult * m, 2)
         assert argmin == "|".join(str(t) for t in range(1, m + 1))
-        assert (condition, lp) == ("Necessary", "Necessary")
+        assert (condition, lp) == ("UniqueMinimizer", "Necessary")
         assert int(partitions) == 1
+
+
+@pytest.mark.parametrize("family, first, last", [
+    ("cycle", "3 3/2 1|2|3 UniqueMinimizer Necessary 1",
+     "6 6/5 1|2|3|4|5|6 UniqueMinimizer Necessary 1"),
+    ("cycle+", "3 2 1|2|3 NonUniqueMinimizer NotNecessary 1",
+     "6 5/4 1,6|2|3|4|5 NotMinimizer Necessary 2"),
+    ("path", "3 1 1|2|3 NonUniqueMinimizer NotNecessary 1",
+     "6 1 1|2|3|4|5|6 NonUniqueMinimizer NotNecessary 1"),
+    ("star", "3 1 1|2|3 NonUniqueMinimizer NotNecessary 1",
+     "6 1 1|2|3|4|5|6 NonUniqueMinimizer NotNecessary 1"),
+    ("wheel", "4 2 1|2|3|4 UniqueMinimizer Necessary 1",
+     "6 2 1|2|3|4|5|6 UniqueMinimizer Necessary 1"),
+])
+def test_complete_graph_table_families(monkeypatch, capsys, family, first, last):
+    # The rows without their seconds column; --mult 3 triples each C.
+    script = ROOT / "scripts" / "complete_graph_table.py"
+    for mult in (1, 3):
+        argv = [script.name, "--family", family, "--max-m", "6", "--mult", str(mult)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        rows = [line.split()[:-1] for line in capsys.readouterr().out.splitlines()[1:]]
+        for got, want in [(rows[0], first.split()), (rows[-1], last.split())]:
+            assert got[0] == want[0] and got[2:] == want[2:]
+            assert Fraction(got[1]) == mult * Fraction(want[1])
+        assert [int(row[0]) for row in rows] == list(range(int(first.split()[0]), 7))
 
 
 @pytest.mark.parametrize("field, wrong", [
@@ -58,7 +86,7 @@ def test_complete_graph_table_exits_1_at_the_first_wrong_row(monkeypatch, capsys
     assert [line.split()[0] for line in captured.out.splitlines()] == ["m", "3", "4"]
     (line,) = captured.err.splitlines()
     assert line.startswith("m=4: got C = ")
-    assert line.endswith("; expected C = 2, argmin 1|2|3|4, Necessary/Necessary")
+    assert line.endswith("; expected C = 2, argmin 1|2|3|4, UniqueMinimizer/Necessary")
 
 
 def test_complete_graph_table_columns_line_up(monkeypatch, capsys):
@@ -122,6 +150,9 @@ def test_complete_graph_table_exits_4_when_the_routes_disagree(monkeypatch, caps
     ("hunt_summary.py", ["full.jsonl", "--top", "-1"], "--top must be at least 0, got -1"),
     ("complete_graph_table.py", ["--max-m", "2"], "--max-m must be at least 3, got 2"),
     ("complete_graph_table.py", ["--max-m", "-4"], "--max-m must be at least 3, got -4"),
+    ("complete_graph_table.py", ["--family", "wheel", "--max-m", "3"],
+     "--max-m must be at least 4, got 3"),
+    ("complete_graph_table.py", ["--family", "grid"], "invalid choice: 'grid'"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message
