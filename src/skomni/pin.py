@@ -36,6 +36,8 @@ from .errors import InputError, SizeLimitError
 from .partitions import Partition, canonical_order, merge_cells
 from .sources import TableOracle, read_json
 
+#: The keys a graph JSON has, and no other.
+_GRAPH_KEYS = ("m", "edges")
 #: The keys an edge entry of a graph JSON may have; ``mult`` defaults to 1.
 _EDGE_KEYS = frozenset(("u", "v", "mult"))
 
@@ -81,6 +83,9 @@ class PinGraph:
             raise InputError("graph JSON must be an object")
         if "m" not in data or "edges" not in data:
             raise InputError("graph JSON needs 'm' and 'edges'")
+        if len(data) != len(_GRAPH_KEYS):
+            unknown = next(key for key in data if key not in _GRAPH_KEYS)
+            raise InputError(f"graph JSON has key {unknown!r}; it takes only 'm' and 'edges'")
         if not isinstance(data["edges"], list):
             raise InputError("graph JSON field 'edges' must be a list")
         edges = []

@@ -72,6 +72,9 @@ from .errors import InputError
 #: Relative slack allowed between the atom mass total and 1.
 PMF_TOLERANCE = 1e-9
 
+#: The keys a source JSON has, and no other.
+_SOURCE_KEYS = ("m", "alphabet_sizes", "atoms")
+
 
 class EntropyOracle(Protocol):
     """Anything that can answer subset-entropy queries for m terminals.
@@ -126,9 +129,14 @@ class JointSource:
     def from_json_dict(cls, data: Any, *, renormalize: bool = False) -> "JointSource":
         if not isinstance(data, dict):
             raise InputError("source JSON must be an object")
-        for key in ("m", "alphabet_sizes", "atoms"):
+        for key in _SOURCE_KEYS:
             if key not in data:
                 raise InputError(f"source JSON missing {key!r}")
+        if len(data) != len(_SOURCE_KEYS):
+            unknown = next(key for key in data if key not in _SOURCE_KEYS)
+            raise InputError(
+                f"source JSON has key {unknown!r}; it takes only 'm', 'alphabet_sizes' and 'atoms'"
+            )
         raw_atoms = data["atoms"]
         if not isinstance(raw_atoms, list):
             raise InputError("source JSON field 'atoms' must be a list")
@@ -157,8 +165,8 @@ class JointSource:
 
 def _entries_by_columns(entries: list[Any]) -> Optional[dict[tuple[Any, ...], Any]]:
     """The atoms of the JSON ``entries``, checked by whole columns, or None
-    unless every entry is a dict with a list ``x`` of hashable items and an
-    int or float ``p``, and no ``x`` repeats."""
+    unless every entry is a dict with only a list ``x`` of hashable items and
+    an int or float ``p``, and no ``x`` repeats."""
     if {*map(type, entries)} != {dict}:
         return None
     try:
@@ -166,7 +174,11 @@ def _entries_by_columns(entries: list[Any]) -> Optional[dict[tuple[Any, ...], An
         ps = list(map(operator.itemgetter("p"), entries))
     except KeyError:
         return None
-    if {*map(type, xs)} != {list} or not {*map(type, ps)} <= {int, float}:
+    if (
+        {*map(len, entries)} != {2}  # x and p are present, so 2 keys means no other
+        or {*map(type, xs)} != {list}
+        or not {*map(type, ps)} <= {int, float}
+    ):
         return None
     try:
         atoms = dict(zip(map(tuple, xs), ps))
@@ -182,6 +194,8 @@ def _entries_one_by_one(entries: list[Any]) -> dict[tuple[Any, ...], Any]:
     for entry in entries:
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
             raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
+        if len(entry) != 2:
+            raise InputError(f"atom entry {entry!r} has keys other than 'x' and 'p'")
         x, p = entry["x"], entry["p"]
         if type(p) not in (int, float):
             raise InputError(f"atom entry {entry!r}: 'p' must be a number")

@@ -124,6 +124,8 @@ def reference_json_atoms(data: dict, renormalize: bool = False) -> dict:
     for entry in data["atoms"]:
         if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
             raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
+        if entry.keys() != {"x", "p"}:
+            raise InputError(f"atom entry {entry!r} has keys other than 'x' and 'p'")
         x, p = entry["x"], entry["p"]
         if type(p) not in (int, float):
             raise InputError(f"atom entry {entry!r}: 'p' must be a number")

@@ -671,11 +671,19 @@ _ATOMS_PAST_FLOAT_RANGE = [{"x": [0, 0], "p": 1e308}, {"x": [1, 1], "p": 1e308}]
      "edge entry {'u': 1, 'v': 2, 'weight': 3} has keys other than 'u', 'v' and 'mult'"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM], "edges": [{"u": 1, "v": 2, "weight": 3}]},
      [], "model JSON has both 'atoms' (source) and 'edges' (PIN graph)"),
+    ({"m": 2, "alphabet_sizes": [2, 2],
+      "atoms": [{"x": [1, 1], "p": 0.5}, {"x": [0, 0], "p": 0.5, "count": 3}]}, [],
+     "atom entry {'x': [0, 0], 'p': 0.5, 'count': 3} has keys other than 'x' and 'p'"),
+    ({"m": 3, "edges": [_EDGE], "mult": 5}, [],
+     "graph JSON has key 'mult'; it takes only 'm' and 'edges'"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM], "renormalise": True}, [],
+     "source JSON has key 'renormalise'; it takes only 'm', 'alphabet_sizes' and 'atoms'"),
 ], ids=[
     "graph-no-m", "edges-not-list", "edge-not-object", "source-no-m", "source-no-alphabet",
     "atoms-not-list", "atom-not-object", "alphabet-not-list", "renormalize-zero",
     "sum-overflows", "renormalize-sum-overflows", "atoms-and-edges", "edge-unknown-key",
-    "atoms-and-edges-with-unknown-key",
+    "atoms-and-edges-with-unknown-key", "atom-unknown-key", "graph-unknown-key",
+    "source-unknown-key",
 ])
 def test_malformed_model_shape_exits_2(tmp_path, capsys, model, flags, message):
     path = tmp_path / "m.json"
@@ -775,11 +783,25 @@ def test_in_process_calls_share_one_parser_and_leak_nothing(files, capsys, monke
     assert cli._build_parser.cache_info().misses == 1
 
 
+def _fresh_python(code):
+    """The stdout of ``code``, dedented, run by a new interpreter that imports
+    this checkout's ``skomni``; the run must exit 0."""
+    src = str(Path(skomni.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
 def test_only_a_parallel_hunt_loads_the_worker_pool(files, tmp_path):
     # A fresh interpreter, since this one has loaded multiprocessing long
     # since: importing the CLI and every call but ``hunt --jobs N`` with
     # N > 1 must leave the pool's import stack unloaded.
-    code = textwrap.dedent(f"""
+    out = _fresh_python(f"""
         import sys
         from skomni.cli import main
         for argv in (
@@ -794,11 +816,22 @@ def test_only_a_parallel_hunt_loads_the_worker_pool(files, tmp_path):
         print(sorted(name for name in sys.modules
                      if name.partition(".")[0] in ("concurrent", "multiprocessing")))
     """)
-    src = str(Path(skomni.__file__).resolve().parent.parent)
-    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "[]"
+    assert out.splitlines()[-1] == "[]"
+
+
+def test_a_module_import_loads_only_what_it_needs():
+    # The package loads none of its modules, so importing one loads only
+    # its own dependencies; the CLI still loads every module.
+    out = _fresh_python("""
+        import sys
+        def loaded():
+            return sorted(name for name in sys.modules if name.partition(".")[0] == "skomni")
+        import skomni.sources
+        print(loaded())
+        import skomni.cli
+        print(loaded())
+    """)
+    *_, library, command_line = out.splitlines()
+    assert library == str(["skomni", "skomni.errors", "skomni.sources", "skomni.subsets"])
+    modules = sorted(path.stem for path in Path(skomni.__file__).parent.glob("[!_]*.py"))
+    assert command_line == str(["skomni"] + [f"skomni.{name}" for name in modules])

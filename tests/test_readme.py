@@ -5,7 +5,8 @@ counterexamples" sections runs through ``skomni.cli.main`` in a scratch
 directory holding the README's xor model as ``xor.json``; where the README
 shows output, stdout must equal it.  ``$ python scripts/...`` lines run
 the script in the same directory, so the candidate workflow runs end to
-end.
+end.  The "Library" section's Python block runs as written, and each line
+it prints must equal the first word of that ``print`` line's comment.
 """
 
 import re
@@ -68,3 +69,12 @@ def test_readme_examples_match_the_cli(tmp_path, monkeypatch, capsys):
         assert code == 0, command
         if shown:
             assert out.splitlines() == shown, command
+
+
+def test_readme_library_example_prints_its_comments(capsys):
+    (block,) = re.findall(r"^```python\n(.*?)^```", _section("Library"), re.M | re.S)
+    prints = [line for line in block.splitlines() if line.startswith("print(")]
+    shown = [line.partition("#")[2].split()[0] for line in prints]
+    assert shown
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == shown
