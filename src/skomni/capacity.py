@@ -285,8 +285,7 @@ def leave_one_out_capacities(oracle: EntropyOracle) -> tuple[Any, list]:
     m = oracle.m
     if m < 2:
         raise SizeLimitError("capacity needs at least 2 terminals")
-    subsets.check_table_m(m)
-    h = oracle.table()
+    h = speaker_table(oracle, subsets.full_mask(m))
     exact = oracle.exact
     capacity, cells, _ = _newton_search(h, m, exact)
     restricted = []

@@ -69,13 +69,10 @@ Model = Union[JointSource, PinGraph]
 
 def _load_model(path: str, renormalize: bool = False) -> Model:
     data = read_json(path)
-    is_source = isinstance(data, dict) and "atoms" in data
-    is_graph = isinstance(data, dict) and "edges" in data
-    if is_source and is_graph:
-        raise InputError("model JSON has both 'atoms' (source) and 'edges' (PIN graph)")
-    if is_graph:
+    # A file with both keys goes to the graph loader, which names its stray key.
+    if isinstance(data, dict) and "edges" in data:
         return PinGraph.from_json_dict(data)
-    if is_source:
+    if isinstance(data, dict) and "atoms" in data:
         return JointSource.from_json_dict(data, renormalize=renormalize)
     raise InputError(f"{path} has neither 'atoms' (source) nor 'edges' (PIN graph)")
 

@@ -247,8 +247,8 @@ def run_routes(
     place of ``tie_tol``; PIN graphs and given oracles ignore ``dps``.
     Returns the overall status and the verdicts in route order.  The
     overall status is the conclusive status the routes reached, else
-    NumericallyAmbiguous if any route was, else Unknown; two routes with
-    different conclusive statuses raise ``InternalInconsistencyError``.
+    NumericallyAmbiguous, which is then the LP route's status; two routes
+    with different conclusive statuses raise ``InternalInconsistencyError``.
     """
     if dps < 0 or 0 < dps <= FLOAT_DPS:
         raise InputError(
@@ -269,17 +269,14 @@ def run_routes(
     else:
         oracle = as_oracle(model)
         verdicts = [route(oracle, tie_tol) for route in routes]
-    statuses = {v.status for v in verdicts}
-    conclusive = statuses & {OmniStatus.NECESSARY, OmniStatus.NOT_NECESSARY}
+    conclusive = {v.status for v in verdicts} & {OmniStatus.NECESSARY, OmniStatus.NOT_NECESSARY}
     if len(conclusive) > 1:
         raise InternalInconsistencyError(
             "methods disagree: " + ", ".join(f"{v.method}={v.status.value}" for v in verdicts)
         )
     if conclusive:
         return conclusive.pop(), verdicts
-    if OmniStatus.AMBIGUOUS in statuses:
-        return OmniStatus.AMBIGUOUS, verdicts
-    return OmniStatus.UNKNOWN, verdicts
+    return OmniStatus.AMBIGUOUS, verdicts
 
 
 def probe_conjecture(

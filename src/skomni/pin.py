@@ -34,12 +34,7 @@ from . import subsets
 from .capacity import CapacityReport, _dinkelbach
 from .errors import InputError, SizeLimitError
 from .partitions import Partition, canonical_order, merge_cells
-from .sources import TableOracle, read_json
-
-#: The keys a graph JSON has, and no other.
-_GRAPH_KEYS = ("m", "edges")
-#: The keys an edge entry of a graph JSON may have; ``mult`` defaults to 1.
-_EDGE_KEYS = frozenset(("u", "v", "mult"))
+from .sources import TableOracle, check_keys, read_json
 
 
 @dataclass(frozen=True)
@@ -79,21 +74,12 @@ class PinGraph:
 
     @classmethod
     def from_json_dict(cls, data: Any) -> "PinGraph":
-        if not isinstance(data, dict):
-            raise InputError("graph JSON must be an object")
-        if "m" not in data or "edges" not in data:
-            raise InputError("graph JSON needs 'm' and 'edges'")
-        if len(data) != len(_GRAPH_KEYS):
-            unknown = next(key for key in data if key not in _GRAPH_KEYS)
-            raise InputError(f"graph JSON has key {unknown!r}; it takes only 'm' and 'edges'")
+        check_keys(data, "graph JSON", ("m", "edges"))
         if not isinstance(data["edges"], list):
             raise InputError("graph JSON field 'edges' must be a list")
         edges = []
         for entry in data["edges"]:
-            if not isinstance(entry, dict) or "u" not in entry or "v" not in entry:
-                raise InputError(f"edge entry {entry!r} must have 'u' and 'v'")
-            if not entry.keys() <= _EDGE_KEYS:
-                raise InputError(f"edge entry {entry!r} has keys other than 'u', 'v' and 'mult'")
+            check_keys(entry, "edge entry {!r}", ("u", "v"), ("mult",))  # mult defaults to 1
             edges.append((entry["u"], entry["v"], entry.get("mult", 1)))
         return cls(data["m"], tuple(edges))
 

@@ -72,9 +72,6 @@ from .errors import InputError
 #: Relative slack allowed between the atom mass total and 1.
 PMF_TOLERANCE = 1e-9
 
-#: The keys a source JSON has, and no other.
-_SOURCE_KEYS = ("m", "alphabet_sizes", "atoms")
-
 
 class EntropyOracle(Protocol):
     """Anything that can answer subset-entropy queries for m terminals.
@@ -127,16 +124,7 @@ class JointSource:
 
     @classmethod
     def from_json_dict(cls, data: Any, *, renormalize: bool = False) -> "JointSource":
-        if not isinstance(data, dict):
-            raise InputError("source JSON must be an object")
-        for key in _SOURCE_KEYS:
-            if key not in data:
-                raise InputError(f"source JSON missing {key!r}")
-        if len(data) != len(_SOURCE_KEYS):
-            unknown = next(key for key in data if key not in _SOURCE_KEYS)
-            raise InputError(
-                f"source JSON has key {unknown!r}; it takes only 'm', 'alphabet_sizes' and 'atoms'"
-            )
+        check_keys(data, "source JSON", ("m", "alphabet_sizes", "atoms"))
         raw_atoms = data["atoms"]
         if not isinstance(raw_atoms, list):
             raise InputError("source JSON field 'atoms' must be a list")
@@ -192,10 +180,7 @@ def _entries_one_by_one(entries: list[Any]) -> dict[tuple[Any, ...], Any]:
     InputError naming the first bad entry."""
     atoms: dict[tuple[Any, ...], Any] = {}
     for entry in entries:
-        if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
-            raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
-        if len(entry) != 2:
-            raise InputError(f"atom entry {entry!r} has keys other than 'x' and 'p'")
+        check_keys(entry, "atom entry {!r}", ("x", "p"))
         x, p = entry["x"], entry["p"]
         if type(p) not in (int, float):
             raise InputError(f"atom entry {entry!r}: 'p' must be a number")
@@ -276,6 +261,30 @@ def _total(probabilities: Iterable[float]) -> float:
         return math.fsum(probabilities)
     except OverflowError:
         return math.inf
+
+
+def check_keys(
+    data: Any, what: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> None:
+    """Raise InputError unless ``data`` is a JSON object with every
+    ``required`` key and no key outside ``required`` and ``optional``.
+
+    The error names the object by ``what``, in which ``{!r}`` stands for
+    the object itself, and the first missing key in ``required`` order or
+    else the first stray key in the object's own order.
+    """
+    if not isinstance(data, dict):
+        raise InputError(f"{what.format(data)} must be an object")
+    for key in required:
+        if key not in data:
+            raise InputError(f"{what.format(data)} missing {key!r}")
+    allowed = required + optional
+    for key in data:
+        if key not in allowed:
+            *head, last = map(repr, allowed)
+            raise InputError(
+                f"{what.format(data)} has key {key!r}; it takes only {', '.join(head)} and {last}"
+            )
 
 
 def read_json(path: str | Path) -> Any:

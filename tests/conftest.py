@@ -122,10 +122,14 @@ def reference_json_atoms(data: dict, renormalize: bool = False) -> dict:
     ``atoms``."""
     atoms = {}
     for entry in data["atoms"]:
-        if not isinstance(entry, dict) or "x" not in entry or "p" not in entry:
-            raise InputError(f"atom entry {entry!r} must have 'x' and 'p'")
+        if not isinstance(entry, dict):
+            raise InputError(f"atom entry {entry!r} must be an object")
+        for key in ("x", "p"):
+            if key not in entry:
+                raise InputError(f"atom entry {entry!r} missing {key!r}")
         if entry.keys() != {"x", "p"}:
-            raise InputError(f"atom entry {entry!r} has keys other than 'x' and 'p'")
+            stray = next(key for key in entry if key not in ("x", "p"))
+            raise InputError(f"atom entry {entry!r} has key {stray!r}; it takes only 'x' and 'p'")
         x, p = entry["x"], entry["p"]
         if type(p) not in (int, float):
             raise InputError(f"atom entry {entry!r}: 'p' must be a number")

@@ -506,9 +506,11 @@ def _trial_record(packed):
 
 class _CountingPool:
     """Runs each submitted chunk when its result is read, and records the
-    most futures that were submitted and not yet read at any one time."""
+    most futures that were submitted and not yet read at any one time, and
+    the first trial of each chunk whose future was cancelled."""
 
     peak = 0
+    cancelled: list = []
 
     def __init__(self, max_workers):
         self.unread = 0
@@ -530,6 +532,7 @@ class _CountingPool:
                 return fn(*args)
 
             def cancel(self):
+                _CountingPool.cancelled.append(args[1][0][3])
                 return True
 
         return Future()
@@ -552,6 +555,25 @@ def test_hunt_pool_holds_a_bounded_window_of_chunks(tmp_path, capsys, monkeypatc
     assert [json.loads(line)["trial"] for line in serial.splitlines()] == list(range(2000))
     assert logs["pool"].read_bytes() == serial
     assert logs["counted"].read_bytes() == serial
+
+
+def _fail_at_trial_0(packed):
+    if packed[3] == 0:
+        raise RuntimeError("trial 0 failed")
+    return _trial_record(packed)
+
+
+def test_hunt_failure_cancels_the_chunks_still_pending(tmp_path, monkeypatch):
+    # --jobs 2 holds a window of 4 chunks of 8; trial 0 fails when the
+    # first chunk is read, so the 3 chunks behind it are cancelled unrun.
+    monkeypatch.setattr("skomni.cli._hunt_worker", _fail_at_trial_0)
+    monkeypatch.setattr("skomni.cli._process_pool", _CountingPool)
+    monkeypatch.setattr(_CountingPool, "cancelled", [])
+    log = tmp_path / "h.jsonl"
+    with pytest.raises(RuntimeError, match="trial 0 failed"):
+        main(["hunt", "--m", "4", "--trials", "100", "--jobs", "2", "--out", str(log)])
+    assert _CountingPool.cancelled == [8, 16, 24]
+    assert log.read_text() == ""
 
 
 def test_hunt_json_summary(tmp_path, capsys):
@@ -649,14 +671,14 @@ _ATOMS_PAST_FLOAT_RANGE = [{"x": [0, 0], "p": 1e308}, {"x": [1, 1], "p": 1e308}]
 
 
 @pytest.mark.parametrize("model, flags, message", [
-    ({"edges": [_EDGE]}, [], "graph JSON needs 'm' and 'edges'"),
+    ({"edges": [_EDGE]}, [], "graph JSON missing 'm'"),
     ({"m": 2, "edges": "x"}, [], "graph JSON field 'edges' must be a list"),
-    ({"m": 2, "edges": [[1, 2]]}, [], "edge entry [1, 2] must have 'u' and 'v'"),
+    ({"m": 2, "edges": [[1, 2]]}, [], "edge entry [1, 2] must be an object"),
     ({"alphabet_sizes": [2, 2], "atoms": [_ATOM]}, [], "source JSON missing 'm'"),
     ({"m": 2, "atoms": [_ATOM]}, [], "source JSON missing 'alphabet_sizes'"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": "x"}, [], "source JSON field 'atoms' must be a list"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [[0, 0, 1]]}, [],
-     "atom entry [0, 0, 1] must have 'x' and 'p'"),
+     "atom entry [0, 0, 1] must be an object"),
     ({"m": 2, "alphabet_sizes": 2, "atoms": [_ATOM]}, [],
      "source JSON field 'alphabet_sizes' must be a list"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [{"x": [0, 0], "p": 0}, {"x": [1, 1], "p": 0}]},
@@ -666,24 +688,31 @@ _ATOMS_PAST_FLOAT_RANGE = [{"x": [0, 0], "p": 1e308}, {"x": [1, 1], "p": 1e308}]
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": _ATOMS_PAST_FLOAT_RANGE}, ["--renormalize"],
      "cannot renormalize: atoms sum to inf"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM], "edges": [_EDGE]}, [],
-     "model JSON has both 'atoms' (source) and 'edges' (PIN graph)"),
+     "graph JSON has key 'alphabet_sizes'; it takes only 'm' and 'edges'"),
     ({"m": 2, "edges": [{"u": 1, "v": 2, "weight": 3}]}, [],
-     "edge entry {'u': 1, 'v': 2, 'weight': 3} has keys other than 'u', 'v' and 'mult'"),
+     "edge entry {'u': 1, 'v': 2, 'weight': 3} has key 'weight'; it takes only 'u', 'v' and 'mult'"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM], "edges": [{"u": 1, "v": 2, "weight": 3}]},
-     [], "model JSON has both 'atoms' (source) and 'edges' (PIN graph)"),
+     [], "graph JSON has key 'alphabet_sizes'; it takes only 'm' and 'edges'"),
     ({"m": 2, "alphabet_sizes": [2, 2],
       "atoms": [{"x": [1, 1], "p": 0.5}, {"x": [0, 0], "p": 0.5, "count": 3}]}, [],
-     "atom entry {'x': [0, 0], 'p': 0.5, 'count': 3} has keys other than 'x' and 'p'"),
+     "atom entry {'x': [0, 0], 'p': 0.5, 'count': 3} has key 'count'; it takes only 'x' and 'p'"),
     ({"m": 3, "edges": [_EDGE], "mult": 5}, [],
      "graph JSON has key 'mult'; it takes only 'm' and 'edges'"),
     ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM], "renormalise": True}, [],
      "source JSON has key 'renormalise'; it takes only 'm', 'alphabet_sizes' and 'atoms'"),
+    ({"m": 2, "edges": [_EDGE], "atoms": [_ATOM]}, [],
+     "graph JSON has key 'atoms'; it takes only 'm' and 'edges'"),
+    ({"edges": [], "m": 2, "alphabet_sizes": [2, 2], "atoms": [_ATOM]}, [],
+     "graph JSON has key 'alphabet_sizes'; it takes only 'm' and 'edges'"),
+    ({"m": 2, "edges": [{"u": 1, "mult": 2}]}, [], "edge entry {'u': 1, 'mult': 2} missing 'v'"),
+    ({"m": 2, "alphabet_sizes": [2, 2], "atoms": [{"x": [0, 0]}]}, [],
+     "atom entry {'x': [0, 0]} missing 'p'"),
 ], ids=[
     "graph-no-m", "edges-not-list", "edge-not-object", "source-no-m", "source-no-alphabet",
     "atoms-not-list", "atom-not-object", "alphabet-not-list", "renormalize-zero",
     "sum-overflows", "renormalize-sum-overflows", "atoms-and-edges", "edge-unknown-key",
     "atoms-and-edges-with-unknown-key", "atom-unknown-key", "graph-unknown-key",
-    "source-unknown-key",
+    "source-unknown-key", "graph-with-atoms", "source-with-empty-edges", "edge-no-v", "atom-no-p",
 ])
 def test_malformed_model_shape_exits_2(tmp_path, capsys, model, flags, message):
     path = tmp_path / "m.json"

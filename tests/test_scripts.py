@@ -1,5 +1,6 @@
 """Smoke tests of the scripts under ``scripts/``, run through ``runpy``."""
 
+import json
 import os
 import re
 import runpy
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from skomni import omnivocality, pin
+from skomni.cli import main
 from skomni.partitions import Partition
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -126,6 +128,29 @@ def test_complete_graph_table_exits_4_when_the_routes_disagree(monkeypatch, caps
     assert [line.split()[0] for line in captured.out.splitlines()] == ["m", "3"]
     (line,) = captured.err.splitlines()
     assert line == "m=4: internal inconsistency: methods disagree: condition=Necessary, lp=NotNecessary"
+
+
+def test_hunt_summary_ranks_a_hunt_log_and_dumps_its_worst_candidate(tmp_path, monkeypatch, capsys):
+    # The seed-0 hunt of 20 trials at m = 4 has 4 candidates; the most
+    # marginal, trial 12, is Necessary at 80 digits.
+    log, worst = tmp_path / "hunt.jsonl", tmp_path / "worst.json"
+    assert main(["hunt", "--m", "4", "--trials", "20", "--seed", "0", "--out", str(log)]) == 0
+    capsys.readouterr()
+    script = ROOT / "scripts" / "hunt_summary.py"
+    monkeypatch.setattr(sys, "argv", [script.name, str(log), "--dump-worst", str(worst)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exit_info.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == [
+        "CandidateCounterexample: 4", "ConsistentConverse: 4", "ConsistentProven: 12",
+    ]
+    assert lines[5].split()[0] == "12" and lines[5].split()[3] == "1.437e-03"
+    assert lines[-1] == f"most marginal candidate (trial 12) written to {worst}"
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert json.loads(worst.read_text()) == records[12]["source"]
+    assert main(["omnivocality", str(worst), "--dps", "80"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verdict: Necessary (methods agree)"
 
 
 @pytest.mark.parametrize("script, args, message", [
