@@ -33,7 +33,7 @@ from fractions import Fraction
 from skomni.errors import InternalInconsistencyError
 from skomni.omnivocality import run_routes
 from skomni.partitions import Partition, format_partition, singleton_partition
-from skomni.pin import PinGraph, pin_capacity
+from skomni.pin import PinGraph, complete_graph, pin_capacity
 from skomni.subsets import MAX_TABLE_M
 
 
@@ -43,7 +43,7 @@ def _path(first: int, last: int) -> list[tuple[int, int, int]]:
 
 #: Each family's unit-multiplicity edges on terminals 1..m.
 FAMILIES = {
-    "complete": lambda m: [(u, v, 1) for u in range(1, m + 1) for v in range(u + 1, m + 1)],
+    "complete": lambda m: complete_graph(m).edges,
     "cycle": lambda m: _path(1, m) + [(1, m, 1)],
     "cycle+": lambda m: _path(1, m) + [(1, m, 2)],
     "path": lambda m: _path(1, m),

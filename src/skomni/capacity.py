@@ -317,7 +317,7 @@ def _restricted(
     ``h`` is the whole table and ``table`` its cut to T's subsets; the
     Newton search over ``table`` starts at ``start``.
     """
-    k = subsets.size(speakers)
+    k = speakers.bit_count()
     value = _ratio(table[-1], 1, exact) if k == 1 else _newton_search(table, k, exact, start)[0]
     for d in map(subsets.bit, subsets.members((len(h) - 1) & ~speakers)):
         value = min(value, _ratio(h[speakers] + h[d] - h[speakers | d], 1, exact))

@@ -48,13 +48,7 @@ from .capacity import (
     singleton_minimizer_check,
     sk_capacity,
 )
-from .errors import (
-    InputError,
-    InternalInconsistencyError,
-    InvalidPartitionError,
-    InvalidSubsetError,
-    SizeLimitError,
-)
+from .errors import InputError, InternalInconsistencyError, SizeLimitError
 from .omnivocality import FLOAT_DPS, OmniStatus, as_oracle, hunt_record, run_routes
 from .partitions import format_partition
 from .pin import PinGraph, pin_capacity
@@ -429,7 +423,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InvalidSubsetError, InvalidPartitionError, SizeLimitError) as exc:
+    except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InternalInconsistencyError as exc:

@@ -1,10 +1,11 @@
 """Exception types shared across the package.
 
-The split mirrors how the CLI reports failures: malformed user input
-(files, flag syntax, bad pmfs) is distinct from domain errors (operation
-asked for outside its supported range) and from internal-inconsistency
-errors, which indicate that two routes to the same quantity disagreed and
-the result cannot be trusted.
+Each leaf class is one exit code of the CLI.  ``InputError`` (exit 2) is
+malformed input: files, flag syntax, bad pmfs, or a terminal subset or
+cell family that is not one.  ``SizeLimitError`` (exit 3) is an operation
+asked for outside its supported range.  ``InternalInconsistencyError``
+(exit 4) means that two routes to the same quantity disagreed and the
+result cannot be trusted.
 """
 
 
@@ -13,15 +14,7 @@ class SkomniError(Exception):
 
 
 class InputError(SkomniError):
-    """Malformed input: files, literals, or probability data."""
-
-
-class InvalidSubsetError(SkomniError):
-    """A terminal subset is empty, out of range, or otherwise inadmissible."""
-
-
-class InvalidPartitionError(SkomniError):
-    """A family of cells does not partition the ground set."""
+    """Malformed input: files, literals, probability data, subsets or partitions."""
 
 
 class SizeLimitError(SkomniError):

@@ -97,12 +97,10 @@ class OmnivocalityVerdict(NamedTuple):
     w_set: Optional[int] = None
 
 
-def _require_m(oracle: EntropyOracle, method: str) -> int:
+def _require_m(oracle: EntropyOracle) -> int:
     m = oracle.m
     if m == 2:
         raise SizeLimitError("omnivocality is never necessary for m = 2")
-    if m < 2:
-        raise SizeLimitError(f"{method} needs m >= 3")
     return m
 
 
@@ -110,7 +108,7 @@ def verdict_by_condition(
     oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL
 ) -> OmnivocalityVerdict:
     """Sufficient condition: unique singleton minimizer forces omnivocality."""
-    _require_m(oracle, "condition")
+    _require_m(oracle)
     mv = singleton_minimizer_check(oracle, tie_tol)
     if mv.status is MinimizerStatus.UNIQUE:
         status = OmniStatus.NECESSARY
@@ -125,7 +123,7 @@ def verdict_for_three_terminals(
     oracle: EntropyOracle, tie_tol: float = DEFAULT_TIE_TOL
 ) -> OmnivocalityVerdict:
     """Exact decision for m = 3, with an explicit silent set when possible."""
-    m = _require_m(oracle, "three-terminal decision")
+    m = _require_m(oracle)
     if m != 3:
         raise SizeLimitError("three-terminal decision needs m = 3")
     mv = singleton_minimizer_check(oracle, tie_tol)
@@ -168,7 +166,7 @@ def verdict_by_lp(
     its search for the speakers M - u starts at the capacity's minimizing
     cells with u dropped, and every value equals ``restricted_capacity``.
     """
-    m = _require_m(oracle, "LP comparison")
+    m = _require_m(oracle)
     full = subsets.full_mask(m)
     c, restricted_values = leave_one_out_capacities(oracle)
     band = 0 if oracle.exact else tie_tol

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import subsets
-from .errors import InvalidPartitionError, SizeLimitError
+from .errors import InputError, SizeLimitError
 
 
 def canonical_order(cells: Iterable[int]) -> list[int]:
@@ -51,21 +51,13 @@ class Partition(NamedTuple):
         for cell in cells:
             subsets.check_subset(cell, m)
             if cover & cell:
-                raise InvalidPartitionError("cells overlap")
+                raise InputError("cells overlap")
             cover |= cell
         if cover != subsets.full_mask(m):
-            raise InvalidPartitionError(
+            raise InputError(
                 f"cells cover {subsets.members(cover)}, not all of 1..{m}"
             )
         return cls(tuple(canonical_order(cells)))
-
-    @property
-    def m(self) -> int:
-        return max(self.cells).bit_length()
-
-    @property
-    def n_cells(self) -> int:
-        return len(self.cells)
 
     def __str__(self) -> str:
         return format_partition(self)

@@ -32,7 +32,7 @@ from typing import Any
 
 from . import subsets
 from .capacity import CapacityReport, _dinkelbach
-from .errors import InputError, SizeLimitError
+from .errors import InputError
 from .partitions import Partition, canonical_order, merge_cells
 from .sources import TableOracle, check_keys, read_json
 
@@ -132,27 +132,14 @@ class PinOracle(TableOracle):
         return table
 
 
-def partition_crossing(graph: PinGraph, partition: Partition) -> int:
+def _crossing(graph: PinGraph, cells: Iterable[int]) -> int:
     """Multiplicity-weighted number of edges whose endpoints lie in
     different cells."""
-    if partition.m != graph.m:
-        raise SizeLimitError(f"partition is over m={partition.m}, graph has m={graph.m}")
-    return _crossing(graph, partition.cells)
-
-
-def _crossing(graph: PinGraph, cells: Iterable[int]) -> int:
     cell_of = [0] * graph.m  # the cell holding each terminal
     for cell in cells:
         for t in subsets.members(cell):
             cell_of[t - 1] = cell
     return sum(mult for u, v, mult in graph.edges if not cell_of[u - 1] >> (v - 1) & 1)
-
-
-def strength_quotient(graph: PinGraph, partition: Partition) -> Fraction:
-    """crossing(P) / (|P| - 1), the exact partition surplus of the PIN source."""
-    if partition.n_cells < 2:
-        raise SizeLimitError("quotient needs a partition with at least 2 cells")
-    return Fraction(partition_crossing(graph, partition), partition.n_cells - 1)
 
 
 def _max_flow(cap: list[list[int]], source: int, sink: int) -> tuple[int, list[int]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
 
-from .errors import InputError, InvalidSubsetError, SizeLimitError
+from .errors import InputError, SizeLimitError
 
 # The package's size caps.  The PIN capacity reads no table and is bound by
 # MAX_TERMINALS only; every other analysis reads the table of subset
@@ -62,7 +62,7 @@ def mask_of(terminals: Iterable[int], m: int) -> int:
     mask = 0
     for t in terminals:
         if not isinstance(t, int) or isinstance(t, bool) or not 1 <= t <= m:
-            raise InvalidSubsetError(f"terminal {t!r} outside 1..{m}")
+            raise InputError(f"terminal {t!r} outside 1..{m}")
         mask |= bit(t)
     return mask
 
@@ -79,24 +79,18 @@ def members(mask: int) -> list[int]:
     return out
 
 
-def size(mask: int) -> int:
-    return mask.bit_count()
-
-
 def check_subset(mask: int, m: int, *, allow_empty: bool = False) -> None:
     """Raise unless mask is a subset of {1..m} (nonempty by default)."""
     if m < 1 or m > MAX_TERMINALS:
-        raise InvalidSubsetError(f"m={m} outside 1..{MAX_TERMINALS}")
+        raise InputError(f"m={m} outside 1..{MAX_TERMINALS}")
     if type(mask) is not int:
-        raise InvalidSubsetError(f"subset mask {mask!r} is not an int")
+        raise InputError(f"subset mask {mask!r} is not an int")
     if mask < 0:
-        raise InvalidSubsetError("subset mask must be nonnegative")
+        raise InputError("subset mask must be nonnegative")
     if mask & ~full_mask(m):
-        raise InvalidSubsetError(
-            f"subset {members(mask)} has terminals beyond m={m}"
-        )
+        raise InputError(f"subset {members(mask)} has terminals beyond m={m}")
     if mask == 0 and not allow_empty:
-        raise InvalidSubsetError("empty terminal subset not allowed here")
+        raise InputError("empty terminal subset not allowed here")
 
 
 def iter_submasks(mask: int) -> Iterator[int]:
@@ -123,10 +117,7 @@ def parse_subset(text: str, m: int) -> int:
         if t in seen:
             raise InputError(f"bad subset literal {text!r}: terminal {t} repeated")
         seen.add(t)
-    try:
-        return mask_of(seen, m)
-    except InvalidSubsetError as exc:
-        raise InputError(str(exc)) from None
+    return mask_of(seen, m)
 
 
 def format_subset(mask: int) -> str:

@@ -24,7 +24,7 @@ from skomni.capacity import (
     MinimizerWitness,
 )
 from skomni import subsets
-from skomni.errors import InputError, InvalidSubsetError, SizeLimitError
+from skomni.errors import InputError, SizeLimitError
 from skomni.generators import random_source
 from skomni.partitions import Partition, enumerate_partitions, singleton_partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
@@ -45,20 +45,22 @@ def partition_surplus(oracle, partition: Partition):
     entropies fold left to right in canonical cell order from int 0, as the
     library's searches and scans fold them, so values compare bitwise.
     """
-    if partition.m != oracle.m:
-        raise SizeLimitError(f"partition is over m={partition.m}, oracle has m={oracle.m}")
-    if partition.n_cells < 2:
+    m = max(partition.cells).bit_length()
+    if m != oracle.m:
+        raise SizeLimitError(f"partition is over m={m}, oracle has m={oracle.m}")
+    n_cells = len(partition.cells)
+    if n_cells < 2:
         raise SizeLimitError("surplus needs a partition with at least 2 cells")
     total = reduce(operator.add, map(oracle.entropy, partition.cells), 0)
     num = total - oracle.entropy(subsets.full_mask(oracle.m))
     if oracle.exact:
-        return Fraction(num, partition.n_cells - 1)
-    return num / (partition.n_cells - 1)
+        return Fraction(num, n_cells - 1)
+    return num / (n_cells - 1)
 
 
 def _check_disjoint(a: int, b: int) -> None:
     if a & b:
-        raise InvalidSubsetError(
+        raise InputError(
             f"subsets {subsets.members(a)} and {subsets.members(b)} overlap"
         )
 
@@ -90,6 +92,19 @@ def incident_weight(graph: PinGraph, subset: int) -> int:
         if subset & ((1 << (u - 1)) | (1 << (v - 1))):
             total += mult
     return total
+
+
+def crossing_count(graph: PinGraph, partition: Partition) -> int:
+    """Total multiplicity of edges whose endpoints lie in different cells."""
+    return sum(
+        mult for u, v, mult in graph.edges
+        if not any(cell >> (u - 1) & cell >> (v - 1) & 1 for cell in partition.cells)
+    )
+
+
+def strength_quotient(graph: PinGraph, partition: Partition) -> Fraction:
+    """crossing(P) / (|P| - 1), the exact partition surplus of the PIN source."""
+    return Fraction(crossing_count(graph, partition), len(partition.cells) - 1)
 
 
 def mpf_operator_table(source: JointSource) -> list:
@@ -384,7 +399,7 @@ def restricted_singleton_surplus(oracle, speakers):
     """
     m = oracle.m
     subsets.check_subset(speakers, m)
-    if subsets.size(speakers) != m - 1 or m < 3:
+    if speakers.bit_count() != m - 1 or m < 3:
         raise SizeLimitError("restricted singleton surplus needs |T| = m-1 and m >= 3")
     total = sum(oracle.entropy(1 << (t - 1)) for t in subsets.members(speakers))
     num = total - oracle.entropy(speakers)

@@ -110,7 +110,7 @@ def test_criterion_04_identical_bits_witness():
     assert verdict.status is OmniStatus.NOT_NECESSARY
     assert verdict.silent_witness.construction is Construction.SINGLE_SPEAKER
     speakers = subsets.full_mask(3) & ~verdict.silent_witness.silent
-    assert subsets.size(speakers) == 1
+    assert speakers.bit_count() == 1
     report = silent_capacity(oracle, speakers)
     assert report.capacity == pytest.approx(1.0, abs=1e-9)
     _ok(4, f"C = 1 kept by lone speaker {subsets.format_subset(speakers)}")
@@ -207,7 +207,7 @@ def test_criterion_09_isentropic_suite():
         m = oracle.m
         s_surplus = partition_surplus(oracle, singleton_partition(m))
         for block in range(1, subsets.full_mask(m)):
-            if not 1 <= subsets.size(block) <= m - 2:
+            if not 1 <= block.bit_count() <= m - 2:
                 continue
             cut = partition_surplus(oracle, isolating_partition(m, block))
             assert s_surplus <= cut + 1e-8

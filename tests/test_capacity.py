@@ -191,7 +191,7 @@ def test_minimizer_methods_agree_on_random_sources():
 def _isolating_reference(oracle, tie_tol):
     """The check written out over ``partition_surplus`` of each P_B."""
     m = oracle.m
-    blocks = [b for b in range(1, 1 << m) if 1 <= subsets.size(b) <= m - 2]
+    blocks = [b for b in range(1, 1 << m) if 1 <= b.bit_count() <= m - 2]
     return reference_minimizer_check(
         oracle, (isolating_partition(m, b) for b in blocks), tie_tol
     )
@@ -301,13 +301,13 @@ def test_every_isolating_surplus_is_bitwise_the_reference(m, seed, mpf, data):
     # below the singleton surplus, so any chosen block becomes the witness
     # and its surplus, summation order included, is compared bit for bit.
     block = data.draw(
-        st.sampled_from([b for b in range(1, 1 << m) if 1 <= subsets.size(b) <= m - 2])
+        st.sampled_from([b for b in range(1, 1 << m) if 1 <= b.bit_count() <= m - 2])
     )
     rng = random.Random(seed)
     with mpmath.workdps(60):
         scalar = mpmath.mpf if mpf else float
         # Thirds fill every mantissa bit, so the summation order shows.
-        table = [scalar(rng.random()) / 3 * subsets.size(s) for s in range(1 << m)]
+        table = [scalar(rng.random()) / 3 * s.bit_count() for s in range(1 << m)]
         table[subsets.full_mask(m) & ~block] -= 100 * m
         oracle = _TableOracle(m, table)
         got = singleton_minimizer_check(oracle)
@@ -369,10 +369,10 @@ def test_isolating_partition_identity():
                 lhs = 0.0
                 for cell in p.cells:
                     comp = full & ~cell
-                    lhs += subsets.size(comp) * partition_surplus(
+                    lhs += comp.bit_count() * partition_surplus(
                         oracle, isolating_partition(m, comp)
                     )
-                rhs = (p.n_cells - 1) * (
+                rhs = (len(p.cells) - 1) * (
                     partition_surplus(oracle, p) + (m - 1) * s_value
                 )
                 assert lhs == pytest.approx(rhs, abs=1e-8)
@@ -381,8 +381,8 @@ def test_isolating_partition_identity():
 def test_cell_complement_counting_identity():
     for m in (3, 4, 5):
         for p in enumerate_partitions(m, min_cells=2):
-            total = sum(m - subsets.size(cell) for cell in p.cells)
-            assert total == m * (p.n_cells - 1)
+            total = sum(m - cell.bit_count() for cell in p.cells)
+            assert total == m * (len(p.cells) - 1)
 
 
 def test_exact_oracle_yields_fractions(k4_oracle):
@@ -624,7 +624,7 @@ def test_speaker_table_cut_is_the_gathered_table(kind, m):
         for speakers in range(1, full + 1):
             got = speaker_table(oracle, speakers)
             want = gathered_table(oracle, speakers)
-            assert len(got) == len(want) == 1 << subsets.size(speakers)
+            assert len(got) == len(want) == 1 << speakers.bit_count()
             assert all(_same_bits(a, b) for a, b in zip(got, want)), speakers
         assert speaker_table(oracle, full) is oracle.table()
 

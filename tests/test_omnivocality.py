@@ -24,7 +24,7 @@ from skomni.omnivocality import (
 from skomni.partitions import Partition
 from skomni.pin import PinGraph, PinOracle, complete_graph, pin_capacity
 from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
-from skomni.sources import TabularOracle
+from skomni.sources import JointSource, TabularOracle
 
 from conftest import (
     CountingOracle,
@@ -130,7 +130,7 @@ def test_forced_equalities_inside_w():
     for source in sources:
         oracle = TabularOracle(source)
         v = verdict_for_three_terminals(oracle)
-        if v.status is not OmniStatus.NOT_NECESSARY or subsets.size(v.w_set) < 2:
+        if v.status is not OmniStatus.NOT_NECESSARY or v.w_set.bit_count() < 2:
             continue
         s_value = sk_capacity(oracle).value
         full = subsets.full_mask(3)
@@ -514,3 +514,18 @@ def test_hunt_record_is_pure_and_embeds_candidates():
     proven = hunt_record(4, (2, 2, 2, 2), base_seed=7, trial=0)
     assert proven["classification"] == "ConsistentProven"
     assert "source" not in proven
+
+
+def test_a_band_below_the_rounding_reads_a_tie_as_an_inconsistency():
+    # The README's exit-4 example: float entropies round a real tie a few
+    # ulps apart, so at tie_tol = 1e-16 the restricted capacity with
+    # terminal 3 silent lands one ulp above C, and run_routes refuses to
+    # report rather than guess.  The default band reads it as a tie.
+    source = JointSource(
+        3, (2, 2, 2), {(0, 0, 0): 1 / 11, (1, 1, 1): 4 / 11, (1, 1, 0): 2 / 11, (1, 0, 0): 4 / 11}
+    )
+    assert run_routes(source)[0] is OmniStatus.NOT_NECESSARY
+    message = "restricted capacity exceeds capacity by 2.220446049250313e-16 with terminal 3 silent"
+    with pytest.raises(InternalInconsistencyError) as exc_info:
+        run_routes(source, tie_tol=1e-16)
+    assert str(exc_info.value) == message

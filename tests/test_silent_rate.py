@@ -15,7 +15,7 @@ from skomni.capacity import (
     sk_capacity,
     speaker_rates,
 )
-from skomni.errors import InvalidSubsetError
+from skomni.errors import InputError
 from skomni.partitions import Partition
 from skomni.pin import PinGraph, PinOracle, complete_graph
 from skomni.silent_rate import build_rate_region, min_sum_rate, silent_capacity
@@ -71,7 +71,7 @@ def test_region_full_speaker_set(xor_oracle):
 
 
 def test_region_rejects_empty_speakers(xor_oracle):
-    with pytest.raises(InvalidSubsetError):
+    with pytest.raises(InputError):
         build_rate_region(xor_oracle, 0)
 
 
@@ -357,7 +357,7 @@ def test_optimal_vertex_and_duals_certify_optimality():
         oracle = TabularOracle(source)
         full = subsets.full_mask(oracle.m)
         for speakers in range(1, full + 1):
-            if subsets.size(speakers) > 4:
+            if speakers.bit_count() > 4:
                 continue
             region = build_rate_region(oracle, speakers)
             solution = min_sum_rate(region)
