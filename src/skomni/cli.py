@@ -3,9 +3,10 @@
 Subcommands mirror the library: capacity, singleton, silent, omnivocality,
 hunt.  Model files are JSON and auto-detected: an object with "atoms" is a
 joint pmf, one with "edges" is a PIN multigraph (analyzed in exact
-rational arithmetic), and one with both is refused.  Text output prints
-floats with six decimals and rationals as p/q; --json emits a single JSON
-object instead.
+rational arithmetic), and one with both is refused.  Only ``_load_model``
+tells the two apart: each command asks the model for its ``oracle()`` or
+its ``capacity(tol)``.  Text output prints floats with six decimals and
+rationals as p/q; --json emits a single JSON object instead.
 
 Only ``hunt --jobs N`` with N > 1 imports the process pool
 (``_process_pool``), so importing this module and every other call leave
@@ -39,29 +40,22 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import TYPE_CHECKING, Any, Union
+from typing import TYPE_CHECKING, Any
 
 from . import subsets
-from .capacity import (
-    DEFAULT_TIE_TOL,
-    MinimizerStatus,
-    singleton_minimizer_check,
-    sk_capacity,
-)
+from .capacity import DEFAULT_TIE_TOL, MinimizerStatus, singleton_minimizer_check
 from .errors import InputError, InternalInconsistencyError, SizeLimitError
-from .omnivocality import FLOAT_DPS, OmniStatus, as_oracle, hunt_record, run_routes
+from .omnivocality import FLOAT_DPS, OmniStatus, hunt_record, run_routes
 from .partitions import format_partition
-from .pin import PinGraph, pin_capacity
+from .pin import PinGraph
 from .silent_rate import silent_capacity
 from .sources import JointSource, read_json
 
 if TYPE_CHECKING:
     from concurrent.futures import Executor
 
-Model = Union[JointSource, PinGraph]
 
-
-def _load_model(path: str, renormalize: bool = False) -> Model:
+def _load_model(path: str, renormalize: bool = False) -> JointSource | PinGraph:
     data = read_json(path)
     # A file with both keys goes to the graph loader, which names its stray key.
     if isinstance(data, dict) and "edges" in data:
@@ -117,10 +111,7 @@ def _emit(args: argparse.Namespace, payload: dict[str, Any], text_lines: list[st
 
 def cmd_capacity(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.renormalize)
-    if isinstance(model, PinGraph):
-        report = pin_capacity(model)
-    else:
-        report = sk_capacity(as_oracle(model), args.tol)
+    report = model.capacity(args.tol)
     argmin = format_partition(report.argmin)
     payload = {
         "m": model.m,
@@ -138,7 +129,7 @@ def cmd_capacity(args: argparse.Namespace) -> int:
 
 def cmd_singleton(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.renormalize)
-    verdict = singleton_minimizer_check(as_oracle(model), args.tol)
+    verdict = singleton_minimizer_check(model.oracle(), args.tol)
     payload: dict[str, Any] = {
         "status": verdict.status.value,
         "comparisons": verdict.comparisons,
@@ -169,7 +160,7 @@ def cmd_singleton(args: argparse.Namespace) -> int:
 
 def cmd_silent(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.renormalize)
-    oracle = as_oracle(model)
+    oracle = model.oracle()
     speakers = subsets.parse_subset(args.speakers, oracle.m)
     report = silent_capacity(oracle, speakers, args.tol)
     payload = {

@@ -21,13 +21,13 @@ nonempty D works.  Three decision routes are provided:
   is exhaustive.  The verdict is exact whenever the oracle is.
 
 ``run_routes`` is the one place that chooses the routes: from the model
-alone, it runs every route that applies, at float or extended precision,
-and two routes that reach different conclusive statuses are an internal
+alone, it runs every route that applies on ``model.oracle(dps)``, and
+two routes that reach different conclusive statuses are an internal
 inconsistency.  Both the CLI and ``probe_conjecture`` go through it.  The
 probe combines the condition with the LP route and classifies the
 outcome; a candidate counterexample (condition fails but the LP route
-still says necessary) is re-checked at ``REVERIFY_DPS`` digits before
-being reported, so float artifacts do not survive into hunt logs.
+still says necessary) on an inexact oracle is re-checked at
+``REVERIFY_DPS`` digits, so float artifacts do not survive into hunt logs.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import json
-from typing import Any, NamedTuple, Optional, Union
+from typing import Any, NamedTuple, Optional
 
 from . import subsets
 from .capacity import (
@@ -47,8 +47,7 @@ from .capacity import (
 )
 from .errors import InputError, InternalInconsistencyError, SizeLimitError
 from .generators import random_source
-from .pin import PinGraph, PinOracle
-from .sources import EntropyOracle, ExtendedPrecisionOracle, JointSource, TabularOracle
+from .sources import EntropyOracle
 
 #: Digits of the hunt's re-check of a tabular candidate.
 REVERIFY_DPS = 60
@@ -222,31 +221,20 @@ def _classify(condition: MinimizerStatus, lp: OmniStatus) -> Classification:
     return Classification.CANDIDATE
 
 
-def as_oracle(model: Union[JointSource, PinGraph, EntropyOracle]) -> EntropyOracle:
-    """The float oracle of a pmf, the exact oracle of a PIN graph; oracles pass through."""
-    if isinstance(model, JointSource):
-        return TabularOracle(model)
-    if isinstance(model, PinGraph):
-        return PinOracle(model)
-    return model
-
-
 def run_routes(
-    model: Union[JointSource, PinGraph, EntropyOracle],
-    tie_tol: float = DEFAULT_TIE_TOL,
-    dps: int = 0,
+    model: Any, tie_tol: float = DEFAULT_TIE_TOL, dps: int = 0
 ) -> tuple[OmniStatus, list[OmnivocalityVerdict]]:
     """Run every route that applies to one model and check that they agree.
 
-    The condition and the LP route always run, in that order, and the
-    three-terminal route follows when m = 3.  With ``dps`` > 0 a pmf is
-    analyzed on an ``ExtendedPrecisionOracle`` at an mpmath working
-    precision of ``dps`` decimal digits, with the band 10^-(dps // 2) in
-    place of ``tie_tol``; PIN graphs and given oracles ignore ``dps``.
-    Returns the overall status and the verdicts in route order.  The
-    overall status is the conclusive status the routes reached, else
-    NumericallyAmbiguous, which is then the LP route's status; two routes
-    with different conclusive statuses raise ``InternalInconsistencyError``.
+    The condition and the LP route always run, in that order, on
+    ``model.oracle(dps)``, and the three-terminal route follows when
+    m = 3.  When that oracle is not exact and ``dps`` > 0, the routes run
+    at an mpmath working precision of ``dps`` decimal digits, with the
+    band 10^-(dps // 2) in place of ``tie_tol``.  Returns the overall
+    status and the verdicts in route order.  The overall status is the
+    conclusive status the routes reached, else NumericallyAmbiguous, which
+    is then the LP route's status; two routes with different conclusive
+    statuses raise ``InternalInconsistencyError``.
     """
     if dps < 0 or 0 < dps <= FLOAT_DPS:
         raise InputError(
@@ -257,15 +245,14 @@ def run_routes(
     routes = [verdict_by_condition, verdict_by_lp]
     if model.m == 3:
         routes.append(verdict_for_three_terminals)
-    if dps and isinstance(model, JointSource):
+    oracle = model.oracle(dps)
+    if dps and not oracle.exact:
         import mpmath
 
         with mpmath.workdps(dps):
-            oracle = ExtendedPrecisionOracle(model)
             band = mpmath.mpf(10) ** -(dps // 2)
             verdicts = [route(oracle, band) for route in routes]
     else:
-        oracle = as_oracle(model)
         verdicts = [route(oracle, tie_tol) for route in routes]
     conclusive = {v.status for v in verdicts} & {OmniStatus.NECESSARY, OmniStatus.NOT_NECESSARY}
     if len(conclusive) > 1:
@@ -277,21 +264,18 @@ def run_routes(
     return OmniStatus.AMBIGUOUS, verdicts
 
 
-def probe_conjecture(
-    model: Union[JointSource, PinGraph, EntropyOracle],
-    tie_tol: float = DEFAULT_TIE_TOL,
-) -> ConjectureProbe:
-    """Run ``run_routes`` on one source (condition and LP at m >= 4) and classify.
+def probe_conjecture(model: Any, tie_tol: float = DEFAULT_TIE_TOL) -> ConjectureProbe:
+    """Run ``run_routes`` on one model (condition and LP at m >= 4) and classify.
 
     For m >= 4 the condition is not necessary: a source whose singleton
     partition is *not* the unique minimizer, yet where every leave-one-out
     restricted capacity still falls short of capacity, is a counterexample
-    to its converse, reported as a candidate.  A tabular candidate is
-    re-checked by ``run_routes`` at ``REVERIFY_DPS`` digits, the same run as
-    ``skomni omnivocality --dps 60``; the re-checked statuses replace the
-    float ones, so a candidate that was a rounding artifact is demoted
-    (usually to Inconclusive, since extended precision cannot confirm an
-    exact tie either).  A unique
+    to its converse, reported as a candidate.  A candidate whose
+    ``model.oracle()`` is not exact is re-checked by ``run_routes`` at
+    ``REVERIFY_DPS`` digits, the same run as ``skomni omnivocality --dps
+    60``; the re-checked statuses replace the float ones, so a candidate
+    that was a rounding artifact is demoted (usually to Inconclusive, since
+    extended precision cannot confirm an exact tie either).  A unique
     singleton minimizer with a silent terminal achieving capacity raises
     ``InternalInconsistencyError``.
     """
@@ -299,7 +283,7 @@ def probe_conjecture(
         raise SizeLimitError("conjecture probe targets m >= 4")
     _, (condition, lp) = run_routes(model, tie_tol)
     classification = _classify(condition.minimizer.status, lp.status)
-    reverified = classification is Classification.CANDIDATE and isinstance(model, JointSource)
+    reverified = classification is Classification.CANDIDATE and not model.oracle().exact
     if reverified:
         _, (condition, lp) = run_routes(model, tie_tol, REVERIFY_DPS)
         classification = _classify(condition.minimizer.status, lp.status)
@@ -313,7 +297,7 @@ def probe_conjecture(
     )
 
 
-def atoms_digest(source: JointSource) -> str:
+def atoms_digest(source: Any) -> str:
     """Short stable fingerprint of a source's pmf."""
     payload = json.dumps(source.to_json_dict(), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]

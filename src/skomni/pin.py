@@ -89,6 +89,14 @@ class PinGraph:
             "edges": [{"u": u, "v": v, "mult": w} for u, v, w in self.edges],
         }
 
+    def oracle(self, dps: int = 0) -> PinOracle:
+        """The exact oracle, whatever ``dps``: exact entropies need no digits."""
+        return PinOracle(self)
+
+    def capacity(self, tie_tol: float) -> CapacityReport:
+        """``pin_capacity``: exact, so ``tie_tol`` decides nothing."""
+        return pin_capacity(self)
+
 
 def load_pin_graph(path: str | Path) -> PinGraph:
     return PinGraph.from_json_dict(read_json(path))

@@ -100,6 +100,9 @@ class JointSource:
     object is immutable.  Atom order is canonicalized (sorted by outcome)
     so that equal sources are equal objects and entropy accumulation is
     deterministic.
+
+    A model (this class or ``pin.PinGraph``) answers ``m``, ``oracle(dps)``,
+    ``capacity(tie_tol)`` and ``to_json_dict()``: all that ``cli`` and ``omnivocality`` read.
     """
 
     m: int
@@ -149,6 +152,15 @@ class JointSource:
             "alphabet_sizes": list(self.alphabet_sizes),
             "atoms": [{"x": list(x), "p": p} for x, p in self.atoms.items()],
         }
+
+    def oracle(self, dps: int = 0) -> TabularOracle:
+        """Float entropies, or at ``dps`` > 0 mpmath ones, read in ``mpmath.workdps(dps)``."""
+        return ExtendedPrecisionOracle(self) if dps else TabularOracle(self)
+
+    def capacity(self, tie_tol: float) -> Any:
+        """``capacity.sk_capacity`` of the float oracle, ties within ``tie_tol``."""
+        from .capacity import sk_capacity  # here, because capacity imports this module
+        return sk_capacity(self.oracle(), tie_tol)
 
 
 def _entries_by_columns(entries: list[Any]) -> Optional[dict[tuple[Any, ...], Any]]:

@@ -359,6 +359,17 @@ class CountingOracle:
         return self._oracle.table()
 
 
+class OracleModel:
+    """A model that gives one fixed oracle at any dps, so ``run_routes`` and
+    ``probe_conjecture`` can be run on a hand-made or wrapped oracle."""
+
+    def __init__(self, oracle):
+        self.m, self._oracle = oracle.m, oracle
+
+    def oracle(self, dps=0):
+        return self._oracle
+
+
 def count_fills(monkeypatch, oracle):
     """A list that grows by one each time the unfilled pmf or PIN ``oracle``
     fills its table."""

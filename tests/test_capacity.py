@@ -36,6 +36,7 @@ from skomni.silent_rate import build_rate_region, silent_capacity
 from skomni.sources import ExtendedPrecisionOracle, JointSource, TabularOracle
 
 from conftest import (
+    OracleModel,
     ThirdsOracle,
     binary_entropy,
     brute_minimizer_check,
@@ -637,7 +638,7 @@ def test_analyses_leave_the_shared_table_unchanged(kind, m):
         table = oracle.table()
         sk_capacity(oracle)
         singleton_minimizer_check(oracle)
-        run_routes(oracle)
+        run_routes(OracleModel(oracle))
         for speakers in range(1, subsets.full_mask(m) + 1):
             silent_capacity(oracle, speakers)
         fresh = _table_oracle(kind, m).table()

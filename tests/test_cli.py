@@ -96,6 +96,19 @@ def test_capacity_pin_exact_rendering(files, capsys):
     assert "C = 3/2 bits; argmin: 1|2|3" in out
 
 
+def test_pin_file_ignores_dps_renormalize_and_the_tol_value(files, capsys):
+    # A PIN graph's oracle is exact at any --dps and decides ties with no
+    # band, and it has no atoms to renormalize.
+    plain = run(capsys, ["omnivocality", files["k3"]])
+    assert plain[0] == 0
+    assert plain[1].splitlines()[-1] == "verdict: Necessary (methods agree)"
+    assert run(capsys, ["omnivocality", files["k3"], "--dps", "60"]) == plain
+    assert run(capsys, ["omnivocality", files["k3"], "--tol", "0.5"]) == plain
+    capacity = run(capsys, ["capacity", files["k3"]])
+    assert run(capsys, ["capacity", files["k3"], "--renormalize", "--tol", "1e-3"]) == capacity
+    assert capacity[:2] == (0, "C = 3/2 bits; argmin: 1|2|3\npartitions examined: 1\n")
+
+
 def test_pin_capacity_runs_past_the_enumeration_cap(tmp_path, capsys):
     # The PIN capacity is polynomial in m; the entropy-table analyses still
     # stop at m = 16.

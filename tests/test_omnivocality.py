@@ -28,6 +28,7 @@ from skomni.sources import JointSource, TabularOracle
 
 from conftest import (
     CountingOracle,
+    OracleModel,
     binary_entropy,
     count_fills,
     make_broadcast_pair,
@@ -227,6 +228,8 @@ def test_lp_necessary_on_the_weight_5_counterexample():
     probe = probe_conjecture(graph)
     assert probe.condition is MinimizerStatus.NOT_MINIMIZER
     assert probe.classification is Classification.CANDIDATE
+    assert not probe.reverified
+    assert probe.capacity == Fraction(3, 2)
 
 
 def _cycle_plus(m):
@@ -344,7 +347,7 @@ def test_condition_and_lp_share_one_fill(monkeypatch):
         oracle = PinOracle(graph)
         fills = count_fills(monkeypatch, oracle)
         counting = CountingOracle(oracle)
-        status, verdicts = run_routes(counting)
+        status, verdicts = run_routes(OracleModel(counting))
         assert status is expected
         assert verdicts[-1].status is expected
         assert len(fills) == 1
@@ -440,7 +443,7 @@ def test_probe_raises_when_routes_disagree(monkeypatch):
 
 
 def test_probe_k4_consistent_proven(k4_oracle):
-    probe = probe_conjecture(k4_oracle)
+    probe = probe_conjecture(OracleModel(k4_oracle))
     assert probe.classification is Classification.CONSISTENT_PROVEN
     assert probe.condition is MinimizerStatus.UNIQUE
     assert probe.lp is OmniStatus.NECESSARY

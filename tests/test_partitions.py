@@ -36,6 +36,8 @@ def test_from_cells_rejects_overlap_and_gaps():
         Partition.from_cells([], 3)
     with pytest.raises(SkomniError):
         Partition.from_cells([], 0)
+    with pytest.raises(SizeLimitError, match="m=25 outside 1..24"):
+        Partition.from_cells([1], 25)
 
 
 def test_singleton_partition():
@@ -49,6 +51,9 @@ def test_isolating_partition_examples():
     assert set(p.cells) == {0b1100, 0b0001, 0b0010}
     assert isolating_partition(3, 0b110) == singleton_partition(3)
     assert isolating_partition(5, 0b10000).cells == (0b01111, 0b10000)
+    for m in (0, 25):
+        with pytest.raises(SizeLimitError, match=f"m={m} outside 1..24"):
+            isolating_partition(m, 1)
 
 
 def test_isolating_partition_cell_count():
@@ -63,8 +68,10 @@ def test_enumeration_counts_match_bell_numbers():
         assert sum(1 for _ in enumerate_partitions(m, min_cells=1)) == bell
     for m, bell in enumerate(BELL, start=1):
         assert sum(1 for _ in enumerate_partitions(m, min_cells=2)) == bell - 1
-    with pytest.raises(SizeLimitError, match="m=0 is not a positive integer"):
+    with pytest.raises(SizeLimitError, match="m=0 outside 1..24"):
         next(enumerate_partitions(0))
+    with pytest.raises(SizeLimitError, match="m=25 outside 1..24"):
+        next(enumerate_partitions(25))
 
 
 def _cell_indices(p):

@@ -6,6 +6,10 @@ name, in the code of ``src/``, ``scripts/`` or ``perfbench/``; a string
 constant equal to the name counts too, since the benchmark's tracer names
 what it wraps by ``(module, name)`` strings.  Docstrings do not count.
 ``cmd_*`` functions are exempt: ``cli.main`` dispatches them by name.
+
+No code in ``src/`` asks whether a model is a ``JointSource`` or a
+``PinGraph`` with ``isinstance``: each model class gives its own oracle
+and capacity, and ``cli._load_model`` tells files apart by their keys.
 """
 
 import ast
@@ -14,6 +18,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "skomni"
 CALLER_DIRS = ("src", "scripts", "perfbench")
+MODEL_CLASSES = {"JointSource", "PinGraph"}
 
 
 def _public_names(tree):
@@ -81,3 +86,39 @@ def test_the_name_check_sees_a_name_only_a_docstring_mentions():
     assert _public_names(tree) - _references(tree) == {"helper"}
     tree = ast.parse(code + 'WRAPPED = [("skomni.x", "helper")]\n')
     assert _public_names(tree) - _references(tree) == {"WRAPPED"}
+
+
+def _model_isinstance_calls(tree):
+    """The line of each ``isinstance`` call whose class argument names a
+    model class, by name or as a module attribute."""
+    lines = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+        ):
+            named = {n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)}
+            named |= {n.attr for n in ast.walk(node.args[1]) if isinstance(n, ast.Attribute)}
+            if named & MODEL_CLASSES:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_code_in_src_dispatches_on_the_model_class():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        found += [f"{path.stem}.py:{line}" for line in _model_isinstance_calls(tree)]
+    assert found == []
+
+
+def test_the_dispatch_check_sees_a_model_class_in_a_tuple_or_an_attribute():
+    code = (
+        "isinstance(data, dict)\n"
+        "isinstance(model, (JointSource, int))\n"
+        "isinstance(model, pin.PinGraph)\n"
+        "type(model) is JointSource\n"
+    )
+    assert _model_isinstance_calls(ast.parse(code)) == [2, 3]
