@@ -244,11 +244,6 @@ def cmd_omnivocality(args: argparse.Namespace) -> int:
     return _emit(args, payload, lines)
 
 
-def _hunt_worker(packed: tuple[int, tuple[int, ...], int, int, float]) -> dict[str, Any]:
-    m, alphabet_sizes, seed, trial, tol = packed
-    return hunt_record(m, alphabet_sizes, seed, trial, tol)
-
-
 def _run_chunk(worker: Any, jobs: list) -> list:
     return [worker(job) for job in jobs]
 
@@ -317,7 +312,7 @@ def cmd_hunt(args: argparse.Namespace) -> int:
         raise SizeLimitError("hunt targets m >= 4 (smaller m is decided exactly)")
     subsets.check_table_m(args.m)  # before the log is created
     alphabet = _parse_alphabet(args.alphabet, args.m)
-    jobs = ((args.m, alphabet, args.seed, trial, args.tol) for trial in range(args.trials))
+    worker = functools.partial(hunt_record, args.m, alphabet, args.seed)
     try:
         # Line buffered, so the log holds every trial finished so far.
         fh = open(args.out, "w", buffering=1)
@@ -326,9 +321,9 @@ def cmd_hunt(args: argparse.Namespace) -> int:
     counts: dict[str, int] = {}
     with fh, _process_pool(args.jobs) if args.jobs > 1 else contextlib.nullcontext() as pool:
         if pool:
-            records = _windowed_map(pool, _hunt_worker, jobs, 8, 2 * args.jobs)
+            records = _windowed_map(pool, worker, iter(range(args.trials)), 8, 2 * args.jobs)
         else:
-            records = map(_hunt_worker, jobs)
+            records = map(worker, range(args.trials))
         for record in records:
             try:
                 fh.write(json.dumps(record) + "\n")
@@ -359,14 +354,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, model: bool = True) -> None:
-        if model:
-            p.add_argument("model", help="JSON file: joint pmf ('atoms') or PIN graph ('edges')")
-            p.add_argument(
-                "--renormalize",
-                action="store_true",
-                help="rescale atom probabilities to sum to 1 before validating",
-            )
+    def common(p: argparse.ArgumentParser) -> None:
+        p.add_argument("model", help="JSON file: joint pmf ('atoms') or PIN graph ('edges')")
+        p.add_argument(
+            "--renormalize",
+            action="store_true",
+            help="rescale atom probabilities to sum to 1 before validating",
+        )
         p.add_argument("--json", action="store_true", help="emit a single JSON object")
         p.add_argument(
             "--tol", type=tolerance, default=DEFAULT_TIE_TOL, help="comparison tolerance band"
@@ -393,7 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("hunt", help="search random sources for conjecture counterexamples")
-    common(p, model=False)
+    p.add_argument("--json", action="store_true", help="emit a single JSON object")
     p.add_argument("--m", type=int, required=True, help="number of terminals (>= 4)")
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0, help="base seed (>= 0)")

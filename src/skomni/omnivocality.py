@@ -264,8 +264,8 @@ def run_routes(
     return OmniStatus.AMBIGUOUS, verdicts
 
 
-def probe_conjecture(model: Any, tie_tol: float = DEFAULT_TIE_TOL) -> ConjectureProbe:
-    """Run ``run_routes`` on one model (condition and LP at m >= 4) and classify.
+def probe_conjecture(model: Any) -> ConjectureProbe:
+    """Run ``run_routes`` on one model at the fixed ``DEFAULT_TIE_TOL`` and classify.
 
     For m >= 4 the condition is not necessary: a source whose singleton
     partition is *not* the unique minimizer, yet where every leave-one-out
@@ -281,11 +281,11 @@ def probe_conjecture(model: Any, tie_tol: float = DEFAULT_TIE_TOL) -> Conjecture
     """
     if model.m < 4:
         raise SizeLimitError("conjecture probe targets m >= 4")
-    _, (condition, lp) = run_routes(model, tie_tol)
+    _, (condition, lp) = run_routes(model)
     classification = _classify(condition.minimizer.status, lp.status)
     reverified = classification is Classification.CANDIDATE and not model.oracle().exact
     if reverified:
-        _, (condition, lp) = run_routes(model, tie_tol, REVERIFY_DPS)
+        _, (condition, lp) = run_routes(model, dps=REVERIFY_DPS)
         classification = _classify(condition.minimizer.status, lp.status)
     return ConjectureProbe(
         condition=condition.minimizer.status,
@@ -308,17 +308,17 @@ def hunt_record(
     alphabet_sizes: tuple[int, ...],
     base_seed: int,
     trial: int,
-    tie_tol: float = DEFAULT_TIE_TOL,
 ) -> dict[str, Any]:
     """One self-contained hunt trial: generate, probe, serialize.
 
-    Pure function of its arguments, so trials can run in any process pool
-    and still produce identical records.  Candidate records embed the full
-    source so they can be re-examined without the original seed.
+    Pure function of the fields it stores (``base_seed`` as ``seed -
+    trial``), so any process pool produces identical records, and each
+    record can be recomputed from itself.  Candidate records embed the
+    full source so they can be re-examined without the original seed.
     """
     seed = base_seed + trial
     source = random_source(m, alphabet_sizes, seed)
-    probe = probe_conjecture(source, tie_tol)
+    probe = probe_conjecture(source)
     record: dict[str, Any] = {
         "trial": trial,
         "seed": seed,

@@ -15,7 +15,7 @@ from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from . import subsets
-from .errors import InputError, SizeLimitError
+from .errors import InputError
 
 
 def canonical_order(cells: Iterable[int]) -> list[int]:
@@ -36,12 +36,6 @@ def merge_cells(cells: list[int], chosen: int) -> list[int]:
     return kept
 
 
-def _check_m(m: int) -> None:
-    """Raise SizeLimitError unless m is an int in 1..MAX_TERMINALS."""
-    if not isinstance(m, int) or not 1 <= m <= subsets.MAX_TERMINALS:
-        raise SizeLimitError(f"m={m!r} outside 1..{subsets.MAX_TERMINALS}")
-
-
 class Partition(NamedTuple):
     """A set partition of {1..m}: its cells in canonical order."""
 
@@ -50,7 +44,7 @@ class Partition(NamedTuple):
     @classmethod
     def from_cells(cls, cells: Iterable[int], m: int) -> "Partition":
         """Canonicalize an arbitrary family of disjoint cell masks covering 1..m."""
-        _check_m(m)
+        subsets.check_mask_m(m)
         cells = tuple(cells)  # a one-shot iterable is read once
         cover = 0
         for cell in cells:
@@ -80,7 +74,6 @@ def isolating_partition(m: int, block: int) -> Partition:
     of ``block``; for ``|block| >= m-1`` this degenerates to the singleton
     partition.
     """
-    _check_m(m)
     subsets.check_subset(block, m)
     cells = [subsets.full_mask(m) & ~block] + [1 << (t - 1) for t in subsets.members(block)]
     cells = [c for c in cells if c]
@@ -95,7 +88,7 @@ def enumerate_partitions(m: int, min_cells: int = 2) -> Iterator[Partition]:
     partition comes once.  The count over all min_cells=1 partitions is
     the Bell number B(m).
     """
-    _check_m(m)
+    subsets.check_mask_m(m)
     if min_cells > m:
         return
     cells: list[int] = []

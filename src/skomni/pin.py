@@ -102,9 +102,9 @@ def load_pin_graph(path: str | Path) -> PinGraph:
     return PinGraph.from_json_dict(read_json(path))
 
 
-def complete_graph(m: int, mult: int = 1) -> PinGraph:
+def complete_graph(m: int) -> PinGraph:
     edges = tuple(
-        (u, v, mult) for u in range(1, m + 1) for v in range(u + 1, m + 1)
+        (u, v, 1) for u in range(1, m + 1) for v in range(u + 1, m + 1)
     )
     return PinGraph(m, edges)
 

@@ -90,10 +90,7 @@ class RateSolution(NamedTuple):
     lp: CoverSolution
 
 
-def min_sum_rate(
-    region: RateRegion,
-    binding_tol: float = DEFAULT_TIE_TOL,
-) -> RateSolution:
+def min_sum_rate(region: RateRegion) -> RateSolution:
     """Least total rate in the region by the covering simplex; also reports
     an optimal rate vector (a vertex) and which constraints it makes tight.
 
@@ -111,7 +108,7 @@ def min_sum_rate(
         eps = 1e-12 if isinstance(one, float) else one * 1e-30
     sol = solve_min_cover(len(terminals), members, bounds, one=one, eps=eps)
     rates = {t: sol.x[index[t]] for t in terminals}
-    return RateSolution(sol.objective, rates, _binding(region, rates, binding_tol), sol)
+    return RateSolution(sol.objective, rates, _binding(region, rates, DEFAULT_TIE_TOL), sol)
 
 
 def _binding(region: RateRegion, rates: dict[int, Any], tie_tol: float) -> tuple[RateConstraint, ...]:

@@ -309,9 +309,9 @@ def read_json(path: str | Path) -> Any:
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
-def load_source(path: str | Path, *, renormalize: bool = False) -> JointSource:
+def load_source(path: str | Path) -> JointSource:
     """Read a source JSON file.  Raises InputError with a diagnostic on failure."""
-    return JointSource.from_json_dict(read_json(path), renormalize=renormalize)
+    return JointSource.from_json_dict(read_json(path))
 
 
 def marginal(source: JointSource, subset: int) -> dict[tuple[int, ...], float]:
@@ -463,7 +463,7 @@ class TableOracle:
 
     def entropy(self, subset: int) -> Any:
         if type(subset) is not int or not 0 <= subset <= self._full:
-            subsets.check_subset(subset, self.m, allow_empty=True)
+            subsets.check_subset(subset, self.m)
         return self.table()[subset]
 
     def table(self) -> list[Any]:

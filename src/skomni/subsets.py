@@ -79,17 +79,22 @@ def members(mask: int) -> list[int]:
     return out
 
 
-def check_subset(mask: int, m: int, *, allow_empty: bool = False) -> None:
-    """Raise unless mask is a subset of {1..m} (nonempty by default)."""
-    if m < 1 or m > MAX_TERMINALS:
-        raise InputError(f"m={m} outside 1..{MAX_TERMINALS}")
+def check_mask_m(m: int) -> None:
+    """Raise SizeLimitError unless the m of a mask or partition is an int in 1..MAX_TERMINALS."""
+    if not isinstance(m, int) or not 1 <= m <= MAX_TERMINALS:
+        raise SizeLimitError(f"m={m!r} outside 1..{MAX_TERMINALS}")
+
+
+def check_subset(mask: int, m: int) -> None:
+    """Raise unless mask is a nonempty subset of {1..m}."""
+    check_mask_m(m)
     if type(mask) is not int:
         raise InputError(f"subset mask {mask!r} is not an int")
     if mask < 0:
         raise InputError("subset mask must be nonnegative")
     if mask & ~full_mask(m):
         raise InputError(f"subset {members(mask)} has terminals beyond m={m}")
-    if mask == 0 and not allow_empty:
+    if mask == 0:
         raise InputError("empty terminal subset not allowed here")
 
 

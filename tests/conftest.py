@@ -68,7 +68,8 @@ def _check_disjoint(a: int, b: int) -> None:
 def conditional_entropy(oracle, a: int, b: int):
     """H(X_A | X_B) = H(X_{A|B joint}) - H(X_B).  B may be empty."""
     subsets.check_subset(a, oracle.m)
-    subsets.check_subset(b, oracle.m, allow_empty=True)
+    if b:
+        subsets.check_subset(b, oracle.m)
     _check_disjoint(a, b)
     return oracle.entropy(a | b) - oracle.entropy(b)
 
@@ -86,7 +87,8 @@ def incident_weight(graph: PinGraph, subset: int) -> int:
 
     This is exactly the subset entropy of the PIN source in bits.
     """
-    subsets.check_subset(subset, graph.m, allow_empty=True)
+    if subset:
+        subsets.check_subset(subset, graph.m)
     total = 0
     for u, v, mult in graph.edges:
         if subset & ((1 << (u - 1)) | (1 << (v - 1))):

@@ -12,13 +12,14 @@ import pytest
 
 import skomni
 from skomni.capacity import MinimizerStatus
-from skomni.cli import _hunt_worker, main
+from skomni.cli import main
 from skomni.generators import random_source
 from skomni.omnivocality import (
     REVERIFY_DPS,
     Classification,
     OmniStatus,
     OmnivocalityVerdict,
+    hunt_record,
     probe_conjecture,
 )
 
@@ -475,17 +476,17 @@ def test_seed0_hunt_logs_keep_their_digests(tmp_path, capsys, m, alphabet, trial
     assert hashlib.sha256(log.read_bytes()).hexdigest()[:16] == digest
 
 
-def _fail_at_trial_16(packed):
-    if packed[3] == 16:
+def _fail_at_trial_16(m, alphabet, seed, trial):
+    if trial == 16:
         raise RuntimeError("trial 16 failed")
-    return _hunt_worker(packed)
+    return hunt_record(m, alphabet, seed, trial)
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_hunt_log_keeps_the_trials_finished_before_a_failure(tmp_path, monkeypatch, jobs):
     # Records reach the log as their trials finish; pool workers return
     # them in chunks of 8, so the failure sits at a chunk boundary.
-    monkeypatch.setattr("skomni.cli._hunt_worker", _fail_at_trial_16)
+    monkeypatch.setattr("skomni.cli.hunt_record", _fail_at_trial_16)
     log = tmp_path / "h.jsonl"
     with pytest.raises(RuntimeError, match="trial 16 failed"):
         main(["hunt", "--m", "4", "--trials", "24", "--jobs", jobs, "--out", str(log)])
@@ -493,13 +494,14 @@ def test_hunt_log_keeps_the_trials_finished_before_a_failure(tmp_path, monkeypat
     assert trials == list(range(16))
 
 
-def _constant_record(packed):
+def _constant_record(m, alphabet, seed, trial):
     return {"classification": "ConsistentProven"}
 
 
 def test_hunt_holds_one_job_at_a_time(capsys, monkeypatch):
-    # A list of all 10^5 job tuples alone would hold about 11 MB.
-    monkeypatch.setattr("skomni.cli._hunt_worker", _constant_record)
+    # The trials are a range and each record is written as it comes; a
+    # list of all 10^5 of these records alone would hold about 19 MB.
+    monkeypatch.setattr("skomni.cli.hunt_record", _constant_record)
     argv = ["hunt", "--m", "4", "--trials", "100000", "--jobs", "1", "--out", os.devnull]
     tracemalloc.start()
     try:
@@ -512,8 +514,7 @@ def test_hunt_holds_one_job_at_a_time(capsys, monkeypatch):
     assert peak < 2_000_000
 
 
-def _trial_record(packed):
-    m, _alphabet, seed, trial, _tol = packed
+def _trial_record(m, alphabet, seed, trial):
     return {"classification": "ConsistentProven", "m": m, "seed": seed + trial, "trial": trial}
 
 
@@ -545,7 +546,7 @@ class _CountingPool:
                 return fn(*args)
 
             def cancel(self):
-                _CountingPool.cancelled.append(args[1][0][3])
+                _CountingPool.cancelled.append(args[1][0])
                 return True
 
         return Future()
@@ -554,7 +555,7 @@ class _CountingPool:
 def test_hunt_pool_holds_a_bounded_window_of_chunks(tmp_path, capsys, monkeypatch):
     # 2 000 trials are 250 chunks of 8; --jobs 2 keeps at most 4 of them
     # submitted and unread, and the log is the same for any --jobs.
-    monkeypatch.setattr("skomni.cli._hunt_worker", _trial_record)
+    monkeypatch.setattr("skomni.cli.hunt_record", _trial_record)
     monkeypatch.setattr(_CountingPool, "peak", 0)
     base = ["hunt", "--m", "4", "--trials", "2000", "--seed", "5"]
     logs = {}
@@ -570,16 +571,16 @@ def test_hunt_pool_holds_a_bounded_window_of_chunks(tmp_path, capsys, monkeypatc
     assert logs["counted"].read_bytes() == serial
 
 
-def _fail_at_trial_0(packed):
-    if packed[3] == 0:
+def _fail_at_trial_0(m, alphabet, seed, trial):
+    if trial == 0:
         raise RuntimeError("trial 0 failed")
-    return _trial_record(packed)
+    return _trial_record(m, alphabet, seed, trial)
 
 
 def test_hunt_failure_cancels_the_chunks_still_pending(tmp_path, monkeypatch):
     # --jobs 2 holds a window of 4 chunks of 8; trial 0 fails when the
     # first chunk is read, so the 3 chunks behind it are cancelled unrun.
-    monkeypatch.setattr("skomni.cli._hunt_worker", _fail_at_trial_0)
+    monkeypatch.setattr("skomni.cli.hunt_record", _fail_at_trial_0)
     monkeypatch.setattr("skomni.cli._process_pool", _CountingPool)
     monkeypatch.setattr(_CountingPool, "cancelled", [])
     log = tmp_path / "h.jsonl"
@@ -609,6 +610,30 @@ def test_hunt_json_summary(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["trials"] == 4
     assert sum(payload["counts"].values()) == 4
+
+
+def test_only_the_model_commands_take_tol(files, tmp_path, capsys):
+    # A hunt runs at the fixed band, so no record depends on a flag it
+    # does not store.
+    log = tmp_path / "h.jsonl"
+    code, _, err = run(capsys, ["hunt", "--m", "4", "--trials", "2", "--out", str(log),
+                                "--tol", "1e-3"])
+    assert code == 2
+    assert "unrecognized arguments: --tol 1e-3" in err
+    assert not log.exists()
+    for argv in (["capacity"], ["singleton"], ["silent", "--speakers", "1,2"], ["omnivocality"]):
+        assert run(capsys, argv + [files["xor"], "--tol", "1e-3"])[0] == 0
+
+
+def test_hunt_record_is_recomputed_from_its_own_fields(tmp_path, capsys):
+    log = tmp_path / "h.jsonl"
+    argv = ["hunt", "--m", "4", "--trials", "40", "--seed", "0", "--out", str(log)]
+    assert run(capsys, argv)[0] == 0
+    records = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [r["trial"] for r in records] == list(range(40))
+    for r in records:
+        base_seed = r["seed"] - r["trial"]
+        assert r == hunt_record(r["m"], tuple(r["alphabet_sizes"]), base_seed, r["trial"])
 
 
 @pytest.mark.parametrize("payload", [
@@ -765,7 +790,7 @@ def test_hunt_rejects_bad_counts_before_starting(tmp_path, capsys, monkeypatch, 
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr("skomni.cli._process_pool", no_pool)
-    monkeypatch.setattr("skomni.cli._hunt_worker", no_pool)
+    monkeypatch.setattr("skomni.cli.hunt_record", no_pool)
     out = tmp_path / "hunt.jsonl"
     flags = [f.format(tmp=tmp_path) for f in flags]
     code, _, err = run(capsys, ["hunt", "--m", "4", "--trials", "2", "--out", str(out)] + flags)

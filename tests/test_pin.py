@@ -252,7 +252,7 @@ def test_oracle_table_equals_incident_weights():
 
 def test_multiplicity_scales_everything():
     base = pin_capacity(complete_graph(3))
-    doubled = pin_capacity(complete_graph(3, mult=2))
+    doubled = pin_capacity(PinGraph(3, ((1, 2, 2), (1, 3, 2), (2, 3, 2))))
     assert doubled.value == 2 * base.value
 
 

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skomni import subsets
-from skomni.errors import InputError
+from skomni.errors import InputError, SizeLimitError
 
 
 def test_full_mask_and_bit():
@@ -25,14 +25,13 @@ def test_check_subset_rejects_out_of_range():
         subsets.check_subset(0b100, 2)
     with pytest.raises(InputError):
         subsets.check_subset(0, 2)
-    subsets.check_subset(0, 2, allow_empty=True)
     with pytest.raises(InputError):
-        subsets.check_subset(-1, 2, allow_empty=True)
+        subsets.check_subset(-1, 2)
     for mask in (1.0, "1", None, True):
         with pytest.raises(InputError, match="not an int"):
             subsets.check_subset(mask, 2)
     for m in (0, subsets.MAX_TERMINALS + 1):
-        with pytest.raises(InputError, match=f"m={m} outside 1..24"):
+        with pytest.raises(SizeLimitError, match=f"m={m} outside 1..24"):
             subsets.check_subset(1, m)
 
 
