@@ -11,10 +11,15 @@ form (C for unit edges; ``--mult`` scales every edge, and C with it):
     path      1-2-...-m                              1            singletons NonUniqueMinimizer / NotNecessary
     star      1 joined to each of 2..m               1            singletons NonUniqueMinimizer / NotNecessary
     wheel     the star plus the cycle 2-...-m-2      2            singletons UniqueMinimizer / Necessary
+    windmill  triangles 1-t-(t+1)-1, t = 2, 4, ...   3/2          singletons NonUniqueMinimizer / Necessary
 
-The wheel starts at m = 4, where it is K_4.  From m = 4, cycle+ is a
-counterexample to the converse of the uniqueness condition: the
-singletons lose to 1,m merged, yet every terminal must talk.
+The wheel starts at m = 4, where it is K_4.  The windmill F_k is k
+triangles that share terminal 1, so it has odd m = 2k + 1 from 5, and
+the script skips every even m.  From m = 4, cycle+ is a counterexample
+to the converse of the uniqueness condition: the singletons lose to 1,m
+merged, yet every terminal must talk.  The windmill is a counterexample
+of another kind: the singletons tie with terminal 1 merged into one
+triangle, and still every terminal must talk.
 
 The verdicts come from ``run_routes``, which exits the script with 4 and
 one line on stderr if its routes disagree.  The script checks every row
@@ -49,6 +54,9 @@ FAMILIES = {
     "path": lambda m: _path(1, m),
     "star": lambda m: [(1, t, 1) for t in range(2, m + 1)],
     "wheel": lambda m: [(1, t, 1) for t in range(2, m + 1)] + _path(2, m) + [(2, m, 1)],
+    "windmill": lambda m: [
+        edge for t in range(2, m, 2) for edge in ((1, t, 1), (1, t + 1, 1), (t, t + 1, 1))
+    ],
 }
 
 
@@ -58,6 +66,8 @@ def closed_form(family: str, m: int) -> tuple[Fraction, Partition, str, str]:
     if family == "cycle+" and m > 3:
         merged = Partition.from_cells([1 | 1 << (m - 1)] + [1 << t for t in range(1, m - 1)], m)
         return Fraction(m - 1, m - 2), merged, "NotMinimizer", "Necessary"
+    if family == "windmill":
+        return Fraction(3, 2), singletons, "NonUniqueMinimizer", "Necessary"
     if family in ("complete", "cycle", "wheel"):
         capacity = {"complete": Fraction(m, 2), "cycle": Fraction(m, m - 1), "wheel": Fraction(2)}
         return capacity[family], singletons, "UniqueMinimizer", "Necessary"
@@ -71,7 +81,8 @@ def main() -> int:
     parser.add_argument("--max-m", type=int, default=8, help="largest number of terminals")
     parser.add_argument("--mult", type=int, default=1, help="multiplier of every edge")
     args = parser.parse_args()
-    first = 4 if args.family == "wheel" else 3
+    first = {"wheel": 4, "windmill": 5}.get(args.family, 3)
+    step = 2 if args.family == "windmill" else 1  # a windmill has odd m
     if args.max_m < first:
         parser.error(f"--max-m must be at least {first}, got {args.max_m}")
     if args.max_m > MAX_TABLE_M:
@@ -79,7 +90,7 @@ def main() -> int:
     if args.mult < 1:
         parser.error(f"--mult must be at least 1, got {args.mult}")
 
-    rows = {m: closed_form(args.family, m) for m in range(first, args.max_m + 1)}
+    rows = {m: closed_form(args.family, m) for m in range(first, args.max_m + 1, step)}
     width = [max(len(head), *(len(cell) for cell in cells)) for head, cells in [
         ("argmin", [format_partition(row[1]) for row in rows.values()]),
         ("condition", [row[2] for row in rows.values()]),

@@ -55,7 +55,7 @@ if TYPE_CHECKING:
     from concurrent.futures import Executor
 
 
-def _load_model(path: str, renormalize: bool = False) -> JointSource | PinGraph:
+def _load_model(path: str, renormalize: bool) -> JointSource | PinGraph:
     data = read_json(path)
     # A file with both keys goes to the graph loader, which names its stray key.
     if isinstance(data, dict) and "edges" in data:

@@ -15,9 +15,13 @@ inside a cell cancels and every crossing edge contributes once, so
 
 the quotient familiar from graph strength.  ``pin_capacity`` minimizes
 that quotient in the Newton loop of ``sk_capacity``, with its one tie
-rule, but each step is m integer minimum cuts, after Cunningham
+rule, but each step is at most m integer minimum cuts, after Cunningham
 ("Optimal attack and reinforcement of a network", J. ACM, 1985), and no
-entropy is read.  ``PinOracle`` exposes the same model through the
+entropy is read.  A terminal whose edge weight toward the terminals
+before it is at most the step's lambda needs no cut: it starts a cell of
+its own (the degree bound of ``_greedy_cells``).  Every cut that is left
+saturates its two-hop paths, source to i to sink, before it searches for
+augmenting paths.  ``PinOracle`` exposes the same model through the
 generic entropy interface, so every entropy-based analysis can be
 cross-checked against the graph route.
 """
@@ -154,11 +158,24 @@ def _max_flow(cap: list[list[int]], source: int, sink: int) -> tuple[int, list[i
     """Maximum source-sink flow by shortest augmenting paths on the capacity
     matrix ``cap``, which is left as the residual graph.
 
-    Returns the flow value and the nodes still reachable from the source:
-    the source side of the minimum cut with the fewest nodes.
+    Every two-hop path source -> i -> sink is saturated first, in one
+    pass; the augmenting paths then finish the flow.  Any maximum flow
+    leaves the same nodes reachable, so what comes back does not depend
+    on that head start: the flow value and the nodes still reachable from
+    the source, the source side of the minimum cut with the fewest nodes.
     """
     n = len(cap)
     flow = 0
+    for i in range(n):
+        if i == source or i == sink:
+            continue
+        push = min(cap[source][i], cap[i][sink])
+        if push > 0:
+            cap[source][i] -= push
+            cap[i][source] += push
+            cap[i][sink] -= push
+            cap[sink][i] += push
+            flow += push
     while True:
         parent = [-1] * n
         parent[source] = source
@@ -203,6 +220,12 @@ def _greedy_cells(adj: list[list[int]], p: int, q: int) -> list[int]:
     with every cell that meets the minimal B, the source side of that cut,
     so the cells form the finest minimizing partition.  They come back in
     canonical order, by smallest member.
+
+    Degree bound: when q w(j, terminals before j) <= p, B = {j} is the
+    least minimizer and j takes no cut, just x_j = f({j}).  For a nonempty
+    B' before j, the pass has kept x(B') <= f(B'), and
+    f(B' + j) = f(B') + f({j}) + 2p - 2q w(B', j), so
+    f(B' + j) - x(B') >= f({j}) whenever q w(B', j) <= p, ties included.
     """
     m = len(adj)
     qadj = [[q * w for w in row] for row in adj]
@@ -212,6 +235,11 @@ def _greedy_cells(adj: list[list[int]], p: int, q: int) -> list[int]:
     for j in range(m):
         for i, w in enumerate(qadj[j]):
             above[i] -= w
+        below = sum(qadj[j][:j])
+        if below <= p:  # {j} is the least minimizer: x_j = f({j})
+            x.append(above[j] + below - 2 * p)
+            cells = merge_cells(cells, 1 << j)
+            continue
         sink = j + 1
         cap = [row[: j + 1] + [0] for row in qadj[: j + 1]]
         cap.append([0] * (j + 2))
@@ -234,8 +262,8 @@ def pin_capacity(graph: PinGraph) -> CapacityReport:
     multigraph, the least crossing(P) / (|P| - 1).
 
     ``capacity``'s Newton loop runs from the singleton quotient W / (m - 1)
-    with this module's greedy pass (``_greedy_cells``, m minimum cuts at
-    lambda), and ends on the finest minimizer, ``argmin``, one
+    with this module's greedy pass (``_greedy_cells``, at most m minimum
+    cuts at lambda), and ends on the finest minimizer, ``argmin``, one
     ``Partition``.  All flows are in ints and no entropy is read, so this
     route is independent of ``sk_capacity`` over a ``PinOracle``.
     """

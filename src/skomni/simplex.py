@@ -63,8 +63,8 @@ def solve_min_cover(
     num_vars: int,
     members: Sequence[Sequence[int]],
     bounds: Sequence[Any],
-    one: Any = 1.0,
-    eps: Any = 1e-12,
+    one: Any,
+    eps: Any,
 ) -> CoverSolution:
     """Minimize sum(x) over x >= 0 with sum(x[i] for i in members_j) >= bounds_j.
 

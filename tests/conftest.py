@@ -302,6 +302,11 @@ def make_path3_graph() -> PinGraph:
     return PinGraph(3, ((1, 2, 1), (2, 3, 1)))
 
 
+def make_cycle_plus_graph(m: int) -> PinGraph:
+    """C_m^+: the cycle 1-2-...-m-1 with edge {1, m} doubled, weight m + 1."""
+    return PinGraph(m, tuple((t, t + 1, 1) for t in range(1, m)) + ((1, m, 2),))
+
+
 def exchangeable_mixture(m: int, alphabet_size: int, components: int, seed: int) -> JointSource:
     """Seeded mixture of iid sources: p(x) = sum_c w_c * prod_i q_c(x_i).
 

@@ -32,6 +32,7 @@ from conftest import (
     binary_entropy,
     count_fills,
     make_broadcast_pair,
+    make_cycle_plus_graph,
     make_iid_bits,
     make_path3_graph,
     make_two_speaker_bsc,
@@ -232,18 +233,13 @@ def test_lp_necessary_on_the_weight_5_counterexample():
     assert probe.capacity == Fraction(3, 2)
 
 
-def _cycle_plus(m):
-    """C_m^+: the cycle 1-2-...-m-1 with edge {1, m} doubled, weight m + 1."""
-    return PinGraph(m, tuple((t, t + 1, 1) for t in range(1, m)) + ((1, m, 2),))
-
-
 @pytest.mark.parametrize("m", range(3, 9))
 def test_cycle_plus_closed_form(m):
     # Merging 1 and m leaves m - 1 cells crossed by m - 1 unit edges, so
     # C = (m - 1)/(m - 2), below the singleton surplus (m + 1)/(m - 1) for
     # m >= 4; each G - u is a path, of strength 1 < C.  At m = 3 the two
     # tie at 2, and a terminal may stay silent.
-    graph = _cycle_plus(m)
+    graph = make_cycle_plus_graph(m)
     report = pin_capacity(graph)
     by_entropy = sk_capacity(PinOracle(graph))
     assert report.value == by_entropy.value == Fraction(m - 1, m - 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from skomni import subsets
+from skomni import capacity, pin, subsets
 from skomni.capacity import (
     MinimizerStatus,
     singleton_minimizer_check,
@@ -28,6 +28,7 @@ from skomni.pin import (
 from conftest import (
     crossing_count,
     incident_weight,
+    make_cycle_plus_graph,
     make_path3_graph,
     partition_surplus,
     strength_quotient,
@@ -220,6 +221,79 @@ def test_pin_capacity_matches_the_entropy_route(graph):
     assert report.value == by_entropy.value
     assert report.argmin == by_entropy.argmin
     assert report.partitions_examined == by_entropy.partitions_examined
+
+
+@pytest.mark.parametrize("graph", _drawn_graphs() + [
+    pytest.param(complete_graph(m), id=f"K{m}") for m in range(2, 11)
+] + [
+    pytest.param(make_cycle_plus_graph(m), id=f"C{m}+") for m in range(3, 11)
+])
+def test_greedy_pass_matches_the_table_pass(graph):
+    # At gamma = k/2, the strength and the singleton surplus many terminals
+    # meet q w(j, terminals before j) == p, where the degree bound skips
+    # the cut; both passes must still return the same cells.
+    adj = pin._adjacency(graph)
+    table = PinOracle(graph).table()
+    total = sum(mult for _u, _v, mult in graph.edges)
+    gammas = {Fraction(k, 2) for k in range(13)}
+    gammas |= {pin_capacity(graph).value, Fraction(total, graph.m - 1)}
+    for gamma in sorted(gammas):
+        cells = pin._greedy_cells(adj, gamma.numerator, gamma.denominator)
+        assert cells == capacity._greedy_cells(table, graph.m, gamma, 0)[0], gamma
+
+
+def _brute_min_cut(cap, source, sink):
+    """The least cut and the intersection of every source side that reaches it."""
+    n = len(cap)
+    others = [v for v in range(n) if v not in (source, sink)]
+    best, common = None, None
+    for mask in range(1 << len(others)):
+        side = {source} | {v for k, v in enumerate(others) if mask >> k & 1}
+        cut = sum(cap[u][v] for u in side for v in range(n) if v not in side)
+        if best is None or cut < best:
+            best, common = cut, side
+        elif cut == best:
+            common = common & side
+    return best, common
+
+
+def test_max_flow_matches_brute_force_cuts():
+    # Sparse small capacities give many tied minimum cuts; the reached nodes
+    # must be the smallest source side however the flow got there.
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(2, 7)
+        cap = [[rng.choice((0, 0, 0, 1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        source, sink = rng.sample(range(n), 2)
+        value, side = _brute_min_cut(cap, source, sink)
+        residual = [row[:] for row in cap]
+        flow, reached = pin._max_flow(residual, source, sink)
+        assert flow == value
+        assert set(reached) == side
+        for u in range(n):  # each pair of arcs keeps its total, none below 0
+            for v in range(n):
+                assert residual[u][v] >= 0
+                assert residual[u][v] + residual[v][u] == cap[u][v] + cap[v][u]
+
+
+@pytest.mark.parametrize("graph, cuts, examined", [
+    (complete_graph(8), 3, 1),
+    (make_cycle_plus_graph(8), 2, 2),
+    (complete_graph(16), 7, 1),
+], ids=["K8", "C8+", "K16"])
+def test_degree_bound_skips_most_cuts(monkeypatch, graph, cuts, examined):
+    # Without the degree bound each Newton step takes m cuts: 8, 16 and 16.
+    calls = []
+    real = pin._max_flow
+
+    def counted(cap, source, sink):
+        calls.append(source)
+        return real(cap, source, sink)
+
+    monkeypatch.setattr(pin, "_max_flow", counted)
+    report = pin_capacity(graph)
+    assert len(calls) == cuts
+    assert report.partitions_examined == examined
 
 
 @pytest.mark.parametrize("graph, components", [

@@ -67,6 +67,25 @@ def test_complete_graph_table_families(monkeypatch, capsys, family, first, last)
         assert [int(row[0]) for row in rows] == list(range(int(first.split()[0]), 7))
 
 
+def test_complete_graph_table_windmill(monkeypatch, capsys):
+    # F_k has odd m = 2k + 1 only, so --max-m 8 stops at 7.  The singletons
+    # tie with terminal 1 merged into one triangle, at C = 3/2, and still
+    # every terminal must talk; --mult 3 triples C.
+    script = ROOT / "scripts" / "complete_graph_table.py"
+    for mult in (1, 3):
+        argv = [script.name, "--family", "windmill", "--max-m", "8", "--mult", str(mult)]
+        monkeypatch.setattr(sys, "argv", argv)
+        with pytest.raises(SystemExit) as exit_info:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exit_info.value.code == 0
+        rows = [line.split()[:-1] for line in capsys.readouterr().out.splitlines()[1:]]
+        capacity = str(Fraction(3 * mult, 2))
+        assert rows == [
+            ["5", capacity, "1|2|3|4|5", "NonUniqueMinimizer", "Necessary", "1"],
+            ["7", capacity, "1|2|3|4|5|6|7", "NonUniqueMinimizer", "Necessary", "1"],
+        ]
+
+
 @pytest.mark.parametrize("field, wrong", [
     ("value", Fraction(1, 3)),
     ("argmin", Partition.from_cells([0b0011, 0b0100, 0b1000], 4)),
@@ -178,6 +197,8 @@ def test_hunt_summary_ranks_a_hunt_log_and_dumps_its_worst_candidate(tmp_path, m
     ("complete_graph_table.py", ["--family", "wheel", "--max-m", "3"],
      "--max-m must be at least 4, got 3"),
     ("complete_graph_table.py", ["--family", "grid"], "invalid choice: 'grid'"),
+    ("complete_graph_table.py", ["--family", "windmill", "--max-m", "4"],
+     "--max-m must be at least 5, got 4"),
 ])
 def test_scripts_reject_bad_arguments_before_any_output(
     tmp_path, monkeypatch, capsys, script, args, message

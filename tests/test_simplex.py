@@ -76,32 +76,32 @@ def _check_certificate(sol: CoverSolution, num_vars, members, bounds, tol=0):
 
 
 def test_two_variable_cover():
-    sol = solve_min_cover(2, [(0,), (1,), (0, 1)], [1.0, 1.0, 1.0])
+    sol = solve_min_cover(2, [(0,), (1,), (0, 1)], [1.0, 1.0, 1.0], one=1.0, eps=1e-12)
     assert sol.objective == pytest.approx(2.0)
     assert sol.x[0] == pytest.approx(1.0)
     assert sol.x[1] == pytest.approx(1.0)
 
 
 def test_pair_constraint_binds():
-    sol = solve_min_cover(2, [(0,), (1,), (0, 1)], [1.0, 1.0, 3.0])
+    sol = solve_min_cover(2, [(0,), (1,), (0, 1)], [1.0, 1.0, 3.0], one=1.0, eps=1e-12)
     assert sol.objective == pytest.approx(3.0)
     _check_certificate(sol, 2, [(0,), (1,), (0, 1)], [1.0, 1.0, 3.0], tol=1e-9)
 
 
 def test_single_joint_constraint():
-    sol = solve_min_cover(3, [(0, 1, 2)], [5.0])
+    sol = solve_min_cover(3, [(0, 1, 2)], [5.0], one=1.0, eps=1e-12)
     assert sol.objective == pytest.approx(5.0)
     assert sum(sol.x) == pytest.approx(5.0)
 
 
 def test_no_constraints_gives_origin():
-    sol = solve_min_cover(3, [], [])
+    sol = solve_min_cover(3, [], [], one=1.0, eps=1e-12)
     assert sol.objective == 0.0
     assert sol.x == (0.0, 0.0, 0.0)
 
 
 def test_nonpositive_bounds_give_origin():
-    sol = solve_min_cover(2, [(0,), (0, 1)], [0.0, -1.0])
+    sol = solve_min_cover(2, [(0,), (0, 1)], [0.0, -1.0], one=1.0, eps=1e-12)
     assert sol.objective == 0.0
 
 
@@ -128,8 +128,8 @@ def test_mpf_arithmetic():
 def test_determinism():
     members = [(0,), (2,), (0, 1), (1, 2), (0, 1, 2)]
     bounds = [1.0, 2.0, 2.5, 3.0, 4.0]
-    a = solve_min_cover(3, members, bounds)
-    b = solve_min_cover(3, members, bounds)
+    a = solve_min_cover(3, members, bounds, one=1.0, eps=1e-12)
+    b = solve_min_cover(3, members, bounds, one=1.0, eps=1e-12)
     assert a == b
     assert a.pivots == b.pivots
 
@@ -174,7 +174,9 @@ def test_exact_optimum_matches_vertex_enumeration(instance):
 def test_float_path_tracks_exact_path(instance):
     num_vars, members, bounds = instance
     exact = solve_min_cover(num_vars, members, bounds, one=Fraction(1), eps=Fraction(0))
-    rough = solve_min_cover(num_vars, members, [float(b) for b in bounds])
+    rough = solve_min_cover(
+        num_vars, members, [float(b) for b in bounds], one=1.0, eps=1e-12
+    )
     assert rough.objective == pytest.approx(float(exact.objective), abs=1e-9)
 
 
