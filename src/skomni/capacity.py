@@ -29,12 +29,12 @@ maximize x(1..m) subject to x(B) <= h(B) - gamma, in 2^m table reads, and
 merging each j with a minimizing B (and the cells B meets) builds a
 partition minimizing sum_{A in P} (h(A) - gamma).  A partition beats the
 trivial one there exactly when its surplus is below gamma.  So gamma
-starts at the singleton surplus and steps down to the surplus of the
-partition found until that is no longer strictly below; the last gamma is
-the capacity.  The cell count falls at every step, so at most m
-partitions are evaluated.  Taking the minimizing B with the fewest
-members gives the finest minimizing partition, the common refinement of
-all of them.  One loop, ``_dinkelbach``, takes these steps for every
+starts at the surplus of a start partition (``_start``) and steps down to
+the surplus of the partition found until that is no longer strictly
+below; the last gamma is the capacity.  The cell count falls at every
+step, so at most m partitions are evaluated.  Taking the minimizing B
+with the fewest members gives the finest minimizing partition, the
+common refinement of all of them.  One loop, ``_dinkelbach``, takes these steps for every
 search here and, with a min-cut pass, for ``pin.pin_capacity``.  A pass
 that returns the current cells or the trivial partition ends it; one
 that returns other cells of equal surplus ends it on those cells, so an
@@ -42,17 +42,24 @@ exact search ends on the finest minimizer.
 
 The iteration may start at any partition with at least 2 cells: from any
 start, gamma only falls, and it stops only at a gamma no partition beats,
-the least surplus.  ``leave_one_out_capacities`` uses this for the m
-searches over the speakers M - u of an exact oracle.  Each starts at the
-cells of the capacity's minimizer with u dropped, which often already
-minimize over M - u or lie a step from the minimizer, instead of at the
-singletons (on 8 random PIN multigraphs at m = 8, 102 greedy passes
-instead of 147).  In exact arithmetic the least surplus is one number, so
-the values cannot change.  Float searches still start at the singletons:
-a float value is the fold of the partition the search ends at, and when
-partitions tie in the reals a warm search can end at another of them,
-whose fold rounds an ulp apart (about 1 % of pmfs whose terminals are
-copies and XORs of a few biased bits, at m = 4..7).
+the least surplus.  In exact arithmetic the last pass, at gamma = C,
+returns the finest minimizer whatever the start, so only the count of
+partitions evaluated depends on it.  An exact search starts at the least
+surplus of three candidates, the earlier winning a tie: its warm cells
+(when given), the singletons, and the one-terminal cut {u} | rest of
+least surplus, h(u) + h(M - u) - h(M), which O(m) table reads find.  That
+cut often minimizes already (on the 8 PIN multigraphs of the benchmark's
+m = 8 pool, 10 partitions evaluated instead of 17).
+``leave_one_out_capacities`` gives each of its m searches over the
+speakers M - u of an exact oracle the warm cells of the capacity's
+minimizer with u dropped, which often already minimize over M - u or lie
+a step from the minimizer (on that pool, 78 greedy passes, against 102
+from the warm cells alone and 147 from the singletons).  Float searches
+still start at the singletons: a float value is the fold of the
+partition the search ends at, and when partitions tie in the reals a
+search from elsewhere can end at another of them, whose fold rounds an
+ulp apart (about 1 % of pmfs whose terminals are copies and XORs of a
+few biased bits, at m = 4..7).
 
 When only the speakers T talk, the capacity is min(C(X_T), min over
 silent d of I(X_T; X_d)), the optimum of the covering program in
@@ -203,12 +210,40 @@ def _cells_surplus(h: list, cells: list[int], exact: bool) -> Any:
     return _ratio(total - h[-1], len(cells) - 1, exact)
 
 
+def _start(
+    m: int,
+    surplus: Callable[[list[int]], Any],
+    cut: Optional[Callable[[int], Any]] = None,
+    warm: Optional[list[int]] = None,
+) -> tuple[Any, list[int]]:
+    """Where a Newton search over m terminals starts: (its surplus, its cells).
+
+    A float search (no ``cut``) starts at the singletons.  An exact search
+    starts at whichever of ``warm`` (when given), the singletons and the
+    one-terminal cut {u} | rest of least ``cut(u)``, that cut's surplus,
+    has the least surplus; on a tie the earlier of the three wins.
+    """
+    best = [1 << i for i in range(m)]
+    value = surplus(best)
+    if cut is None:
+        return value, best
+    if warm is not None and (warm_value := surplus(warm)) <= value:
+        value, best = warm_value, warm
+    u = min(range(m), key=cut)
+    if cut(u) < value:
+        value, best = Fraction(cut(u)), canonical_order([1 << u, ((1 << m) - 1) ^ (1 << u)])
+    return value, best
+
+
 def _dinkelbach(
-    start: list[int], greedy: Callable[[Any], list[int]], surplus: Callable[[list[int]], Any]
+    start: tuple[Any, list[int]],
+    greedy: Callable[[Any], list[int]],
+    surplus: Callable[[list[int]], Any],
 ) -> tuple[Any, list[int], int]:
-    """The Newton loop of every capacity search, from the cells ``start``:
-    (value, its cells, partitions evaluated).  See the module docstring."""
-    best, value, examined = start, surplus(start), 1
+    """The Newton loop of every capacity search, from ``start``, a surplus
+    and its cells: (value, its cells, partitions evaluated).  See the
+    module docstring."""
+    (value, best), examined = start, 1
     while True:
         cells = greedy(value)
         if len(cells) < 2 or cells == best:
@@ -225,11 +260,17 @@ def _dinkelbach(
 def _newton_search(
     h: list, m: int, exact: bool, start: Optional[list[int]] = None
 ) -> tuple[Any, list[int], int]:
-    """``_dinkelbach`` on the table ``h``, by default from the singletons."""
+    """``_dinkelbach`` on the table ``h`` from ``_start``, with ``start`` as
+    the warm cells.  An exact search reads each one-terminal cut's surplus
+    h(u) + h(M - u) - h(M) off the table; a float one starts at the
+    singletons."""
+    full = len(h) - 1
+    surplus = lambda cells: _cells_surplus(h, cells, exact)
+    cut = (lambda u: h[1 << u] + h[full ^ (1 << u)] - h[full]) if exact else None
     return _dinkelbach(
-        [1 << i for i in range(m)] if start is None else start,
+        _start(m, surplus, cut, start),
         lambda gamma: _greedy_cells(h, m, gamma, 0)[0],
-        lambda cells: _cells_surplus(h, cells, exact),
+        surplus,
     )
 
 
@@ -262,7 +303,7 @@ def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
     """Capacity min(C(X_T), min over silent d of I(X_T; X_d)) when only ``speakers`` talk.
 
     C(X_T) is the Newton search over the entropies of T's subsets, started
-    at the singletons: H(X_T) when |T| = 1, the capacity itself when T is
+    by ``_start``: H(X_T) when |T| = 1, the capacity itself when T is
     every terminal.  Each I term is h(T) + h(d) - h(T + d) read from
     ``oracle.table()``; it sums like a 2-cell surplus, so for T = {1..m}
     minus u it is bitwise the surplus of {T, {u}}.
@@ -275,12 +316,11 @@ def restricted_capacity(oracle: EntropyOracle, speakers: int) -> Any:
 def leave_one_out_capacities(oracle: EntropyOracle) -> tuple[Any, list]:
     """The capacity C and ``restricted_capacity`` of {1..m} minus u for u = 1..m.
 
-    One Newton search gives C and its cells.  For an exact oracle the
-    search for the speakers M - u starts at those cells with u dropped
-    (``_drop_cells``) when at least 2 of them remain, else at the
-    singletons; a float oracle's searches start at the singletons (see the
-    module docstring).  Each value equals ``restricted_capacity(oracle,
-    M - u)``.
+    One Newton search gives C and its cells.  For an exact oracle those
+    cells with u dropped (``_drop_cells``), when at least 2 of them remain,
+    are the warm candidate of ``_start`` for the speakers M - u; a float
+    oracle's searches start at the singletons (see the module docstring).
+    Each value equals ``restricted_capacity(oracle, M - u)``.
     """
     m = oracle.m
     if m < 2:

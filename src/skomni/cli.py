@@ -39,6 +39,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from typing import TYPE_CHECKING, Any
 
@@ -100,11 +101,17 @@ def _jsonable(value: Any) -> Any:
     return float(value)
 
 
-def _emit(args: argparse.Namespace, payload: dict[str, Any], text_lines: list[str]) -> int:
+def _emit(
+    args: argparse.Namespace,
+    payload: Callable[[], dict[str, Any]],
+    text_lines: Callable[[], list[str]],
+) -> int:
+    """Print ``payload()`` as JSON under --json, else the ``text_lines()``;
+    only the form printed is built."""
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
     return 0
 
@@ -113,48 +120,56 @@ def cmd_capacity(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.renormalize)
     report = model.capacity(args.tol)
     argmin = format_partition(report.argmin)
-    payload = {
-        "m": model.m,
-        "exact": report.exact,
-        "capacity": _jsonable(report.value),
-        "argmin": [argmin],
-        "partitions_examined": report.partitions_examined,
-    }
-    lines = [
-        f"C = {_fmt(report.value)} bits; argmin: {argmin}",
-        f"partitions examined: {report.partitions_examined}",
-    ]
-    return _emit(args, payload, lines)
+    return _emit(
+        args,
+        lambda: {
+            "m": model.m,
+            "exact": report.exact,
+            "capacity": _jsonable(report.value),
+            "argmin": [argmin],
+            "partitions_examined": report.partitions_examined,
+        },
+        lambda: [
+            f"C = {_fmt(report.value)} bits; argmin: {argmin}",
+            f"partitions examined: {report.partitions_examined}",
+        ],
+    )
 
 
 def cmd_singleton(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.renormalize)
     verdict = singleton_minimizer_check(model.oracle(), args.tol)
-    payload: dict[str, Any] = {
-        "status": verdict.status.value,
-        "comparisons": verdict.comparisons,
-        "witness": None,
-    }
-    head = f"{verdict.status.value} ({verdict.comparisons} comparisons)"
-    lines = [head]
-    if verdict.witness is not None:
-        w = verdict.witness
-        literal = format_partition(w.partition)
-        payload["witness"] = {
-            "partition": literal,
-            "surplus": _jsonable(w.surplus),
-            "singleton_surplus": _jsonable(w.singleton_surplus),
+    w = verdict.witness
+    literal = None if w is None else format_partition(w.partition)
+
+    def payload() -> dict[str, Any]:
+        return {
+            "status": verdict.status.value,
+            "comparisons": verdict.comparisons,
+            "witness": None
+            if w is None
+            else {
+                "partition": literal,
+                "surplus": _jsonable(w.surplus),
+                "singleton_surplus": _jsonable(w.singleton_surplus),
+            },
         }
+
+    def lines() -> list[str]:
+        head = f"{verdict.status.value} ({verdict.comparisons} comparisons)"
+        if w is None:
+            return [head]
         label = {
             MinimizerStatus.NON_UNIQUE: "tie at",
             MinimizerStatus.NOT_MINIMIZER: "beaten at",
             MinimizerStatus.AMBIGUOUS: "undecided at",
         }[verdict.status]
-        lines[0] = f"{head}; {label} {literal}"
-        lines.append(
+        return [
+            f"{head}; {label} {literal}",
             f"surplus({literal}) = {_fmt(w.surplus)}; "
-            f"surplus(singletons) = {_fmt(w.singleton_surplus)}"
-        )
+            f"surplus(singletons) = {_fmt(w.singleton_surplus)}",
+        ]
+
     return _emit(args, payload, lines)
 
 
@@ -163,26 +178,35 @@ def cmd_silent(args: argparse.Namespace) -> int:
     oracle = model.oracle()
     speakers = subsets.parse_subset(args.speakers, oracle.m)
     report = silent_capacity(oracle, speakers, args.tol)
-    payload = {
-        "speakers": subsets.format_subset(speakers),
-        "speakers_entropy": _jsonable(report.speakers_entropy),
-        "min_sum_rate": _jsonable(report.min_sum_rate),
-        "capacity": _jsonable(report.capacity),
-        "rates": {str(t): _jsonable(r) for t, r in report.rates.items()},
-        "binding": [
-            {"subset": subsets.format_subset(c.speakers_subset), "bound": _jsonable(c.lower_bound)}
-            for c in report.binding
-        ],
-    }
-    rates = ", ".join(f"R{t} = {_fmt(r)}" for t, r in sorted(report.rates.items()))
-    lines = [
-        f"speakers: {subsets.format_subset(speakers)}",
-        f"H(speakers) = {_fmt(report.speakers_entropy)}",
-        f"R_min = {_fmt(report.min_sum_rate)}",
-        f"C_restricted = {_fmt(report.capacity)}",
-        f"rates: {rates}",
-        "binding: " + "; ".join(subsets.format_subset(c.speakers_subset) for c in report.binding),
-    ]
+
+    def payload() -> dict[str, Any]:
+        return {
+            "speakers": subsets.format_subset(speakers),
+            "speakers_entropy": _jsonable(report.speakers_entropy),
+            "min_sum_rate": _jsonable(report.min_sum_rate),
+            "capacity": _jsonable(report.capacity),
+            "rates": {str(t): _jsonable(r) for t, r in report.rates.items()},
+            "binding": [
+                {
+                    "subset": subsets.format_subset(c.speakers_subset),
+                    "bound": _jsonable(c.lower_bound),
+                }
+                for c in report.binding
+            ],
+        }
+
+    def lines() -> list[str]:
+        rates = ", ".join(f"R{t} = {_fmt(r)}" for t, r in sorted(report.rates.items()))
+        binding = "; ".join(subsets.format_subset(c.speakers_subset) for c in report.binding)
+        return [
+            f"speakers: {subsets.format_subset(speakers)}",
+            f"H(speakers) = {_fmt(report.speakers_entropy)}",
+            f"R_min = {_fmt(report.min_sum_rate)}",
+            f"C_restricted = {_fmt(report.capacity)}",
+            f"rates: {rates}",
+            f"binding: {binding}",
+        ]
+
     return _emit(args, payload, lines)
 
 
@@ -233,15 +257,17 @@ def _omnivocality_payload(verdict) -> dict[str, Any]:
 def cmd_omnivocality(args: argparse.Namespace) -> int:
     model = _load_model(args.model, args.renormalize)
     status, verdicts = run_routes(model, args.tol, args.dps)
-    lines: list[str] = []
-    for v in verdicts:
-        lines.extend(_omnivocality_lines(v))
-    lines.append(f"verdict: {status.value} (methods agree)")
-    payload = {
-        "verdict": status.value,
-        "methods": [_omnivocality_payload(v) for v in verdicts],
-    }
-    return _emit(args, payload, lines)
+    return _emit(
+        args,
+        lambda: {
+            "verdict": status.value,
+            "methods": [_omnivocality_payload(v) for v in verdicts],
+        },
+        lambda: [
+            *itertools.chain.from_iterable(map(_omnivocality_lines, verdicts)),
+            f"verdict: {status.value} (methods agree)",
+        ],
+    )
 
 
 def _run_chunk(worker: Any, jobs: list) -> list:
@@ -332,17 +358,21 @@ def cmd_hunt(args: argparse.Namespace) -> int:
                     fh.close()  # its flush fails the same way
                 raise InputError(f"cannot write log {args.out}: {exc.strerror}") from None
             counts[record["classification"]] = counts.get(record["classification"], 0) + 1
-    payload = {
-        "m": args.m,
-        "trials": args.trials,
-        "seed": args.seed,
-        "alphabet_sizes": list(alphabet),
-        "out": args.out,
-        "counts": counts,
-    }
-    lines = [f"{k}: {v}" for k, v in sorted(counts.items())]
-    lines.append(f"log written to {args.out}")
-    return _emit(args, payload, lines)
+    return _emit(
+        args,
+        lambda: {
+            "m": args.m,
+            "trials": args.trials,
+            "seed": args.seed,
+            "alphabet_sizes": list(alphabet),
+            "out": args.out,
+            "counts": counts,
+        },
+        lambda: [
+            *(f"{k}: {v}" for k, v in sorted(counts.items())),
+            f"log written to {args.out}",
+        ],
+    )
 
 
 @functools.cache

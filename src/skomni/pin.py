@@ -14,16 +14,18 @@ inside a cell cancels and every crossing edge contributes once, so
     surplus(P) = crossing(P) / (|P| - 1),
 
 the quotient familiar from graph strength.  ``pin_capacity`` minimizes
-that quotient in the Newton loop of ``sk_capacity``, with its one tie
-rule, but each step is at most m integer minimum cuts, after Cunningham
-("Optimal attack and reinforcement of a network", J. ACM, 1985), and no
-entropy is read.  A terminal whose edge weight toward the terminals
-before it is at most the step's lambda needs no cut: it starts a cell of
-its own (the degree bound of ``_greedy_cells``).  Every cut that is left
-saturates its two-hop paths, source to i to sink, before it searches for
-augmenting paths.  ``PinOracle`` exposes the same model through the
-generic entropy interface, so every entropy-based analysis can be
-cross-checked against the graph route.
+that quotient in the Newton loop of ``sk_capacity``, with its one start
+and tie rule, but each step is at most m integer minimum cuts, after
+Cunningham ("Optimal attack and reinforcement of a network", J. ACM,
+1985), and no entropy is read.  The loop starts at the singletons or at
+the one-terminal cut {u} | rest of least degree, whichever quotient is
+lower; a tie keeps the singletons.  A terminal whose edge weight toward
+the terminals before it is at most the step's lambda needs no cut: it
+starts a cell of its own (the degree bound of ``_greedy_cells``).  Every
+cut that is left saturates its two-hop paths, source to i to sink, before
+it searches for augmenting paths.  ``PinOracle`` exposes the same model
+through the generic entropy interface, so every entropy-based analysis
+can be cross-checked against the graph route.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from pathlib import Path
 from typing import Any
 
 from . import subsets
-from .capacity import CapacityReport, _dinkelbach
+from .capacity import CapacityReport, _dinkelbach, _start
 from .errors import InputError
 from .partitions import Partition, canonical_order, merge_cells
 from .sources import TableOracle, check_keys, read_json
@@ -61,7 +63,7 @@ class PinGraph:
                 u, v, mult = edge
             except (TypeError, ValueError):
                 raise InputError(f"edge {edge!r} is not a (u, v, mult) triple") from None
-            if not all(type(x) is int for x in (u, v, mult)):
+            if type(u) is not int or type(v) is not int or type(mult) is not int:
                 raise InputError(f"edge {edge!r} has non-integer fields")
             if u == v:
                 raise InputError(f"self-loop at terminal {u}")
@@ -261,16 +263,20 @@ def pin_capacity(graph: PinGraph) -> CapacityReport:
     """Exact secret-key capacity of a PIN source: the strength of the
     multigraph, the least crossing(P) / (|P| - 1).
 
-    ``capacity``'s Newton loop runs from the singleton quotient W / (m - 1)
-    with this module's greedy pass (``_greedy_cells``, at most m minimum
-    cuts at lambda), and ends on the finest minimizer, ``argmin``, one
-    ``Partition``.  All flows are in ints and no entropy is read, so this
-    route is independent of ``sk_capacity`` over a ``PinOracle``.
+    ``capacity``'s Newton loop runs from the lower of the singleton
+    quotient W / (m - 1) and the least degree, the quotient of the
+    one-terminal cut {u} | rest (``capacity._start``), with this module's
+    greedy pass (``_greedy_cells``, at most m minimum cuts at lambda), and
+    ends on the finest minimizer, ``argmin``, one ``Partition``.  All
+    flows are in ints and no entropy is read, so this route is independent
+    of ``sk_capacity`` over a ``PinOracle``.
     """
     adj = _adjacency(graph)
+    surplus = lambda cells: Fraction(_crossing(graph, cells), len(cells) - 1)
+    degrees = [sum(row) for row in adj]
     value, best, examined = _dinkelbach(
-        [1 << i for i in range(graph.m)],
+        _start(graph.m, surplus, degrees.__getitem__),
         lambda gamma: _greedy_cells(adj, gamma.numerator, gamma.denominator),
-        lambda cells: Fraction(_crossing(graph, cells), len(cells) - 1),
+        surplus,
     )
     return CapacityReport(value, Partition.from_cells(best, graph.m), examined, True)

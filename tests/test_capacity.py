@@ -527,7 +527,7 @@ def test_newton_loop_stopping_and_tie_rule(passes, surpluses, expected):
         gammas.append(gamma)
         return next(script)
 
-    assert _dinkelbach([1, 2, 4, 8], greedy, lambda c: surpluses[tuple(c)]) == expected
+    assert _dinkelbach((3, [1, 2, 4, 8]), greedy, lambda c: surpluses[tuple(c)]) == expected
     assert gammas[0] == 3 and gammas[-1] == expected[0]
     assert next(script, None) is None
 
@@ -724,9 +724,11 @@ def test_lp_rows_are_the_cold_restricted_capacities(case):
 
 
 def test_leave_one_out_searches_start_at_the_capacity_minimizer(monkeypatch):
-    # The README graph: C = 5/2 at 1,4|2|3.  Started at that partition
-    # with u dropped, the four leave-one-out searches take 7 greedy passes
-    # with the capacity's, against 9 from the singletons.
+    # The README graph: C = 5/2 at 1,4|2|3, found in 2 greedy passes.
+    # Started at that partition with u dropped, or at a one-terminal cut
+    # of lower surplus, the four leave-one-out searches take 1 pass each:
+    # 6 in all, as the five cold searches take.  From the warm cells alone
+    # the passes were 7, and cold from the singletons 9.
     oracle = PinOracle(PinGraph(4, ((1, 2, 1), (1, 3, 1), (1, 4, 3), (2, 3, 2), (3, 4, 1))))
     calls = []
 
@@ -736,8 +738,8 @@ def test_leave_one_out_searches_start_at_the_capacity_minimizer(monkeypatch):
 
     monkeypatch.setattr("skomni.capacity._greedy_cells", counted)
     rows = verdict_by_lp(oracle).evidence
-    assert len(calls) == 7
+    assert len(calls) == 6
     calls.clear()
     cold = [restricted_capacity(oracle, s) for s in (0b1111, 0b1110, 0b1101, 0b1011, 0b0111)]
-    assert len(calls) == 9
+    assert len(calls) == 6
     assert [row.silent_capacity for row in rows] == cold[1:] == [1, 2, 1, 2]

@@ -13,6 +13,7 @@ from skomni.capacity import (
 from skomni.errors import InputError, SizeLimitError
 from skomni.partitions import (
     Partition,
+    canonical_order,
     enumerate_partitions,
     isolating_partition,
     singleton_partition,
@@ -294,6 +295,86 @@ def test_degree_bound_skips_most_cuts(monkeypatch, graph, cuts, examined):
     report = pin_capacity(graph)
     assert len(calls) == cuts
     assert report.partitions_examined == examined
+
+
+def test_benchmark_pool_work_counts(monkeypatch):
+    # The benchmark's pin_m8 pool: K_8 and random_graph(8, s) for s = 1..7.
+    # Started at the singletons, these took 3, 8, 11, 9, 6, 4, 8, 4 = 53
+    # minimum cuts and 17 Newton steps, and the leave-one-out searches 102
+    # greedy passes.  Six of the eight start at a one-terminal cut.
+    graphs = [complete_graph(8)] + [random_graph(8, s) for s in range(1, 8)]
+    cuts = []
+    real_cut = pin._max_flow
+    monkeypatch.setattr(pin, "_max_flow", lambda *a: cuts.append(a[1]) or real_cut(*a))
+    counts, examined = [], []
+    for graph in graphs:
+        cuts.clear()
+        examined.append(pin_capacity(graph).partitions_examined)
+        counts.append(len(cuts))
+    assert counts == [3, 4, 5, 3, 6, 2, 3, 4]
+    assert examined == [1, 1, 1, 1, 2, 2, 1, 1]
+    passes = []
+    real_pass = capacity._greedy_cells
+    monkeypatch.setattr(capacity, "_greedy_cells", lambda *a: passes.append(a[2]) or real_pass(*a))
+    for graph in graphs:
+        capacity.leave_one_out_capacities(PinOracle(graph))
+    assert len(passes) == 78
+
+
+def _windmill(k):
+    """F_k: k triangles 1-t-(t+1)-1 sharing the hub 1, t = 2, 4, ..., 2k."""
+    edges = []
+    for t in range(2, 2 * k + 1, 2):
+        edges += [(1, t, 1), (1, t + 1, 1), (t, t + 1, 1)]
+    return PinGraph(2 * k + 1, tuple(edges))
+
+
+def _one_terminal_cut(m, u):
+    full = subsets.full_mask(m)
+    return canonical_order([1 << u, full ^ (1 << u)])
+
+
+@pytest.mark.parametrize("graph", _drawn_graphs() + [
+    pytest.param(complete_graph(m), id=f"K{m}") for m in range(2, 11)
+] + [
+    pytest.param(make_cycle_plus_graph(m), id=f"C{m}+") for m in range(3, 11)
+] + [
+    pytest.param(_windmill(k), id=f"F{k}") for k in (2, 3)
+])
+def test_exact_searches_end_alike_from_every_start(monkeypatch, graph):
+    # From the singletons, from every one-terminal cut and from the default
+    # start, the table search and pin_capacity end on the same value and
+    # the same finest argmin; the default never examines more partitions
+    # than the singletons.
+    m = graph.m
+    h = PinOracle(graph).table()
+    value, cells, examined = capacity._newton_search(h, m, True)
+    report = pin_capacity(graph)
+    assert (report.value, report.argmin) == (value, Partition.from_cells(cells, m))
+    assert report.partitions_examined == examined
+    starts = [[1 << i for i in range(m)]] + [_one_terminal_cut(m, u) for u in range(m)]
+    for start in starts:
+        with monkeypatch.context() as patch:
+            forced = lambda m, surplus, cut=None, warm=None: (surplus(start), start)
+            patch.setattr(capacity, "_start", forced)
+            patch.setattr(pin, "_start", forced)
+            from_start = capacity._newton_search(h, m, True)
+            by_graph = pin_capacity(graph)
+        assert from_start[:2] == (value, cells), start
+        assert (by_graph.value, by_graph.argmin) == (report.value, report.argmin), start
+        if start is starts[0]:
+            assert examined <= from_start[2] == by_graph.partitions_examined
+
+
+@pytest.mark.parametrize("graph", [
+    make_path3_graph(), PinGraph(3, ((1, 2, 1), (1, 3, 1)))
+], ids=["path", "star"])
+def test_a_tied_one_terminal_cut_keeps_the_singletons(graph):
+    # deg(1) = 1 ties the singleton surplus 2 / 2.  Started at the cut, the
+    # confirming pass would return the finer singletons: 2 examined.
+    report = pin_capacity(graph)
+    assert report.partitions_examined == 1
+    assert capacity._newton_search(PinOracle(graph).table(), 3, True)[2] == 1
 
 
 @pytest.mark.parametrize("graph, components", [
